@@ -124,12 +124,19 @@ def near_field_weights(
         positions = geometry.antenna_positions
     else:
         positions = geometry.antenna_positions[np.asarray(antenna_subset, dtype=int)]
-    p = np.asarray(ue_position, dtype=float).reshape(3)
-    d = np.linalg.norm(positions - p, axis=1)
+    p = np.asarray(ue_position, dtype=float).reshape(1, 3)
+    w = _near_field_phasors(positions, p, geometry.wavelength)[:, 0]
+    return w / np.linalg.norm(w)
+
+
+def _near_field_phasors(
+    antenna_positions: np.ndarray, ue_positions: np.ndarray, wavelength: float
+) -> np.ndarray:
+    """Unit-modulus phasors exp(-j*2*pi*d/lambda), shape (antennas, UEs)."""
+    d = np.linalg.norm(antenna_positions[:, None, :] - ue_positions[None, :, :], axis=2)
     if np.any(d == 0):
         raise GeometryError("UE position coincides with an antenna position")
-    w = np.exp(1j * los_phase(d, geometry.wavelength))
-    return w / np.linalg.norm(w)
+    return np.exp(1j * los_phase(d, wavelength))
 
 
 def mrt(h) -> np.ndarray:
@@ -148,15 +155,7 @@ def zf(h_matrix, normalize: bool = True) -> np.ndarray:
     h_l^H w_k = delta_{lk} before normalization. With ``normalize``
     (default) every column is scaled to unit norm.
     """
-    h = _as_matrix(h_matrix)
-    m, k = h.shape
-    if numerical_rank(h) < k:
-        raise RankDeficiencyError(
-            f"channel matrix ({m}x{k}) is rank deficient; use rzf with alpha > 0"
-        )
-    gram = h.conj().T @ h
-    w = h @ np.linalg.solve(gram, np.eye(k, dtype=complex))
-    return normalize_columns(w) if normalize else w
+    return rzf(h_matrix, 0.0, normalize)
 
 
 def rzf(h_matrix, alpha: float, normalize: bool = True) -> np.ndarray:
@@ -181,10 +180,10 @@ def rzf(h_matrix, alpha: float, normalize: bool = True) -> np.ndarray:
 def orthogonalize(w, v_matrix) -> np.ndarray:
     """Project ``w`` onto the orthogonal complement of span(V).
 
-    Returns w - V (V^H V)^{-1} V^H w, unnormalized. V must have full
-    column rank. The result is zero exactly when w lies in span(V); a
-    residual norm below ``FULL_SUPPRESSION_TOL`` (absolute, intended for
-    roughly unit-scale inputs) raises FullySuppressedError.
+    Returns w - V (V^H V)^{-1} V^H w, unnormalized, applied twice so an
+    ill-conditioned V leaves no rounding residue in span(V). V must have
+    full column rank. A residual norm below ``FULL_SUPPRESSION_TOL``
+    (absolute, for roughly unit-scale inputs) raises FullySuppressedError.
     """
     w = _as_vector(w)
     v = _as_matrix(v_matrix)
@@ -199,6 +198,7 @@ def orthogonalize(w, v_matrix) -> np.ndarray:
         )
     gram = v.conj().T @ v
     residual = w - v @ np.linalg.solve(gram, v.conj().T @ w)
+    residual -= v @ np.linalg.solve(gram, v.conj().T @ residual)
     if np.linalg.norm(residual) < FULL_SUPPRESSION_TOL:
         raise FullySuppressedError(
             "base vector lies in the suppression subspace"
@@ -286,7 +286,7 @@ class PrecoderSpec:
                    "nf" (near-field vectors from locations) or "csi+nf"
                    (CSI where held, near-field otherwise)
     regularized  : use the regularized projection
-    alpha        : regularization weight; None resolves to the noise
+    alpha        : regularization weight (> 0); None resolves to the noise
                    variance at build time
     scope        : "centralized" assembles jointly over all serving
                    antennas; "per-ap" repeats the assembly per AP using
@@ -312,8 +312,8 @@ class PrecoderSpec:
         if self.alpha is not None:
             if not self.regularized:
                 raise ConfigError("alpha is only meaningful for regularized specs")
-            if not self.alpha >= 0:
-                raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+            if not self.alpha > 0:
+                raise ConfigError(f"alpha must be > 0, got {self.alpha}")
 
     def requirements(self) -> InfoRequirements:
         return InfoRequirements(
@@ -398,13 +398,15 @@ class ChannelAccess:
     def num_users(self) -> int:
         return self.channel.shape[1]
 
-    def has(self, ap: int, user: int) -> bool:
-        return bool(self.granted[ap, user])
-
-    def block(self, ap: int, user: int) -> np.ndarray:
-        if not self.granted[ap, user]:
-            raise InformationError(f"CSI for AP {ap}, user {user} was not granted")
-        return self.channel[self.geometry.ap_indices(ap), user]
+    def rows(self, aps: tuple[int, ...], users: np.ndarray) -> np.ndarray:
+        """CSI of ``users`` over the antennas of ``aps``, (antennas, users)."""
+        denied = np.argwhere(~self.granted[list(aps)][:, users])
+        if denied.size:
+            a, l = denied[0]
+            raise InformationError(
+                f"CSI for AP {aps[a]}, user {users[l]} was not granted"
+            )
+        return self.channel[_unit_antennas(self.geometry, aps)][:, users]
 
 
 @dataclass(frozen=True)
@@ -440,11 +442,6 @@ class InfoEnvironment:
             return tuple(range(self.geometry.num_aps))
         return tuple(self.serving[user])
 
-    def position(self, user: int) -> np.ndarray:
-        if self.ue_positions is None:
-            raise InformationError("UE locations were not granted")
-        return self.ue_positions[user]
-
 
 def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
     req = spec.requirements()
@@ -458,139 +455,166 @@ def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
         )
 
 
-def _nf_phasors(geometry: ArrayGeometry, antennas: np.ndarray, point) -> np.ndarray:
-    p = np.asarray(point, dtype=float).reshape(3)
-    d = np.linalg.norm(geometry.antenna_positions[antennas] - p, axis=1)
-    if np.any(d == 0):
-        raise GeometryError("UE position coincides with an antenna position")
-    return np.exp(1j * los_phase(d, geometry.wavelength))
+def _unit_antennas(geometry: ArrayGeometry, aps: tuple[int, ...]) -> np.ndarray:
+    return np.concatenate([geometry.ap_indices(a) for a in aps])
 
 
-def _ff_phasors(
-    geometry: ArrayGeometry, antennas: np.ndarray, point
-) -> np.ndarray:
-    theta, ref = steering_angle(geometry, point, antenna_subset=antennas)
-    ref_pos = geometry.antenna_positions[ref]
-    d = np.linalg.norm(geometry.antenna_positions[antennas] - ref_pos, axis=1)
-    return np.exp(-2j * np.pi * d * np.sin(theta) / geometry.wavelength)
+def _project_unit(
+    spec: PrecoderSpec,
+    env: InfoEnvironment,
+    unit: tuple[int, ...],
+    base: np.ndarray,
+    users: np.ndarray,
+    nf: np.ndarray | None,
+    alpha: float | None,
+) -> tuple[np.ndarray, dict[int, tuple[type, str]]]:
+    """Project the base columns (Ma, U) of the users one unit serves.
 
-
-def _unit_base(
-    spec: PrecoderSpec, k: int, env: InfoEnvironment, unit: tuple[int, ...]
-) -> np.ndarray:
-    antennas = np.concatenate([env.geometry.ap_indices(a) for a in unit])
-    if spec.base == "mrt":
-        return np.concatenate([env.csi.block(a, k) for a in unit])
-    if spec.base == "nf":
-        return _nf_phasors(env.geometry, antennas, env.position(k))
-    return _ff_phasors(env.geometry, antennas, env.position(k))
-
-
-def _unit_suppression(
-    spec: PrecoderSpec, k: int, env: InfoEnvironment, unit: tuple[int, ...]
-) -> tuple[np.ndarray, bool]:
-    """Suppression matrix for one assembly unit.
-
-    Returns (V, mixed) where ``mixed`` flags V containing both CSI and
-    near-field columns. CSI columns keep their natural (channel) scale,
-    near-field columns are unit norm; when a regularized projection mixes
-    the two sources, all columns are normalized to unit norm so alpha
-    acts on a single scale.
+    Every user l has one pool column: its CSI where the unit holds it on
+    every AP (natural channel scale), else its unit-norm near-field
+    vector when the spec suppresses by location, else none. User u
+    projects off V_u, the pool masked to exclude itself, by one stacked
+    solve of (V_u^H V_u + D_u) x = V_u^H b_u: D_u is alpha*I when
+    regularized, else 1 on the masked-out diagonal, which gives those
+    columns zero weight exactly; unregularized, it runs twice, as in
+    :func:`orthogonalize`. Returns the residuals and failures by user.
     """
-    antennas = np.concatenate([env.geometry.ap_indices(a) for a in unit])
-    columns: list[np.ndarray] = []
-    sources: list[str] = []
-    for l in range(env.num_users):
-        if l == k or spec.suppression == "none":
-            continue
-        csi_held = spec.suppression in ("csi", "csi+nf") and all(
-            env.csi is not None and env.csi.has(a, l) for a in unit
-        )
-        if csi_held:
-            columns.append(np.concatenate([env.csi.block(a, l) for a in unit]))
-            sources.append("csi")
-        elif spec.suppression in ("nf", "csi+nf"):
-            col = _nf_phasors(env.geometry, antennas, env.position(l))
-            columns.append(col / np.linalg.norm(col))
-            sources.append("nf")
-    if not columns:
-        return np.zeros((antennas.size, 0), dtype=complex), False
-    v = np.stack(columns, axis=1)
-    mixed = len(set(sources)) > 1
-    return v, mixed
+    antennas = _unit_antennas(env.geometry, unit)
+    ma, k = antennas.size, env.num_users
+    pool = np.zeros((ma, k), dtype=complex)
+    is_csi = np.zeros(k, dtype=bool)
+    if spec.suppression in ("csi", "csi+nf"):
+        is_csi = env.csi.granted[list(unit)].all(axis=0)
+        pool[:, is_csi] = env.csi.rows(unit, np.flatnonzero(is_csi))
+    present = is_csi
+    if spec.suppression in ("nf", "csi+nf"):
+        cols = nf[antennas][:, ~is_csi]
+        pool[:, ~is_csi] = cols / np.linalg.norm(cols, axis=0)
+        present = np.ones(k, dtype=bool)
+    mask = present & (np.arange(k) != users[:, None])
+    n = mask.sum(axis=1)
+    v = pool * mask[:, None, :]
+    failures: dict[int, tuple[type, str]] = {}
+    if alpha is not None:
+        # alpha acts on one scale: a user whose columns mix CSI and
+        # near-field sources gets every column normalized to unit norm
+        mixed = (mask & is_csi).any(axis=1) & (mask & ~is_csi).any(axis=1)
+        norms = np.linalg.norm(pool, axis=0)
+        for u in np.flatnonzero(mixed & (mask & (norms == 0)).any(axis=1)):
+            failures[users[u]] = (DegenerateChannelError, "cannot normalize a zero column")
+        v[mixed] /= np.where(norms > 0, norms, 1.0)
+        solve = n > 0
+    else:
+        # more columns than antennas is rank deficient without an SVD
+        deficient = n > ma
+        check = np.flatnonzero(~deficient & (n > 0))
+        if check.size:
+            s = np.linalg.svd(v[check], compute_uv=False)
+            tol = np.finfo(float).eps * s[:, :1] * np.maximum(ma, n[check, None])
+            deficient[check] = np.sum(s > tol, axis=1) < n[check]
+        for u in np.flatnonzero(deficient):
+            failures[users[u]] = (
+                RankDeficiencyError,
+                f"suppression matrix ({ma}x{n[u]}) is rank deficient; "
+                "use the regularized projection",
+            )
+        solve = ~deficient & (n > 0)
+    residual = base.copy()
+    if solve.any():
+        vs = v[solve]
+        vh = vs.conj().transpose(0, 2, 1)
+        gram = vh @ vs
+        gram[:, range(k), range(k)] += alpha if alpha is not None else ~mask[solve]
+        for _ in range(1 if alpha is not None else 2):
+            x = np.linalg.solve(gram, vh @ residual.T[solve, :, None])
+            residual[:, solve] -= (vs @ x)[:, :, 0].T
+    if alpha is None:
+        norms = np.linalg.norm(residual, axis=0)
+        for u in np.flatnonzero(solve & (norms < FULL_SUPPRESSION_TOL)):
+            failures[users[u]] = (
+                FullySuppressedError, "base vector lies in the suppression subspace"
+            )
+    return residual, failures
 
 
 def build_precoder(
     spec: PrecoderSpec,
-    k: int,
     env: InfoEnvironment,
     noise_var: float | None = None,
 ) -> np.ndarray:
-    """Assemble the precoding vector for user ``k`` under ``spec``.
+    """Assemble the (M, K) precoding matrix, one unit-norm column per user.
 
-    The base vector (MRT from CSI, or a steering vector from the UE
-    location) is orthogonalized against the suppression subspace built
-    from the other users' CSI columns and/or near-field vectors. With
-    scope "per-ap" the projection is repeated independently over each
-    serving AP's antennas using only that AP's CSI. The per-unit results
-    are concatenated over the serving antennas and the full vector is
-    normalized to unit norm; entries outside the serving antennas are
-    zero.
+    Column k is user k's base vector (MRT from CSI, or a steering vector
+    from the UE location) orthogonalized against the suppression
+    subspace built from the other users' CSI columns and/or near-field
+    vectors. With scope "per-ap" the projection is repeated
+    independently over each serving AP's antennas using only that AP's
+    CSI. Per-unit results are concatenated over the user's serving
+    antennas; entries outside them are zero. Each column equals
+    ``orthogonalize`` (or ``orthogonalize_regularized``) of the user's
+    base against its own suppression columns, but all users of one
+    assembly unit are projected together (see :func:`_project_unit`).
 
     ``noise_var`` supplies the default regularization weight when the
-    spec is regularized with ``alpha=None``.
+    spec is regularized with ``alpha=None``. A precoding failure is
+    raised for the lowest failing user, at the first failing unit in its
+    serving order, naming both.
     """
-    if not 0 <= k < env.num_users:
-        raise ValueError(f"user index {k} out of range for K={env.num_users}")
     _check_requirements(spec, env)
     alpha = None
     if spec.regularized:
         alpha = spec.alpha if spec.alpha is not None else noise_var
-        if alpha is None:
+        if alpha is None or not alpha > 0:
             raise ConfigError(
-                f"regularized precoder {spec.name!r} needs alpha or noise_var"
+                f"regularized precoder {spec.name!r} needs alpha or noise_var > 0"
             )
+    geo = env.geometry
+    nf = None
+    if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
+        nf = _near_field_phasors(geo.antenna_positions, env.ue_positions, geo.wavelength)
+    units_of = [
+        [aps] if spec.scope == "centralized" else [(a,) for a in aps]
+        for aps in map(env.serving_aps, range(env.num_users))
+    ]
+    served: dict[tuple[int, ...], list[int]] = {}
+    for k, units in enumerate(units_of):
+        for unit in units:
+            served.setdefault(unit, []).append(k)
 
-    aps = env.serving_aps(k)
-    units: list[tuple[int, ...]]
-    if spec.scope == "centralized":
-        units = [tuple(aps)]
-    else:
-        units = [(a,) for a in aps]
+    base = np.zeros((geo.num_antennas, env.num_users), dtype=complex)
+    for unit, users in served.items():
+        antennas = _unit_antennas(geo, unit)
+        if spec.base == "mrt":
+            base[antennas[:, None], users] = env.csi.rows(unit, np.array(users))
+        elif spec.base == "nf":
+            base[antennas[:, None], users] = nf[antennas][:, users]
+        else:
+            for u in users:
+                theta, ref = steering_angle(geo, env.ue_positions[u], antennas)
+                base[antennas, u] = far_field_weights(geo, theta, ref)[antennas]
+    total = np.linalg.norm(base, axis=0)
+    base /= np.where(total > 0, total, 1.0)
 
-    bases = []
-    for unit in units:
-        try:
-            bases.append(_unit_base(spec, k, env, unit))
-        except (GeometryError, InformationError):
-            raise
-    total = np.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in bases))
-    if total == 0:
-        raise DegenerateChannelError(
-            f"precoder {spec.name!r}, user {k}: zero base vector"
-        )
-
-    w = np.zeros(env.geometry.num_antennas, dtype=complex)
-    for unit, base in zip(units, bases):
-        antennas = np.concatenate([env.geometry.ap_indices(a) for a in unit])
-        base = base / total
-        v, mixed = _unit_suppression(spec, k, env, unit)
-        label = "centralized" if spec.scope == "centralized" else f"AP {unit[0]}"
-        try:
-            if spec.regularized:
-                if mixed and v.shape[1] > 0:
-                    v = normalize_columns(v)
-                w[antennas] = orthogonalize_regularized(base, v, alpha)
-            else:
-                w[antennas] = orthogonalize(base, v)
-        except (RankDeficiencyError, FullySuppressedError) as exc:
-            raise type(exc)(
-                f"precoder {spec.name!r}, user {k}, {label}: {exc}"
-            ) from exc
-
-    norm = np.linalg.norm(w)
-    if norm < FULL_SUPPRESSION_TOL:
-        raise FullySuppressedError(
-            f"precoder {spec.name!r}, user {k}: all components suppressed"
-        )
-    return w / norm
+    # units are projected when their first user needs them, so failures
+    # surface in the order the per-user definition checks them
+    w = np.zeros_like(base)
+    failures: dict[tuple[int, ...], dict[int, tuple[type, str]]] = {}
+    for k in range(env.num_users):
+        if total[k] == 0:
+            raise DegenerateChannelError(f"precoder {spec.name!r}, user {k}: zero base vector")
+        for unit in units_of[k]:
+            if unit not in failures:
+                users = np.array(served[unit])
+                antennas = _unit_antennas(geo, unit)
+                w[antennas[:, None], users], failures[unit] = _project_unit(
+                    spec, env, unit, base[antennas][:, users], users, nf, alpha
+                )
+            if k in failures[unit]:
+                cls, msg = failures[unit][k]
+                label = "centralized" if spec.scope == "centralized" else f"AP {unit[0]}"
+                raise cls(f"precoder {spec.name!r}, user {k}, {label}: {msg}")
+        if np.linalg.norm(w[:, k]) < FULL_SUPPRESSION_TOL:
+            raise FullySuppressedError(
+                f"precoder {spec.name!r}, user {k}: all components suppressed"
+            )
+    return w / np.linalg.norm(w, axis=0)

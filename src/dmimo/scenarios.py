@@ -282,32 +282,24 @@ class _DatasetSampler:
                 "dataset rx antenna positions differ from the configured geometry"
             )
         self.grid = grid
-        gm, gn = grid.grid_shape
         full = grid.present.all(axis=1)  # (T, GM, GN): every rx present
-        cells = []
-        for m in range(gm):
-            for n in range(gn):
-                tx = np.flatnonzero(full[:, m, n])
-                if tx.size:
-                    cells.append((int(tx[0]), m, n))
-        if not cells:
+        m, n = np.nonzero(full.any(axis=0))
+        if not m.size:
             raise ConfigError("dataset has no grid cell with complete rx coverage")
-        self.cells = cells
-        self.cell_positions = np.array([grid.positions[m, n] for _, m, n in cells])
+        self.cells = (np.argmax(full[:, m, n], axis=0), m, n)  # lowest full tx
+        self.cell_positions = grid.positions[m, n]
 
-    def nearest_cells(self, positions: np.ndarray) -> np.ndarray:
+    def sample(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Channels and snapped positions; None when two UEs share a cell."""
         d = np.linalg.norm(
             positions[:, None, :] - self.cell_positions[None, :, :], axis=2
         )
-        return np.argmin(d, axis=1)
-
-    def sample(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.nearest_cells(positions)
-        columns = []
-        for i in idx:
-            t, m, n = self.cells[i]
-            columns.append(self.grid.csi[t, :, m, n])
-        return np.stack(columns, axis=1), self.cell_positions[idx]
+        idx = np.argmin(d, axis=1)
+        if np.unique(idx).size != idx.size:
+            return None
+        t, m, n = (c[idx] for c in self.cells)
+        h = np.ascontiguousarray(self.grid.csi[t, :, m, n].T)  # (M, K) in C order
+        return h, self.cell_positions[idx]
 
 
 def _make_sampler(config: ScenarioConfig):
@@ -333,12 +325,10 @@ def draw_trial_channels(
         placement = place_ues(
             config.roi, config.k_users, config.min_spacing_m, rng
         )
-        h, positions = sampler.sample(placement.positions)
-        if isinstance(sampler, _DatasetSampler):
-            cells = sampler.nearest_cells(placement.positions)
-            if len(set(cells.tolist())) != config.k_users:
-                continue
-        return positions, h
+        drawn = sampler.sample(placement.positions)
+        if drawn is not None:
+            h, positions = drawn
+            return positions, h
     raise PlacementError(
         f"could not place {config.k_users} users on distinct dataset cells "
         f"after {_SNAP_ATTEMPTS} attempts (trial {trial_index})"
@@ -417,32 +407,18 @@ def run_trial(
         env = _trial_environment(config, h_known, h_true, positions)
         for spec in config.precoders:
             try:
-                w = np.stack(
-                    [
-                        build_precoder(spec, user, env, noise_var=noise_var)
-                        for user in range(config.k_users)
-                    ],
-                    axis=1,
-                )
+                w = build_precoder(spec, env, noise_var=noise_var)
             except PrecodingError as exc:
-                entries.append(
-                    TrialEntry(
-                        precoder=spec.name,
-                        sigma_e2=sigma,
-                        nmse=realized,
-                        sinr_db=None,
-                        failure=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            _, db = sinr_all(LinkRealization(h_true, w, noise_var))
+                db, failure = None, f"{type(exc).__name__}: {exc}"
+            else:
+                db, failure = sinr_all(LinkRealization(h_true, w, noise_var))[1], None
             entries.append(
                 TrialEntry(
                     precoder=spec.name,
                     sigma_e2=sigma,
                     nmse=realized,
                     sinr_db=db,
-                    failure=None,
+                    failure=failure,
                 )
             )
     return TrialResult(trial=trial_index, ue_positions=positions, entries=tuple(entries))

@@ -159,6 +159,17 @@ class TestSimulate:
         cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG + "typo_key: true\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_zero_alpha_exits_1(self, tmp_path, capsys):
+        entry = "{name: myrzf, base: mrt, suppression: csi, regularized: true, alpha: 0}"
+        cfg = write(
+            tmp_path / "sim.yaml",
+            SIMULATE_CFG.replace("[mrt, zf, nf_nf]", f"[mrt, {entry}]"),
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "alpha must be > 0" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_unknown_precoder_exits_1(self, tmp_path):
         cfg = write(
             tmp_path / "sim.yaml", SIMULATE_CFG.replace("[mrt, zf, nf_nf]", "[mmse]")

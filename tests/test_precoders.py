@@ -11,6 +11,7 @@ from dmimo import (
     LosChannelParams,
     PrecoderSpec,
     build_precoder,
+    cluster_users,
     far_field_weights,
     los_channel,
     mrt,
@@ -30,6 +31,7 @@ from dmimo.errors import (
     FullySuppressedError,
     GeometryError,
     InformationError,
+    PrecodingError,
     RankDeficiencyError,
 )
 
@@ -356,6 +358,13 @@ class TestPrecoderSpec:
         with pytest.raises(ConfigError):
             PrecoderSpec(name="x", base="mrt", suppression="csi", alpha=0.1)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan")])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ConfigError):
+            PrecoderSpec(
+                name="x", base="mrt", suppression="csi", regularized=True, alpha=alpha
+            )
+
     def test_invalid_enum_values(self):
         with pytest.raises(ConfigError):
             PrecoderSpec(name="x", base="mmse")
@@ -397,7 +406,7 @@ class TestBuildPrecoder:
         pos = np.array([[3.0, 2.0, 0.0]])
         h = los_channel(geometry, pos[0], params)[:, None]
         env = make_env(geometry, h, pos)
-        w = build_precoder(parse_precoder_name("mrt"), 0, env)
+        w = build_precoder(parse_precoder_name("mrt"), env)[:, 0]
         np.testing.assert_allclose(w, mrt(h[:, 0]), atol=1e-12)
 
     def test_zf_spec_equals_zf_columns(self, scenario_env):
@@ -405,9 +414,9 @@ class TestBuildPrecoder:
         env = make_env(geometry, h, positions)
         w_zf = zf(h)
         spec = parse_precoder_name("zf")
+        w = build_precoder(spec, env)
         for k in range(5):
-            w = build_precoder(spec, k, env)
-            assert_same_direction(w, w_zf[:, k], tol=1e-9)
+            assert_same_direction(w[:, k], w_zf[:, k], tol=1e-9)
 
     def test_rzf_spec_equals_rzf_columns(self, scenario_env):
         # pure-CSI regularized suppression keeps raw channel columns, so
@@ -417,20 +426,20 @@ class TestBuildPrecoder:
         alpha = 1e-2 * float(np.mean(np.abs(h) ** 2)) * geometry.num_antennas
         w_rzf = rzf(h, alpha)
         spec = parse_precoder_name("rzf")
+        w = build_precoder(spec, env, noise_var=alpha)
         for k in range(5):
-            w = build_precoder(spec, k, env, noise_var=alpha)
-            assert_same_direction(w, w_rzf[:, k], tol=1e-9)
+            assert_same_direction(w[:, k], w_rzf[:, k], tol=1e-9)
 
     def test_nf_nf_needs_no_csi(self, scenario_env):
         geometry, h, positions = scenario_env
         env = make_env(geometry, h, positions, csi=False)
-        w = build_precoder(parse_precoder_name("nf_nf"), 2, env)
+        w = build_precoder(parse_precoder_name("nf_nf"), env)[:, 2]
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)
 
     def test_nf_nf_orthogonal_to_other_steering_vectors(self, scenario_env):
         geometry, h, positions = scenario_env
         env = make_env(geometry, h, positions, csi=False)
-        w = build_precoder(parse_precoder_name("nf_nf"), 0, env)
+        w = build_precoder(parse_precoder_name("nf_nf"), env)[:, 0]
         for l in range(1, 5):
             v = near_field_weights(geometry, positions[l])
             assert abs(np.vdot(v, w)) < 1e-9
@@ -439,21 +448,23 @@ class TestBuildPrecoder:
         geometry, h, positions = scenario_env
         no_csi = make_env(geometry, h, positions, csi=False)
         with pytest.raises(InformationError):
-            build_precoder(parse_precoder_name("zf"), 0, no_csi)
+            build_precoder(parse_precoder_name("zf"), no_csi)
         no_loc = make_env(geometry, h, positions, locations=False)
         with pytest.raises(InformationError):
-            build_precoder(parse_precoder_name("nf_nf"), 0, no_loc)
+            build_precoder(parse_precoder_name("nf_nf"), no_loc)
         with pytest.raises(InformationError):
-            build_precoder(parse_precoder_name("mrt_nf"), 0, no_loc)
+            build_precoder(parse_precoder_name("mrt_nf"), no_loc)
 
     def test_block_access_gated(self, geometry, rng):
         h = crandn(rng, 64, 3)
         granted = np.zeros((8, 3), dtype=bool)
         granted[:, 0] = True
         access = ChannelAccess(geometry, h, granted)
-        assert access.has(0, 0) and not access.has(0, 1)
+        np.testing.assert_array_equal(
+            access.rows((0, 1), np.array([0])), h[:16, :1]
+        )
         with pytest.raises(InformationError):
-            access.block(0, 1)
+            access.rows((0,), np.array([1]))
 
     def test_unit_norm_all_specs(self, scenario_env):
         geometry, h, positions = scenario_env
@@ -462,7 +473,7 @@ class TestBuildPrecoder:
         for name in ["nf", "mrt", "zf", "rzf", "nf_nf", "mrt_nf", "rmrt_nf",
                      "zf_nf", "rzf_nf", "dis_zf", "dis_rzf", "dis_mrt_nf",
                      "dis_rmrt_nf", "dis_nf_nf"]:
-            w = build_precoder(parse_precoder_name(name), 1, env, noise_var=noise)
+            w = build_precoder(parse_precoder_name(name), env, noise_var=noise)[:, 1]
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10), name
 
     def test_per_ap_rank_deficiency_at_k10(self, geometry, rng):
@@ -474,17 +485,17 @@ class TestBuildPrecoder:
         env = make_env(geometry, h, positions)
         # 9 suppression columns per 8-antenna AP: always rank deficient
         with pytest.raises(RankDeficiencyError) as err:
-            build_precoder(parse_precoder_name("dis_mrt_nf"), 0, env)
+            build_precoder(parse_precoder_name("dis_mrt_nf"), env)
         assert "user 0" in str(err.value) and "AP" in str(err.value)
         w = build_precoder(
-            parse_precoder_name("dis_rmrt_nf"), 0, env, noise_var=1e-6
-        )
+            parse_precoder_name("dis_rmrt_nf"), env, noise_var=1e-6
+        )[:, 0]
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)
 
     def test_distributed_restricts_subspace_per_ap(self, scenario_env):
         geometry, h, positions = scenario_env
         env = make_env(geometry, h, positions)
-        w = build_precoder(parse_precoder_name("dis_zf"), 0, env)
+        w = build_precoder(parse_precoder_name("dis_zf"), env)[:, 0]
         # per-AP blocks are orthogonal to the other users' per-AP channels
         for a in range(geometry.num_aps):
             idx = geometry.ap_indices(a)
@@ -497,7 +508,7 @@ class TestBuildPrecoder:
         granted = np.zeros((8, 5), dtype=bool)
         granted[0] = granted[1] = True
         env = make_env(geometry, h, positions, granted=granted, serving=serving)
-        w = build_precoder(parse_precoder_name("zf"), 0, env)
+        w = build_precoder(parse_precoder_name("zf"), env)[:, 0]
         outside = np.concatenate([geometry.ap_indices(a) for a in range(2, 8)])
         np.testing.assert_array_equal(w[outside], 0.0)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)
@@ -506,11 +517,12 @@ class TestBuildPrecoder:
         # serving pair holds CSI for users {0, 1} only; zf_nf must null
         # the co-served channel and the out-of-cluster steering vectors
         geometry, h, positions = scenario_env
-        serving = tuple((0, 1) for _ in range(5))
+        serving = ((0, 1), (0, 1), (2, 3), (2, 3), (2, 3))
         granted = np.zeros((8, 5), dtype=bool)
         granted[0:2, 0:2] = True
+        granted[2:4, 2:5] = True
         env = make_env(geometry, h, positions, granted=granted, serving=serving)
-        w = build_precoder(parse_precoder_name("zf_nf"), 0, env)
+        w = build_precoder(parse_precoder_name("zf_nf"), env)[:, 0]
         pair_idx = np.concatenate([geometry.ap_indices(0), geometry.ap_indices(1)])
         # co-served user suppressed through its actual channel
         assert abs(np.vdot(h[pair_idx, 1], w[pair_idx])) < 1e-9
@@ -526,7 +538,7 @@ class TestBuildPrecoder:
         env = InfoEnvironment(
             geometry=geo, num_users=2, csi=None, ue_positions=positions
         )
-        w = build_precoder(parse_precoder_name("ff"), 0, env)
+        w = build_precoder(parse_precoder_name("ff"), env)[:, 0]
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         # beam gain toward the intended user beats an off-target direction
         h_on = near_field_weights(geo, positions[0])
@@ -537,4 +549,243 @@ class TestBuildPrecoder:
         geometry, h, positions = scenario_env
         env = make_env(geometry, h, positions)
         with pytest.raises(ConfigError):
-            build_precoder(parse_precoder_name("rzf"), 0, env, noise_var=None)
+            build_precoder(parse_precoder_name("rzf"), env, noise_var=None)
+
+
+# --- oracle: the literal per-vector construction ---------------------------
+
+PRECODER_NAMES = ["nf", "ff", "mrt", "zf", "rzf", "nf_nf", "mrt_nf", "rmrt_nf",
+                  "zf_nf", "rzf_nf"]
+SCOPE_MODES = ["centralized", "dis", "clustered"]
+PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7))
+
+
+def reference_column(spec, k, env, noise_var=None):
+    """User k's precoder, one vector at a time, from the public primitives.
+
+    Per assembly unit (all serving APs, or each serving AP) the base is
+    the user's CSI, near-field or far-field vector; it is projected off
+    the other users' CSI where the unit holds it on every AP, else their
+    unit-norm near-field vectors when the spec suppresses by location.
+    """
+    geo = env.geometry
+    aps = env.serving_aps(k)
+    units = [aps] if spec.scope == "centralized" else [(a,) for a in aps]
+    alpha = spec.alpha if spec.alpha is not None else noise_var
+
+    def antennas(unit):
+        return np.concatenate([geo.ap_indices(a) for a in unit])
+
+    def csi(unit, l):
+        return np.concatenate([env.csi.channel[geo.ap_indices(a), l] for a in unit])
+
+    bases = []
+    for unit in units:
+        idx = antennas(unit)
+        if spec.base == "mrt":
+            bases.append(csi(unit, k))
+        elif spec.base == "nf":
+            bases.append(near_field_weights(geo, env.ue_positions[k], idx))
+        else:
+            theta, ref = steering_angle(geo, env.ue_positions[k], idx)
+            bases.append(far_field_weights(geo, theta, ref)[idx])
+    total = np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in bases))
+    if total == 0:
+        raise DegenerateChannelError(f"user {k}: zero base vector")
+
+    w = np.zeros(geo.num_antennas, dtype=complex)
+    for unit, base in zip(units, bases):
+        idx = antennas(unit)
+        columns, sources = [], []
+        for l in range(env.num_users):
+            if l == k or spec.suppression == "none":
+                continue
+            if spec.suppression in ("csi", "csi+nf") and env.csi.granted[list(unit), l].all():
+                columns.append(csi(unit, l))
+                sources.append("csi")
+            elif spec.suppression in ("nf", "csi+nf"):
+                columns.append(near_field_weights(geo, env.ue_positions[l], idx))
+                sources.append("nf")
+        v = np.stack(columns, axis=1) if columns else np.zeros((idx.size, 0), complex)
+        label = "centralized" if spec.scope == "centralized" else f"AP {unit[0]}"
+        try:
+            if spec.regularized:
+                if len(set(sources)) > 1:
+                    v = v / np.linalg.norm(v, axis=0)
+                w[idx] = orthogonalize_regularized(base / total, v, alpha)
+            else:
+                w[idx] = orthogonalize(base / total, v)
+        except PrecodingError as exc:
+            raise type(exc)(f"user {k}, {label}: {exc}") from exc
+    if np.linalg.norm(w) < 1e-12:
+        raise FullySuppressedError(f"user {k}: all components suppressed")
+    return w / np.linalg.norm(w)
+
+
+def oracle_env(k, seed, mode):
+    """A perimeter-deployment trial with estimation error on the CSI.
+
+    ``clustered`` serves each user from one AP pair (by mean channel
+    gain) and grants CSI on that pair plus a random third of the other
+    (AP, user) blocks, so held CSI and near-field columns mix.
+    """
+    geometry = perimeter_geometry()
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack(
+        [rng.uniform(1.5, 4.5, k), rng.uniform(1.5, 4.5, k), np.zeros(k)]
+    )
+    params = LosChannelParams(wavelength=geometry.wavelength)
+    h = np.stack([los_channel(geometry, p, params) for p in positions], axis=1)
+    h = h + 0.1 * np.abs(h) * crandn(rng, *h.shape)
+    serving, granted = None, None
+    if mode == "clustered":
+        pair = cluster_users(np.abs(h.T) ** 2, PAIRS, geometry).ue_to_pair
+        serving = tuple(PAIRS[p] for p in pair)
+        granted = rng.random((8, k)) < 1 / 3
+        for l in range(k):
+            granted[list(serving[l]), l] = True
+    env = make_env(geometry, h, positions, granted=granted, serving=serving)
+    noise_var = 1e-2 * float(np.mean(np.sum(np.abs(h) ** 2, axis=0)))
+    return env, noise_var
+
+
+def oracle_cases():
+    for name in PRECODER_NAMES:
+        for mode in SCOPE_MODES:
+            if name == "ff" and mode == "centralized":
+                continue  # the whole perimeter is not collinear
+            for k in (5, 10):
+                yield name, mode, k
+
+
+def assert_matches_reference(spec, env, noise_var):
+    """Every column within 1e-8 of the per-vector construction, or the
+    lowest failing user's exception class, naming that user and unit."""
+    expected, failed = {}, {}
+    for user in range(env.num_users):
+        try:
+            expected[user] = reference_column(spec, user, env, noise_var)
+        except PrecodingError as exc:
+            failed[user] = exc
+    if not failed:
+        w = build_precoder(spec, env, noise_var=noise_var)
+        for user, col in expected.items():
+            assert np.abs(w[:, user] - col).max() < 1e-8, (spec.name, user)
+        return
+    with pytest.raises(PrecodingError) as err:
+        build_precoder(spec, env, noise_var=noise_var)
+    ref = failed[min(failed)]
+    assert type(err.value) is type(ref), str(err.value)
+    # "user k, AP a" / "user k, centralized" / "user k" for whole-vector failures
+    where = str(ref).split(": ")[0]
+    assert str(err.value).split(": ")[0].endswith(where), (str(err.value), where)
+
+
+class TestBuildPrecoderOracle:
+    @pytest.mark.parametrize("name,mode,k", list(oracle_cases()))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_per_vector_construction(self, name, mode, k, seed):
+        env, noise_var = oracle_env(k, seed, mode)
+        spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
+        assert_matches_reference(spec, env, noise_var)
+
+    @pytest.mark.parametrize("name", ["zf", "nf_nf", "mrt_nf", "zf_nf", "rzf_nf"])
+    @pytest.mark.parametrize("mode", SCOPE_MODES)
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_duplicated_user_matches_per_vector_construction(self, name, mode, k):
+        # user 1 repeats user 0's position and channel: the suppression
+        # subspace of every other user is rank deficient, and a base
+        # built from the same source as user 1's column is fully
+        # suppressed
+        env, noise_var = oracle_env(k, 5, mode)
+        h, positions = env.csi.channel.copy(), env.ue_positions.copy()
+        granted = env.csi.granted.copy()
+        h[:, 1], positions[1], granted[:, 1] = h[:, 0], positions[0], granted[:, 0]
+        serving = env.serving and env.serving[:1] * 2 + env.serving[2:]
+        env = make_env(env.geometry, h, positions, granted=granted, serving=serving)
+        spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
+        assert_matches_reference(spec, env, noise_var)
+
+
+# --- properties ------------------------------------------------------------
+
+UNREGULARIZED = ["zf", "nf_nf", "mrt_nf", "zf_nf"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(PRECODER_NAMES),
+    mode=st.sampled_from(SCOPE_MODES),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unit_norm_columns_property(name, mode, k, seed):
+    if name == "ff" and mode == "centralized":
+        return
+    env, noise_var = oracle_env(k, seed, mode)
+    spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
+    try:
+        w = build_precoder(spec, env, noise_var=noise_var)
+    except PrecodingError:
+        return
+    np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(UNREGULARIZED),
+    mode=st.sampled_from(SCOPE_MODES),
+    k=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_leakage_property(name, mode, k, seed):
+    # every column the spec suppresses is orthogonal to the user's
+    # precoder on each assembly unit
+    env, _ = oracle_env(k, seed, mode)
+    spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
+    try:
+        w = build_precoder(spec, env)
+    except PrecodingError:
+        return
+    geo = env.geometry
+    for user in range(k):
+        aps = env.serving_aps(user)
+        units = [aps] if spec.scope == "centralized" else [(a,) for a in aps]
+        for unit in units:
+            idx = np.concatenate([geo.ap_indices(a) for a in unit])
+            for l in range(k):
+                if l == user:
+                    continue
+                if spec.suppression != "nf" and env.csi.granted[list(unit), l].all():
+                    v = env.csi.channel[idx, l]
+                elif spec.suppression != "csi":
+                    v = near_field_weights(geo, env.ue_positions[l], idx)
+                else:
+                    continue
+                assert abs(np.vdot(v / np.linalg.norm(v), w[idx, user])) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(SCOPE_MODES),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zf_column_scaling_invariance_property(mode, k, seed):
+    env, _ = oracle_env(k, seed, mode)
+    spec = parse_precoder_name(("dis_" if mode == "dis" else "") + "zf")
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.1, 10.0, k) * np.exp(2j * np.pi * rng.random(k))
+    scaled = make_env(
+        env.geometry, env.csi.channel * scales, env.ue_positions,
+        granted=env.csi.granted, serving=env.serving,
+    )
+    try:
+        w = build_precoder(spec, env)
+    except PrecodingError:
+        with pytest.raises(PrecodingError):
+            build_precoder(spec, scaled)
+        return
+    w_scaled = build_precoder(spec, scaled)
+    for user in range(k):
+        assert_same_direction(w[:, user], w_scaled[:, user], tol=1e-8)

@@ -14,6 +14,7 @@ from dmimo import (
     generate_synthetic_dataset,
     parse_precoder_name,
     perimeter_geometry,
+    read_dataset,
     run_scenario,
     run_trial,
     write_dataset,
@@ -324,6 +325,30 @@ class TestDatasetMode:
             assert np.min(np.abs(xs - p[0])) < 1e-9
             assert np.min(np.abs(xs - p[1])) < 1e-9
         assert len({tuple(np.round(p, 9)) for p in positions}) == 4
+
+    def test_distinct_cells_sample_lowest_full_tx(self, dataset_dir, tmp_path):
+        # ten users on a 12x12 grid without spacing often snap to one cell
+        # and must be re-placed; tx 0 lacks one rx on grid rows m < 6, so
+        # there each column is the (distinct) tx-1 CSI
+        grid, manifest = read_dataset(dataset_dir)
+        csi, present = grid.csi.copy(), grid.present.copy()
+        csi[1] *= 2j
+        present[0, 0, :6] = False
+        grid = dataclasses.replace(grid, csi=csi, present=present)
+        write_dataset(grid, manifest, tmp_path / "partial")
+        cfg = make_config(
+            k_users=10,
+            min_spacing_m=0.0,
+            channel_source="dataset",
+            dataset_path=str(tmp_path / "partial"),
+        )
+        cells = grid.positions.reshape(-1, 3)
+        for t in range(20):
+            positions, h = draw_trial_channels(cfg, t)
+            flat = [int(np.argmin(np.linalg.norm(cells - p, axis=1))) for p in positions]
+            assert len(set(flat)) == 10
+            m, n = np.unravel_index(flat, grid.grid_shape)
+            np.testing.assert_array_equal(h, grid.csi[(m < 6).astype(int), :, m, n].T)
 
     def test_scenario_runs_on_dataset(self, dataset_dir):
         cfg = make_config(
