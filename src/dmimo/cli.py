@@ -6,8 +6,10 @@
                     [--workers N]
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure. All commands are deterministic given their config (seeds
-included); repeated runs produce byte-identical payload files.
+failure (a precoding, placement or geometry error, a floating-point error,
+or a ``numpy.linalg.LinAlgError``). All commands are deterministic given
+their config (seeds included); repeated runs produce byte-identical
+payload files.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from . import calibration, configio, csidata
 from .errors import (
@@ -268,7 +272,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"dmimo: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PrecodingError, PlacementError, GeometryError, FloatingPointError) as exc:
+    except (
+        PrecodingError, PlacementError, GeometryError, FloatingPointError, LinAlgError
+    ) as exc:
         print(f"dmimo: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

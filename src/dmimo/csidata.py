@@ -9,9 +9,10 @@ A dataset is a directory with two files:
 
 ``csi.csv``
     header ``tx,rx,m,n,re,im``; one row per available complex CSI value,
-    0-based antenna and grid indices, real/imag in full round-trip
-    decimal precision. Missing (tx, rx, m, n) triples are simply omitted
-    and flagged missing on read.
+    ordered by (tx, rx, m, n). Indices are 0-based plain decimal
+    integers; real/imag are written as Python ``repr``, the shortest
+    string that reads back to the same double. Missing (tx, rx, m, n)
+    triples are simply omitted and flagged missing on read.
 
 The tx index plays the role of a UE-side antenna measured over the grid;
 the rx index is a base-station antenna. All tx antennas of a synthetic
@@ -21,9 +22,12 @@ injected hardware offsets.
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -34,6 +38,13 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 CSI_NAME = "csi.csv"
 CSV_HEADER = "tx,rx,m,n,re,im"
+#: Data lines parsed per ``np.loadtxt`` call by ``read_dataset``. Larger
+#: chunks barely read faster but hold more lines in memory at once.
+CHUNK = 1024
+_ROW_DTYPE = np.dtype(
+    [("t", np.int64), ("r", np.int64), ("m", np.int64), ("n", np.int64),
+     ("re", np.float64), ("im", np.float64)]
+)
 
 
 @dataclass(frozen=True)
@@ -139,10 +150,6 @@ class GridSpec:
         return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
     """Write manifest.json and csi.csv into the directory ``path``."""
     if manifest.tx_count != grid.tx_count or manifest.rx_count != grid.rx_count:
@@ -172,16 +179,17 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
             fh.write("\n")
         with open(out / CSI_NAME, "w") as fh:
             fh.write(CSV_HEADER + "\n")
+            # One (tx, rx) block per write keeps the formatted text small.
             for t in range(grid.tx_count):
                 for r in range(grid.rx_count):
-                    for m in range(gm):
-                        for n in range(gn):
-                            if not grid.present[t, r, m, n]:
-                                continue
-                            z = grid.csi[t, r, m, n]
-                            fh.write(
-                                f"{t},{r},{m},{n},{_fmt(z.real)},{_fmt(z.imag)}\n"
-                            )
+                    m, n = np.nonzero(grid.present[t, r])
+                    z = grid.csi[t, r, m, n]
+                    fh.write("".join([
+                        f"{t},{r},{mi},{ni},{re!r},{im!r}\n"
+                        for mi, ni, re, im in zip(
+                            m.tolist(), n.tolist(), z.real.tolist(), z.imag.tolist()
+                        )
+                    ]))
     except OSError as exc:
         raise DatasetFormatError(f"cannot write dataset at {out}: {exc}") from exc
 
@@ -240,6 +248,75 @@ def _read_manifest(path: Path) -> DatasetManifest:
     )
 
 
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """Parse ``csi.csv`` data lines into ``_ROW_DTYPE`` rows.
+
+    Empty lines yield no row. Raises ValueError on a malformed line.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+        # numpy 1.x reads "1.0" into an integer field with this warning;
+        # as an error it becomes the ValueError that numpy 2 raises.
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(
+            lines, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1
+        )
+
+
+def _chunk_flat_index(rows: np.ndarray, present: np.ndarray) -> np.ndarray | None:
+    """Flat indices of parsed rows into ``present``.
+
+    None when a row is out of range, repeats a row of the chunk, or
+    repeats one already marked present.
+    """
+    index = np.stack([rows["t"], rows["r"], rows["m"], rows["n"]])
+    if not np.all((index >= 0) & (index < np.array(present.shape)[:, None])):
+        return None
+    flat = np.ravel_multi_index(index, present.shape)
+    ordered = np.sort(flat)
+    if np.any(ordered[1:] == ordered[:-1]) or present.reshape(-1)[flat].any():
+        return None
+    return flat
+
+
+def _raise_first_bad_line(csv_path, lines, first_lineno, present) -> NoReturn:
+    """Name the first line of a rejected chunk that fails validation.
+
+    ``present`` holds the rows of earlier chunks; it is updated in place,
+    so it is only valid until the error this raises.
+    """
+    for lineno, line in enumerate(lines, start=first_lineno):
+        text = line.rstrip("\n")
+        if not text:
+            continue
+        fields = text.count(",") + 1
+        if fields != 6:
+            raise DatasetFormatError(
+                f"{csv_path}: line {lineno}: expected 6 fields, got {fields}"
+            )
+        try:
+            (row,) = _parse_rows([line]).tolist()
+        except ValueError as exc:
+            # numpy's "at row 0, column c" counts within this one line
+            reason = str(exc).split(" at row ")[0]
+            raise DatasetFormatError(f"{csv_path}: line {lineno}: {reason}") from exc
+        index = row[:4]
+        label = ",".join(map(str, index))
+        if not all(0 <= i < size for i, size in zip(index, present.shape)):
+            raise DatasetFormatError(
+                f"{csv_path}: line {lineno}: index ({label}) out of range"
+            )
+        if present[index]:
+            raise DatasetFormatError(
+                f"{csv_path}: line {lineno}: duplicate entry ({label})"
+            )
+        present[index] = True
+    raise DatasetFormatError(
+        f"{csv_path}: lines {first_lineno}-{first_lineno + len(lines) - 1}: "
+        "malformed rows"
+    )
+
+
 def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
     """Read a dataset directory; validates dimensions and consistency."""
     base = Path(path)
@@ -248,6 +325,7 @@ def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
     t_count, r_count = manifest.tx_count, manifest.rx_count
     csi = np.zeros((t_count, r_count, gm, gn), dtype=complex)
     present = np.zeros((t_count, r_count, gm, gn), dtype=bool)
+    csi_flat, present_flat = csi.reshape(-1), present.reshape(-1)
     csv_path = base / CSI_NAME
     try:
         fh = open(csv_path)
@@ -259,32 +337,19 @@ def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
             raise DatasetFormatError(
                 f"{csv_path}: line 1: expected header {CSV_HEADER!r}, got {header!r}"
             )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise DatasetFormatError(
-                    f"{csv_path}: line {lineno}: expected 6 fields, got {len(parts)}"
-                )
+        lineno = 2
+        while lines := list(itertools.islice(fh, CHUNK)):
             try:
-                t, r, m, n = (int(p) for p in parts[:4])
-                re_v, im_v = float(parts[4]), float(parts[5])
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{csv_path}: line {lineno}: {exc}"
-                ) from exc
-            if not (0 <= t < t_count and 0 <= r < r_count and 0 <= m < gm and 0 <= n < gn):
-                raise DatasetFormatError(
-                    f"{csv_path}: line {lineno}: index ({t},{r},{m},{n}) out of range"
-                )
-            if present[t, r, m, n]:
-                raise DatasetFormatError(
-                    f"{csv_path}: line {lineno}: duplicate entry ({t},{r},{m},{n})"
-                )
-            csi[t, r, m, n] = complex(re_v, im_v)
-            present[t, r, m, n] = True
+                rows = _parse_rows(lines)
+            except ValueError:
+                rows = None
+            flat = None if rows is None else _chunk_flat_index(rows, present)
+            if flat is None:
+                _raise_first_bad_line(csv_path, lines, lineno, present)
+            csi_flat.real[flat] = rows["re"]
+            csi_flat.imag[flat] = rows["im"]
+            present_flat[flat] = True
+            lineno += len(lines)
     distinct_rx = int(np.any(present, axis=(0, 2, 3)).sum())
     if distinct_rx != r_count:
         raise DatasetFormatError(

@@ -494,11 +494,11 @@ def _aggregate(
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(config, noise_var, sigma_points):
+def _init_worker(config, noise_var, sigma_points, sampler):
     _WORKER_STATE["config"] = config
     _WORKER_STATE["noise_var"] = noise_var
     _WORKER_STATE["sigma_points"] = sigma_points
-    _WORKER_STATE["sampler"] = _make_sampler(config)
+    _WORKER_STATE["sampler"] = sampler
 
 
 def _worker_trial(trial_index: int) -> TrialResult:
@@ -540,7 +540,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
-            initargs=(config, noise_var, sigma_points),
+            initargs=(config, noise_var, sigma_points, sampler),
         ) as pool:
             results = list(
                 pool.map(_worker_trial, range(config.trials), chunksize=chunk)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dmimo import PhaseOffsetTable, read_dataset
+from dmimo import cli
 from dmimo.calibration import wrap_phase
 from dmimo.cli import main
 
@@ -169,6 +170,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "alpha must be > 0" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def singular(config):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run_scenario", singular)
+        cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "dmimo: numerical failure: Singular matrix\n"
 
     def test_unknown_precoder_exits_1(self, tmp_path):
         cfg = write(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dmimo import (
     read_dataset,
     write_dataset,
 )
+from dmimo import csidata
 from dmimo.calibration import estimate_phase_offsets, theoretical_los_phases, wrap_phase
 from dmimo.errors import DatasetFormatError
 
@@ -86,6 +88,163 @@ class TestRoundTrip:
         spec = GridSpec(nx=2, ny=2, x_min=1.0, x_max=2.0, y_min=1.0, y_max=2.0)
         grid, _, _ = generate_synthetic_dataset(geometry, spec, params, tx_count=1)
         assert grid.csi.size == 8  # 1 tx x 2 rx x 2 x 2 grid
+
+
+def reference_csv(grid) -> bytes:
+    """csi.csv as the row-by-row writer formats it: the byte-format oracle."""
+    out = ["tx,rx,m,n,re,im\n"]
+    tx, rx, gm, gn = grid.csi.shape
+    for t in range(tx):
+        for r in range(rx):
+            for m in range(gm):
+                for n in range(gn):
+                    if not grid.present[t, r, m, n]:
+                        continue
+                    z = grid.csi[t, r, m, n]
+                    out.append(
+                        f"{t},{r},{m},{n},{repr(float(z.real))},{repr(float(z.imag))}\n"
+                    )
+    return "".join(out).encode()
+
+
+class TestByteFormat:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_row_writer_and_reads_back_bitwise(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        grid, manifest = random_dataset(rng, tx=3, rx=4, gm=5, gn=7)
+        csi = grid.csi.copy()
+        special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.0]
+        parts = csi.view(np.float64).reshape(-1)
+        parts[: len(special)] = special
+        parts[len(special):] *= 10.0 ** rng.integers(-300, 300, parts.size - len(special))
+        present = rng.random(csi.shape) > 0.2
+        present[:, :, 0, 0] = True  # every tx and rx keeps a value
+        grid = CsiGrid(csi=csi, present=present, positions=grid.positions)
+        write_dataset(grid, manifest, tmp_path)
+        assert (tmp_path / "csi.csv").read_bytes() == reference_csv(grid)
+        loaded, _ = read_dataset(tmp_path)
+        np.testing.assert_array_equal(loaded.present, present)
+        expected = np.where(present, csi, 0)
+        np.testing.assert_array_equal(
+            loaded.csi.view(np.uint64), expected.view(np.uint64)
+        )
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A dataset over more than two read chunks, with blank lines inserted.
+
+    Returns (directory with the manifest, csi.csv lines without newlines,
+    grid). Line i of the list is file line i + 1.
+    """
+    chunk = csidata.CHUNK
+    side = int(np.ceil(np.sqrt(2.5 * chunk / 8)))
+    grid, manifest = random_dataset(np.random.default_rng(5), tx=2, rx=4, gm=side, gn=side)
+    base = tmp_path_factory.mktemp("long")
+    write_dataset(grid, manifest, base)
+    lines = (base / "csi.csv").read_text().splitlines()
+    for at in (5, 100, chunk - 1, chunk + 50, 2 * chunk + 3):  # ascending
+        lines.insert(at, "")
+    assert len(lines) > 2 * chunk + 1
+    return base, lines, grid
+
+
+def write_lines(base, lines, dest, newline="\n"):
+    dest.mkdir()
+    (dest / "manifest.json").write_bytes((base / "manifest.json").read_bytes())
+    (dest / "csi.csv").write_bytes((newline.join(lines) + newline).encode())
+    return dest
+
+
+class TestChunkedRead:
+    def test_blank_lines_across_chunks_read_bitwise(self, long_csv, tmp_path):
+        base, lines, grid = long_csv
+        loaded, _ = read_dataset(write_lines(base, lines, tmp_path / "d"))
+        np.testing.assert_array_equal(loaded.present, grid.present)
+        np.testing.assert_array_equal(
+            loaded.csi.view(np.uint64), grid.csi.view(np.uint64)
+        )
+
+    def test_crlf_reads_identically(self, long_csv, tmp_path):
+        base, lines, grid = long_csv
+        loaded, _ = read_dataset(write_lines(base, lines, tmp_path / "d", "\r\n"))
+        np.testing.assert_array_equal(loaded.present, grid.present)
+        np.testing.assert_array_equal(
+            loaded.csi.view(np.uint64), grid.csi.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize(
+        "bad, fields", [("0,0,0", 3), ("   ", 1), ("0,0,0,0,1.0,2.0,3.0", 7)]
+    )
+    def test_field_count_names_line(self, long_csv, tmp_path, bad, fields):
+        base, lines, _ = long_csv
+        lines = list(lines)
+        at = csidata.CHUNK + 20
+        lines[at] = bad
+        with pytest.raises(
+            DatasetFormatError, match=f"line {at + 1}: expected 6 fields, got {fields}$"
+        ):
+            read_dataset(write_lines(base, lines, tmp_path / "d"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (5, "not_a_number"),
+            (4, ""),
+            (0, "1.0"),
+            (0, "1_0"),  # Python's int() took this spelling
+            (2, "99999999999999999999"),  # too large for int64
+        ],
+    )
+    def test_unparsable_field_names_line(self, long_csv, tmp_path, field, value):
+        base, lines, _ = long_csv
+        lines = list(lines)
+        at = 2 * csidata.CHUNK + 12
+        parts = lines[at].split(",")
+        parts[field] = value
+        lines[at] = ",".join(parts)
+        with pytest.raises(DatasetFormatError, match=f"line {at + 1}: "):
+            read_dataset(write_lines(base, lines, tmp_path / "d"))
+
+    def test_out_of_range_names_line(self, long_csv, tmp_path):
+        base, lines, _ = long_csv
+        lines = list(lines)
+        at = csidata.CHUNK + 9
+        lines[at] = "0,4," + lines[at].split(",", 2)[2]
+        with pytest.raises(
+            DatasetFormatError, match=rf"line {at + 1}: index \(0,4,.*\) out of range"
+        ):
+            read_dataset(write_lines(base, lines, tmp_path / "d"))
+
+    def test_duplicate_across_chunk_boundary_names_line(self, long_csv, tmp_path):
+        base, lines, _ = long_csv
+        lines = list(lines)
+        last, first = csidata.CHUNK, csidata.CHUNK + 1  # last of chunk 1, first of 2
+        assert lines[last] and lines[first]
+        lines[first] = lines[last]
+        with pytest.raises(
+            DatasetFormatError, match=f"line {first + 1}: duplicate entry"
+        ):
+            read_dataset(write_lines(base, lines, tmp_path / "d"))
+
+    def test_duplicate_within_chunk_names_second_line(self, long_csv, tmp_path):
+        base, lines, _ = long_csv
+        lines = list(lines)
+        lines[csidata.CHUNK + 30] = lines[csidata.CHUNK + 10]
+        with pytest.raises(
+            DatasetFormatError, match=f"line {csidata.CHUNK + 31}: duplicate entry"
+        ):
+            read_dataset(write_lines(base, lines, tmp_path / "d"))
+
+    @pytest.mark.parametrize("body", ["", "\n\n\n"])
+    def test_header_only_csv_raises_without_warning(self, rng, tmp_path, body):
+        grid, manifest = random_dataset(rng)
+        write_dataset(grid, manifest, tmp_path)
+        (tmp_path / "csi.csv").write_text("tx,rx,m,n,re,im\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="rx_count"):
+                read_dataset(tmp_path)
 
 
 class TestReadValidation:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from dmimo import (
     run_trial,
     write_dataset,
 )
+from dmimo import scenarios
+from dmimo.cli import summary_document
 from dmimo.errors import ConfigError
 from dmimo.scenarios import draw_trial_channels, validate_config
 
@@ -363,6 +366,54 @@ class TestDatasetMode:
         # interference suppression pays off even on measured CSI
         by_name = {s.precoder: s for s in summary.stats}
         assert by_name["nf_nf"].median_db >= by_name["mrt"].median_db
+
+    def test_workers_match_serial_and_read_once(self, dataset_dir, tmp_path, monkeypatch):
+        # Forked workers inherit the counting wrapper, so a worker that
+        # re-read the dataset would add a line to the log.
+        log, read = tmp_path / "reads.log", scenarios.read_dataset
+
+        def counting_read(path):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return read(path)
+
+        monkeypatch.setattr(scenarios, "read_dataset", counting_read)
+        cfg = make_config(
+            k_users=3,
+            trials=6,
+            channel_source="dataset",
+            dataset_path=str(dataset_dir),
+            precoders=tuple(parse_precoder_name(n) for n in ["mrt", "nf_nf", "zf"]),
+        )
+        serial = run_scenario(cfg)
+        log.unlink()
+        parallel = run_scenario(dataclasses.replace(cfg, workers=2))
+        assert log.read_text() == f"{os.getpid()}\n"
+        assert (
+            summary_document(parallel)["precoders"]
+            == summary_document(serial)["precoders"]
+        )
+        assert parallel.noise_var == serial.noise_var
+        for ra, rb in zip(serial.trial_results, parallel.trial_results):
+            np.testing.assert_array_equal(ra.ue_positions, rb.ue_positions)
+            for ea, eb in zip(ra.entries, rb.entries):
+                np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
+
+    def test_init_worker_keeps_given_sampler(self, dataset_dir, monkeypatch):
+        cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir))
+        sampler = scenarios._make_sampler(cfg)
+
+        def no_read(path):
+            raise AssertionError("worker re-read the dataset")
+
+        monkeypatch.setattr(scenarios, "read_dataset", no_read)
+        monkeypatch.setattr(scenarios, "_WORKER_STATE", {})
+        scenarios._init_worker(cfg, 1e-3, (None,), sampler)
+        assert scenarios._WORKER_STATE["sampler"] is sampler
+        trial = scenarios._worker_trial(2)
+        expected = run_trial(cfg, 2, 1e-3, (None,), sampler)
+        for ea, eb in zip(trial.entries, expected.entries):
+            np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
 
     def test_geometry_mismatch_rejected(self, dataset_dir):
         cfg = make_config(
