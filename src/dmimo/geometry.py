@@ -9,6 +9,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,14 @@ class ArrayGeometry:
 
     def ap_indices(self, ap: int) -> np.ndarray:
         return np.asarray(self.ap_partition[ap], dtype=int)
+
+    @cached_property
+    def antenna_aps(self) -> np.ndarray:
+        """AP index of every antenna, shape (M,)."""
+        aps = np.empty(self.num_antennas, dtype=int)
+        for a, idx in enumerate(self.ap_partition):
+            aps[list(idx)] = a
+        return aps
 
     def distances(self, point) -> np.ndarray:
         """Euclidean distance from every antenna to ``point``, shape (M,)."""

@@ -398,15 +398,15 @@ class ChannelAccess:
     def num_users(self) -> int:
         return self.channel.shape[1]
 
-    def rows(self, aps: tuple[int, ...], users: np.ndarray) -> np.ndarray:
-        """CSI of ``users`` over the antennas of ``aps``, (antennas, users)."""
-        denied = np.argwhere(~self.granted[list(aps)][:, users])
+    def gather(self, wanted: np.ndarray) -> np.ndarray:
+        """The (M, K) channel with every (AP, user) block outside ``wanted``
+        zeroed; ``wanted`` is (num_aps, K) and must only ask for granted
+        blocks."""
+        denied = np.argwhere(wanted & ~self.granted)
         if denied.size:
             a, l = denied[0]
-            raise InformationError(
-                f"CSI for AP {aps[a]}, user {users[l]} was not granted"
-            )
-        return self.channel[_unit_antennas(self.geometry, aps)][:, users]
+            raise InformationError(f"CSI for AP {a}, user {l} was not granted")
+        return np.where(wanted[self.geometry.antenna_aps], self.channel, 0)
 
 
 @dataclass(frozen=True)
@@ -455,86 +455,74 @@ def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
         )
 
 
-def _unit_antennas(geometry: ArrayGeometry, aps: tuple[int, ...]) -> np.ndarray:
-    return np.concatenate([geometry.ap_indices(a) for a in aps])
+def _assembly(spec: PrecoderSpec, env: InfoEnvironment):
+    """The assembly units of one build and the (unit, user) pairs they form.
 
-
-def _project_unit(
-    spec: PrecoderSpec,
-    env: InfoEnvironment,
-    unit: tuple[int, ...],
-    base: np.ndarray,
-    users: np.ndarray,
-    nf: np.ndarray | None,
-    alpha: float | None,
-) -> tuple[np.ndarray, dict[int, tuple[type, str]]]:
-    """Project the base columns (Ma, U) of the users one unit serves.
-
-    Every user l has one pool column: its CSI where the unit holds it on
-    every AP (natural channel scale), else its unit-norm near-field
-    vector when the spec suppresses by location, else none. User u
-    projects off V_u, the pool masked to exclude itself, by one stacked
-    solve of (V_u^H V_u + D_u) x = V_u^H b_u: D_u is alpha*I when
-    regularized, else 1 on the masked-out diagonal, which gives those
-    columns zero weight exactly; unregularized, it runs twice, as in
-    :func:`orthogonalize`. Returns the residuals and failures by user.
+    Returns the units (AP tuples, first-use order); their antenna rows,
+    padded with M, the index of an appended zero row; their sizes; the
+    (AP, user) serving mask; and the pairs' unit and user indices,
+    user-major with each user's units in serving order, so the first
+    failing pair is the lowest failing user's first failing unit.
     """
-    antennas = _unit_antennas(env.geometry, unit)
-    ma, k = antennas.size, env.num_users
-    pool = np.zeros((ma, k), dtype=complex)
-    is_csi = np.zeros(k, dtype=bool)
-    if spec.suppression in ("csi", "csi+nf"):
-        is_csi = env.csi.granted[list(unit)].all(axis=0)
-        pool[:, is_csi] = env.csi.rows(unit, np.flatnonzero(is_csi))
-    present = is_csi
-    if spec.suppression in ("nf", "csi+nf"):
-        cols = nf[antennas][:, ~is_csi]
-        pool[:, ~is_csi] = cols / np.linalg.norm(cols, axis=0)
-        present = np.ones(k, dtype=bool)
-    mask = present & (np.arange(k) != users[:, None])
-    n = mask.sum(axis=1)
-    v = pool * mask[:, None, :]
-    failures: dict[int, tuple[type, str]] = {}
-    if alpha is not None:
-        # alpha acts on one scale: a user whose columns mix CSI and
-        # near-field sources gets every column normalized to unit norm
-        mixed = (mask & is_csi).any(axis=1) & (mask & ~is_csi).any(axis=1)
-        norms = np.linalg.norm(pool, axis=0)
-        for u in np.flatnonzero(mixed & (mask & (norms == 0)).any(axis=1)):
-            failures[users[u]] = (DegenerateChannelError, "cannot normalize a zero column")
-        v[mixed] /= np.where(norms > 0, norms, 1.0)
-        solve = n > 0
+    geo, k = env.geometry, env.num_users
+    serving = [env.serving_aps(user) for user in range(k)]
+    flat = [a for aps in serving for a in aps]
+    users = np.repeat(np.arange(k), [len(aps) for aps in serving])
+    served = np.zeros((geo.num_aps, k), dtype=bool)
+    served[flat, users] = True
+    if spec.scope == "centralized":
+        unit_of, pair_user = serving, np.arange(k)
     else:
-        # more columns than antennas is rank deficient without an SVD
-        deficient = n > ma
-        check = np.flatnonzero(~deficient & (n > 0))
-        if check.size:
-            s = np.linalg.svd(v[check], compute_uv=False)
-            tol = np.finfo(float).eps * s[:, :1] * np.maximum(ma, n[check, None])
-            deficient[check] = np.sum(s > tol, axis=1) < n[check]
-        for u in np.flatnonzero(deficient):
-            failures[users[u]] = (
-                RankDeficiencyError,
-                f"suppression matrix ({ma}x{n[u]}) is rank deficient; "
-                "use the regularized projection",
-            )
-        solve = ~deficient & (n > 0)
-    residual = base.copy()
-    if solve.any():
-        vs = v[solve]
-        vh = vs.conj().transpose(0, 2, 1)
-        gram = vh @ vs
-        gram[:, range(k), range(k)] += alpha if alpha is not None else ~mask[solve]
-        for _ in range(1 if alpha is not None else 2):
-            x = np.linalg.solve(gram, vh @ residual.T[solve, :, None])
-            residual[:, solve] -= (vs @ x)[:, :, 0].T
-    if alpha is None:
-        norms = np.linalg.norm(residual, axis=0)
-        for u in np.flatnonzero(solve & (norms < FULL_SUPPRESSION_TOL)):
-            failures[users[u]] = (
-                FullySuppressedError, "base vector lies in the suppression subspace"
-            )
-    return residual, failures
+        unit_of, pair_user = [(a,) for a in flat], users
+    index = {unit: u for u, unit in enumerate(dict.fromkeys(unit_of))}
+    rows = [[i for a in unit for i in geo.ap_partition[a]] for unit in index]
+    width = max(map(len, rows))
+    antennas = np.array([r + [geo.num_antennas] * (width - len(r)) for r in rows])
+    sizes = np.array([len(r) for r in rows])
+    pair_unit = np.array([index[unit] for unit in unit_of])
+    return list(index), antennas, sizes, served, pair_unit, pair_user
+
+
+def _pad(x: np.ndarray) -> np.ndarray:
+    """``x`` with the zero row that padded antenna indices read appended."""
+    return np.concatenate([x, np.zeros_like(x[:1])])
+
+
+#: Exception class and message of each (unit, user) pair failure code.
+_DEGENERATE, _RANK, _SUPPRESSED = 1, 2, 3
+_PAIR_FAILURES = {
+    _DEGENERATE: (DegenerateChannelError, "cannot normalize a zero column"),
+    _RANK: (RankDeficiencyError,
+            "suppression matrix ({ma}x{n}) is rank deficient; use the regularized projection"),
+    _SUPPRESSED: (FullySuppressedError, "base vector lies in the suppression subspace"),
+}
+
+
+def _rank_deficient(pool, present, sizes, pair_unit, mask, n) -> np.ndarray:
+    """Per pair: do its n pool columns under ``mask`` lack full column rank?
+
+    The threshold is :func:`numerical_rank`'s, eps * sigma_max *
+    max(Ma, n). By singular-value interlacing every column subset of a
+    full-rank pool is full rank, so one SVD per unit pool clears all its
+    pairs; only the pairs of a pool that fails, or that has more columns
+    than antennas, get an SVD of their own.
+    """
+    eps = np.finfo(float).eps
+    ma = sizes[pair_unit]
+    deficient = n > ma
+    n_pool = present.sum(axis=1)
+    cleared = np.zeros(sizes.size, dtype=bool)
+    check = np.flatnonzero((n_pool > 0) & (n_pool <= sizes))
+    if check.size:
+        s = np.linalg.svd(pool[check], compute_uv=False)
+        tol = eps * s[:, :1] * np.maximum(sizes[check], n_pool[check])[:, None]
+        cleared[check] = np.sum(s > tol, axis=1) == n_pool[check]
+    check = np.flatnonzero(~cleared[pair_unit] & ~deficient & (n > 0))
+    if check.size:
+        s = np.linalg.svd(pool[pair_unit[check]] * mask[check, None, :], compute_uv=False)
+        tol = eps * s[:, :1] * np.maximum(ma[check], n[check])[:, None]
+        deficient[check] = np.sum(s > tol, axis=1) < n[check]
+    return deficient
 
 
 def build_precoder(
@@ -552,13 +540,27 @@ def build_precoder(
     CSI. Per-unit results are concatenated over the user's serving
     antennas; entries outside them are zero. Each column equals
     ``orthogonalize`` (or ``orthogonalize_regularized``) of the user's
-    base against its own suppression columns, but all users of one
-    assembly unit are projected together (see :func:`_project_unit`).
+    base against its own suppression columns.
+
+    All (assembly unit, user) pairs are projected in one stacked solve.
+    Every user l has one pool column per unit: its CSI where the unit
+    holds it on every AP (natural channel scale), else its unit-norm
+    near-field vector when the spec suppresses by location, else none.
+    Pair (unit, u) projects off V, the pool masked to exclude u, by
+    solving (V^H V + D) x = V^H b: D is alpha*I when regularized, else 1
+    on the masked-out diagonal, which gives those columns zero weight
+    exactly; unregularized, the projection runs twice, as in
+    :func:`orthogonalize`, after one rank SVD per unit pool (see
+    :func:`_rank_deficient`). Units are padded to the widest with zero
+    rows, which change no Gram matrix, projection or norm. Specs without
+    suppression skip all of this.
 
     ``noise_var`` supplies the default regularization weight when the
     spec is regularized with ``alpha=None``. A precoding failure is
-    raised for the lowest failing user, at the first failing unit in its
-    serving order, naming both.
+    raised for the lowest failing user: a zero base vector, else its
+    first failing unit in serving order (naming both), else an
+    all-suppressed column. A singular stacked solve raises
+    RankDeficiencyError naming the spec.
     """
     _check_requirements(spec, env)
     alpha = None
@@ -568,53 +570,90 @@ def build_precoder(
             raise ConfigError(
                 f"regularized precoder {spec.name!r} needs alpha or noise_var > 0"
             )
-    geo = env.geometry
+    geo, k = env.geometry, env.num_users
+    units, ant, sizes, served, pu, pk = _assembly(spec, env)
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
         nf = _near_field_phasors(geo.antenna_positions, env.ue_positions, geo.wavelength)
-    units_of = [
-        [aps] if spec.scope == "centralized" else [(a,) for a in aps]
-        for aps in map(env.serving_aps, range(env.num_users))
-    ]
-    served: dict[tuple[int, ...], list[int]] = {}
-    for k, units in enumerate(units_of):
-        for unit in units:
-            served.setdefault(unit, []).append(k)
+    if spec.base == "mrt":
+        w = env.csi.gather(served)
+    elif spec.base == "nf":
+        w = np.where(served[geo.antenna_aps], nf, 0)
+    else:
+        w = np.zeros((geo.num_antennas, k), dtype=complex)
+        for u, user in zip(pu, pk):
+            idx = ant[u, : sizes[u]]
+            theta, ref = steering_angle(geo, env.ue_positions[user], idx)
+            w[idx, user] = far_field_weights(geo, theta, ref)[idx]
+    total = np.linalg.norm(w, axis=0)
+    w /= np.where(total > 0, total, 1.0)
 
-    base = np.zeros((geo.num_antennas, env.num_users), dtype=complex)
-    for unit, users in served.items():
-        antennas = _unit_antennas(geo, unit)
-        if spec.base == "mrt":
-            base[antennas[:, None], users] = env.csi.rows(unit, np.array(users))
-        elif spec.base == "nf":
-            base[antennas[:, None], users] = nf[antennas][:, users]
+    code = np.zeros(pu.size, dtype=int)
+    if spec.suppression != "none":
+        is_csi = np.zeros((sizes.size, k), dtype=bool)
+        pool = np.zeros(ant.shape + (k,), dtype=complex)
+        if spec.suppression in ("csi", "csi+nf"):
+            # a unit holds a user's CSI when every one of its APs was granted it
+            is_csi = ~_pad(~env.csi.granted[geo.antenna_aps])[ant].any(axis=1)
+            held = env.csi.gather(env.csi.granted)
+            pool = np.where(is_csi[:, None, :], _pad(held)[ant], 0)
+        present = is_csi
+        if spec.suppression in ("nf", "csi+nf"):
+            cols = _pad(nf)[ant]
+            cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+            pool = np.where(is_csi[:, None, :], pool, cols)
+            present = np.ones_like(is_csi)
+        mask = present[pu] & (np.arange(k) != pk[:, None])
+        n = mask.sum(axis=1)
+        scale = mask.astype(float)
+        if alpha is not None:
+            # alpha acts on one scale: a pair whose columns mix CSI and
+            # near-field sources gets every column normalized to unit norm
+            mixed = (mask & is_csi[pu]).any(axis=1) & (mask & ~is_csi[pu]).any(axis=1)
+            norms = np.linalg.norm(pool, axis=1)[pu[mixed]]
+            code[np.flatnonzero(mixed)[(mask[mixed] & (norms == 0)).any(axis=1)]] = _DEGENERATE
+            scale[mixed] /= np.where(norms > 0, norms, 1.0)
+            solve = n > 0
         else:
-            for u in users:
-                theta, ref = steering_angle(geo, env.ue_positions[u], antennas)
-                base[antennas, u] = far_field_weights(geo, theta, ref)[antennas]
-    total = np.linalg.norm(base, axis=0)
-    base /= np.where(total > 0, total, 1.0)
+            code[_rank_deficient(pool, present, sizes, pu, mask, n)] = _RANK
+            solve = (code == 0) & (n > 0)
+        # every user's base on every unit; columns outside a pair never move
+        b = _pad(w)[ant]
+        su, sk, ss = pu[solve], pk[solve], scale[solve]
+        if su.size:
+            ph = pool.conj().transpose(0, 2, 1)
+            gram = (ph @ pool)[su] * (ss[:, :, None] * ss[:, None, :])
+            gram[:, range(k), range(k)] += alpha if alpha is not None else ~mask[solve]
+            step = np.zeros((sizes.size, k, k), dtype=complex)
+            try:
+                for _ in range(1 if alpha is not None else 2):
+                    rhs = ((ph @ b)[su, :, sk] * ss)[:, :, None]
+                    step[su, :, sk] = ss * np.linalg.solve(gram, rhs)[:, :, 0]
+                    b -= pool @ step
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficiencyError(
+                    f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
+                ) from exc
+            if alpha is None:
+                tiny = np.linalg.norm(b[su, :, sk], axis=1) < FULL_SUPPRESSION_TOL
+                code[np.flatnonzero(solve)[tiny]] = _SUPPRESSED
+        w = np.zeros((geo.num_antennas + 1, k), dtype=complex)
+        w[ant[pu], pk[:, None]] = b[pu, :, pk]
+        w = w[:-1]
 
-    # units are projected when their first user needs them, so failures
-    # surface in the order the per-user definition checks them
-    w = np.zeros_like(base)
-    failures: dict[tuple[int, ...], dict[int, tuple[type, str]]] = {}
-    for k in range(env.num_users):
-        if total[k] == 0:
-            raise DegenerateChannelError(f"precoder {spec.name!r}, user {k}: zero base vector")
-        for unit in units_of[k]:
-            if unit not in failures:
-                users = np.array(served[unit])
-                antennas = _unit_antennas(geo, unit)
-                w[antennas[:, None], users], failures[unit] = _project_unit(
-                    spec, env, unit, base[antennas][:, users], users, nf, alpha
-                )
-            if k in failures[unit]:
-                cls, msg = failures[unit][k]
-                label = "centralized" if spec.scope == "centralized" else f"AP {unit[0]}"
-                raise cls(f"precoder {spec.name!r}, user {k}, {label}: {msg}")
-        if np.linalg.norm(w[:, k]) < FULL_SUPPRESSION_TOL:
-            raise FullySuppressedError(
-                f"precoder {spec.name!r}, user {k}: all components suppressed"
-            )
-    return w / np.linalg.norm(w, axis=0)
+    norms = np.linalg.norm(w, axis=0)
+    failed = (total == 0) | (norms < FULL_SUPPRESSION_TOL)
+    failed[pk[code > 0]] = True
+    if not failed.any():
+        return w / norms
+    user = int(np.argmax(failed))
+    where = f"precoder {spec.name!r}, user {user}"
+    if total[user] == 0:
+        raise DegenerateChannelError(f"{where}: zero base vector")
+    bad = np.flatnonzero((pk == user) & (code > 0))
+    if bad.size:
+        p, u = bad[0], pu[bad[0]]
+        cls, msg = _PAIR_FAILURES[code[p]]
+        label = "centralized" if spec.scope == "centralized" else f"AP {units[u][0]}"
+        raise cls(f"{where}, {label}: " + msg.format(ma=sizes[u], n=n[p]))
+    raise FullySuppressedError(f"{where}: all components suppressed")

@@ -381,7 +381,8 @@ def run_trial(
     perfect CSI). Precoders consume the perturbed channel estimates but
     SINR is always evaluated against the true channel. A precoder whose
     construction fails (rank deficiency, full suppression) contributes a
-    failure marker instead of samples.
+    failure marker instead of samples. A precoder that reads no CSI is
+    built once per trial and its outcome repeated at every sigma point.
 
     ``noise_var`` defaults to the config's noise floor applied to the
     mean received power over all of the config's trials (the same value
@@ -397,6 +398,8 @@ def run_trial(
     positions, h_true = draw_trial_channels(config, trial_index, sampler)
     entries: list[TrialEntry] = []
     error_seed = [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
+    # a spec that reads no CSI sees the same inputs at every sigma point
+    location_only: dict[str, tuple[np.ndarray | None, str | None]] = {}
     for sigma in sigma_points:
         if sigma is None:
             h_known, realized = h_true, None
@@ -406,12 +409,18 @@ def run_trial(
             )
         env = _trial_environment(config, h_known, h_true, positions)
         for spec in config.precoders:
-            try:
-                w = build_precoder(spec, env, noise_var=noise_var)
-            except PrecodingError as exc:
-                db, failure = None, f"{type(exc).__name__}: {exc}"
+            if spec.name in location_only:
+                db, failure = location_only[spec.name]
             else:
-                db, failure = sinr_all(LinkRealization(h_true, w, noise_var))[1], None
+                try:
+                    w = build_precoder(spec, env, noise_var=noise_var)
+                except PrecodingError as exc:
+                    db, failure = None, f"{type(exc).__name__}: {exc}"
+                else:
+                    db, failure = sinr_all(LinkRealization(h_true, w, noise_var))[1], None
+                req = spec.requirements()
+                if not (req.csi_intended or req.csi_unintended):
+                    location_only[spec.name] = db, failure
             entries.append(
                 TrialEntry(
                     precoder=spec.name,

@@ -187,6 +187,25 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_sweep_outputs_identical_across_reruns_and_workers(self, tmp_path):
+        # location-only precoders are built once per trial and reused at
+        # every error level; the payload files must not notice
+        cfg = write(
+            tmp_path / "sim.yaml",
+            SIMULATE_CFG.replace("[mrt, zf, nf_nf]", "[mrt, nf_nf, dis_rzf, dis_nf_nf]")
+            + "nmse_grid:\n  values: [0.0, 0.05, 0.1]\n  relative: true\n",
+        )
+        runs = {}
+        for label, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / label
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            runs[label] = (out / "results.csv").read_bytes(), (out / "summary.json").read_bytes()
+        assert runs["a"] == runs["b"]
+        assert runs["a"][0] == runs["c"][0]
+        docs = [json.loads(runs[label][1]) for label in "ac"]
+        assert [doc["config"].pop("workers") for doc in docs] == [1, 2]
+        assert docs[0] == docs[1]
+
     def test_workers_flag_identical_results(self, tmp_path):
         cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)
         a, b = tmp_path / "w1", tmp_path / "w2"

@@ -460,11 +460,14 @@ class TestBuildPrecoder:
         granted = np.zeros((8, 3), dtype=bool)
         granted[:, 0] = True
         access = ChannelAccess(geometry, h, granted)
-        np.testing.assert_array_equal(
-            access.rows((0, 1), np.array([0])), h[:16, :1]
-        )
-        with pytest.raises(InformationError):
-            access.rows((0,), np.array([1]))
+        wanted = np.zeros((8, 3), dtype=bool)
+        wanted[0:2, 0] = True
+        expected = np.zeros_like(h)
+        expected[:16, 0] = h[:16, 0]
+        np.testing.assert_array_equal(access.gather(wanted), expected)
+        wanted[0, 1] = True
+        with pytest.raises(InformationError, match="AP 0, user 1"):
+            access.gather(wanted)
 
     def test_unit_norm_all_specs(self, scenario_env):
         geometry, h, positions = scenario_env
@@ -585,7 +588,9 @@ def reference_column(spec, k, env, noise_var=None):
         if spec.base == "mrt":
             bases.append(csi(unit, k))
         elif spec.base == "nf":
-            bases.append(near_field_weights(geo, env.ue_positions[k], idx))
+            # unit-modulus phasors, as in the far-field branch, so a unit's
+            # share of the column grows with its antenna count
+            bases.append(near_field_weights(geo, env.ue_positions[k], idx) * np.sqrt(idx.size))
         else:
             theta, ref = steering_angle(geo, env.ue_positions[k], idx)
             bases.append(far_field_weights(geo, theta, ref)[idx])
@@ -622,14 +627,27 @@ def reference_column(spec, k, env, noise_var=None):
     return w / np.linalg.norm(w)
 
 
-def oracle_env(k, seed, mode):
-    """A perimeter-deployment trial with estimation error on the CSI.
+def uneven_geometry(counts=(4, 8, 6, 8, 5, 8, 7, 3)):
+    """The perimeter deployment with APs cut to unequal antenna counts,
+    so assembly units differ in size and the narrow ones are padded."""
+    full = perimeter_geometry()
+    keep = np.concatenate([full.ap_indices(a)[:c] for a, c in enumerate(counts)])
+    ends = np.cumsum((0,) + counts)
+    partition = tuple(tuple(range(ends[a], ends[a + 1])) for a in range(len(counts)))
+    return ArrayGeometry(full.antenna_positions[keep], partition, full.wavelength)
+
+
+LAYOUTS = {"perimeter": perimeter_geometry, "uneven": uneven_geometry}
+
+
+def oracle_env(k, seed, mode, layout="perimeter"):
+    """A trial on the ``layout`` deployment with estimation error on the CSI.
 
     ``clustered`` serves each user from one AP pair (by mean channel
     gain) and grants CSI on that pair plus a random third of the other
     (AP, user) blocks, so held CSI and near-field columns mix.
     """
-    geometry = perimeter_geometry()
+    geometry = LAYOUTS[layout]()
     rng = np.random.default_rng(seed)
     positions = np.column_stack(
         [rng.uniform(1.5, 4.5, k), rng.uniform(1.5, 4.5, k), np.zeros(k)]
@@ -641,7 +659,7 @@ def oracle_env(k, seed, mode):
     if mode == "clustered":
         pair = cluster_users(np.abs(h.T) ** 2, PAIRS, geometry).ue_to_pair
         serving = tuple(PAIRS[p] for p in pair)
-        granted = rng.random((8, k)) < 1 / 3
+        granted = rng.random((geometry.num_aps, k)) < 1 / 3
         for l in range(k):
             granted[list(serving[l]), l] = True
     env = make_env(geometry, h, positions, granted=granted, serving=serving)
@@ -682,10 +700,12 @@ def assert_matches_reference(spec, env, noise_var):
 
 
 class TestBuildPrecoderOracle:
+    LAYOUT = "perimeter"
+
     @pytest.mark.parametrize("name,mode,k", list(oracle_cases()))
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_per_vector_construction(self, name, mode, k, seed):
-        env, noise_var = oracle_env(k, seed, mode)
+        env, noise_var = oracle_env(k, seed, mode, self.LAYOUT)
         spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
         assert_matches_reference(spec, env, noise_var)
 
@@ -697,7 +717,7 @@ class TestBuildPrecoderOracle:
         # subspace of every other user is rank deficient, and a base
         # built from the same source as user 1's column is fully
         # suppressed
-        env, noise_var = oracle_env(k, 5, mode)
+        env, noise_var = oracle_env(k, 5, mode, self.LAYOUT)
         h, positions = env.csi.channel.copy(), env.ue_positions.copy()
         granted = env.csi.granted.copy()
         h[:, 1], positions[1], granted[:, 1] = h[:, 0], positions[0], granted[:, 0]
@@ -705,6 +725,49 @@ class TestBuildPrecoderOracle:
         env = make_env(env.geometry, h, positions, granted=granted, serving=serving)
         spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
         assert_matches_reference(spec, env, noise_var)
+
+
+class TestBuildPrecoderOracleUnevenAps(TestBuildPrecoderOracle):
+    """The same cases on APs with unequal antenna counts: the narrower
+    assembly units are padded with zero rows."""
+
+    LAYOUT = "uneven"
+
+
+class TestRankThreshold:
+    # zf on a 4-antenna array whose channel is diagonal: the last user's
+    # entry s sets the smallest singular value of every pool it is in,
+    # against the threshold eps * sigma_max * max(4, n)
+    TOL = 4 * np.finfo(float).eps
+
+    def build(self, *diagonal):
+        k = len(diagonal)
+        h = np.zeros((4, k), dtype=complex)
+        h[range(k), range(k)] = diagonal
+        env = make_env(ula(4), h, np.zeros((k, 3)), locations=False)
+        return build_precoder(parse_precoder_name("zf"), env)
+
+    # sigma_max = 1 for the pool and for every user's columns
+    def test_pool_just_above_threshold_builds(self):
+        w = self.build(1.0, 1.0, 1.5 * self.TOL)
+        np.testing.assert_allclose(np.abs(w[:3]), np.eye(3), atol=1e-12)
+
+    def test_pool_just_below_threshold_fails(self):
+        with pytest.raises(RankDeficiencyError, match=r"user 0, centralized: .*\(4x2\)"):
+            self.build(1.0, 1.0, self.TOL / 1.5)
+
+    @pytest.mark.parametrize("factor,user", [(1.5, 1), (1 / 1.5, 0)])
+    def test_user_threshold_when_pool_fails(self, factor, user):
+        # user 0's columns e_2, s e_3 have sigma_max = 1 and sit at the
+        # threshold; the pool and user 1's columns (sigma_max = 1e3) fail
+        with pytest.raises(RankDeficiencyError, match=f"user {user}, centralized"):
+            self.build(1e3, 1.0, factor * self.TOL)
+
+    def test_deficient_pool_with_full_rank_subsets_builds(self):
+        # the pool [e_1, s e_2] fails, but each user's one suppression
+        # column is full rank on its own scale
+        w = self.build(1.0, self.TOL / 1.5)
+        np.testing.assert_allclose(np.abs(w[:2]), np.eye(2), atol=1e-12)
 
 
 # --- properties ------------------------------------------------------------

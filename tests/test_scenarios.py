@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 
@@ -180,6 +181,21 @@ class TestRunTrial:
         assert by_name["dis_rzf"].failure is None
         assert by_name["dis_rzf"].sinr_db.shape == (10,)
 
+    def test_singular_solve_recorded_not_raised(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        cfg = make_config(precoders=(parse_precoder_name("mrt"), parse_precoder_name("zf")))
+        res = run_trial(cfg, 0, noise_var=1e-6)
+        by_name = {e.precoder: e for e in res.entries}
+        assert by_name["zf"].sinr_db is None
+        assert by_name["zf"].failure == (
+            "RankDeficiencyError: precoder 'zf': singular suppression Gram matrix "
+            "(Singular matrix)"
+        )
+        assert by_name["mrt"].failure is None
+
     def test_positions_respect_roi_and_spacing(self):
         cfg = make_config(k_users=5, min_spacing_m=0.10)
         res = run_trial(cfg, 3, noise_var=1e-6)
@@ -248,6 +264,34 @@ class TestNmseSweep:
         assert len({row.median_db for row in nf_rows}) == 1
         zf_rows = [s for s in summary.stats if s.precoder == "zf"]
         assert len({row.median_db for row in zf_rows}) == 3
+
+    def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(spec, env, noise_var=None, build=scenarios.build_precoder):
+            calls[spec.name] += 1
+            return build(spec, env, noise_var=noise_var)
+
+        monkeypatch.setattr(scenarios, "build_precoder", counting)
+        names = ["mrt", "nf_nf", "dis_nf_nf", "dis_rzf"]
+        cfg = make_config(
+            k_users=10, precoders=tuple(parse_precoder_name(n) for n in names)
+        )
+        points = (0.0, 1e-7, 2e-7)
+        res = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
+        assert calls == {"mrt": 3, "nf_nf": 1, "dis_nf_nf": 1, "dis_rzf": 3}
+        by_name = {n: [e for e in res.entries if e.precoder == n] for n in names}
+        # dis_nf_nf has 9 columns on 8 antennas: its failure repeats too
+        assert by_name["dis_nf_nf"][0].failure.startswith("RankDeficiencyError")
+        for name in ("nf_nf", "dis_nf_nf"):
+            first = by_name[name][0]
+            for e in by_name[name][1:]:
+                assert e.failure == first.failure
+                if first.sinr_db is not None:
+                    np.testing.assert_array_equal(e.sinr_db, first.sinr_db)
+        assert len({e.nmse for e in by_name["nf_nf"]}) == 3
+        for name in ("mrt", "dis_rzf"):
+            assert not np.array_equal(by_name[name][1].sinr_db, by_name[name][2].sinr_db)
 
     def test_relative_grid_hits_target_nmse(self):
         cfg = make_config(
