@@ -58,7 +58,6 @@ from .scenarios import (
     ClusterAssignment,
     ScenarioConfig,
     ScenarioSummary,
-    TrialResult,
     cluster_users,
     run_scenario,
     run_trial,

@@ -20,6 +20,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import calibration, configio, csidata
@@ -122,8 +123,6 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
 
 
 def _json_safe(value):
-    import numpy as np
-
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
@@ -194,19 +193,27 @@ def summary_document(summary: ScenarioSummary) -> dict:
 
 
 def write_results_csv(summary: ScenarioSummary, path) -> None:
-    """Per-trial rows: trial,user,precoder,sinr_db,nmse (failures omitted)."""
+    """Per-trial rows: trial,user,precoder,sinr_db,nmse (failures omitted).
+
+    Rows run by trial, then error-grid point, precoder and user; the
+    nmse field is empty under perfect CSI.
+    """
+    names = [spec.name for spec in summary.config.precoders]
+    failed = np.not_equal(summary.failures, None).tolist()
+    nmse = summary.nmse.tolist()
     with open(path, "w") as fh:
         fh.write(RESULTS_CSV_HEADER + "\n")
-        for res in summary.trial_results:
-            for entry in res.entries:
-                if entry.sinr_db is None:
-                    continue
-                nmse = "" if entry.nmse is None else repr(float(entry.nmse))
-                for user in range(summary.config.k_users):
-                    fh.write(
-                        f"{res.trial},{user},{entry.precoder},"
-                        f"{repr(float(entry.sinr_db[user]))},{nmse}\n"
-                    )
+        for t, trial in enumerate(summary.sinr_db.tolist()):
+            for s, row in enumerate(trial):
+                tail = "" if summary.sigma_grid is None else repr(nmse[t][s])
+                for name, sinr, bad in zip(names, row, failed[t][s]):
+                    if not bad:
+                        fh.write(
+                            "".join(
+                                f"{t},{user},{name},{value!r},{tail}\n"
+                                for user, value in enumerate(sinr)
+                            )
+                        )
 
 
 def cmd_simulate(
@@ -238,7 +245,8 @@ def cmd_simulate(
 
     print(
         f"noise_var = {summary.noise_var:.6e} "
-        f"({config.noise_floor_db:+.1f} dB vs mean received power)"
+        f"({config.noise_floor_db:+.1f} dB vs mean received power "
+        f"over {config.trials} trials)"
     )
     for s in summary.stats:
         sig = "" if s.sigma_e2 is None else f" sigma_e2={s.sigma_e2:.3e}"

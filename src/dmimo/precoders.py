@@ -434,8 +434,18 @@ class InfoEnvironment:
             object.__setattr__(self, "ue_positions", p)
         if self.csi is not None and self.csi.num_users != self.num_users:
             raise ConfigError("CSI access and environment disagree on K")
-        if self.serving is not None and len(self.serving) != self.num_users:
-            raise ConfigError("serving must list AP indices for every user")
+        if self.serving is not None:
+            if len(self.serving) != self.num_users:
+                raise ConfigError("serving must list AP indices for every user")
+            num_aps = self.geometry.num_aps
+            for user, aps in enumerate(self.serving):
+                if not aps or len(set(aps)) != len(aps) or not all(
+                    0 <= a < num_aps for a in aps
+                ):
+                    raise ConfigError(
+                        f"serving APs of user {user} must be distinct indices in "
+                        f"[0, {num_aps}) and at least one, got {tuple(aps)}"
+                    )
 
     def serving_aps(self, user: int) -> tuple[int, ...]:
         if self.serving is None:

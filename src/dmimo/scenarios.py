@@ -105,24 +105,6 @@ class ClusterAssignment:
 
 
 @dataclass(frozen=True)
-class TrialEntry:
-    """Outcome of one (precoder, error-grid point) in one trial."""
-
-    precoder: str
-    sigma_e2: float | None
-    nmse: float | None
-    sinr_db: np.ndarray | None
-    failure: str | None
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    ue_positions: np.ndarray
-    entries: tuple[TrialEntry, ...]
-
-
-@dataclass(frozen=True)
 class PrecoderStats:
     """Aggregate statistics for one (precoder, error-grid point)."""
 
@@ -144,13 +126,23 @@ class PrecoderStats:
 
 @dataclass(frozen=True)
 class ScenarioSummary:
+    """Aggregate statistics and the per-trial outcomes behind them.
+
+    For T trials, S error-grid points, P precoders and K users:
+    ``sinr_db`` is (T, S, P, K), NaN where the build failed; ``failures``
+    is (T, S, P), the ``"ClassName: message"`` of a failed build or None;
+    ``nmse`` is (T, S), the realized NMSE, NaN under perfect CSI.
+    """
+
     config: ScenarioConfig
     noise_var: float
     mean_user_gain: float
     mean_entry_gain: float
     sigma_grid: tuple[float, ...] | None
     stats: tuple[PrecoderStats, ...]
-    trial_results: tuple[TrialResult, ...]
+    sinr_db: np.ndarray
+    failures: np.ndarray
+    nmse: np.ndarray
 
 
 def validate_config(config: ScenarioConfig) -> None:
@@ -374,15 +366,20 @@ def run_trial(
     noise_var: float | None = None,
     sigma_points: tuple[float | None, ...] = (None,),
     sampler=None,
-) -> TrialResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place UEs, build every configured precoder, evaluate SINR.
 
     ``sigma_points`` lists per-entry channel-error variances (None means
     perfect CSI). Precoders consume the perturbed channel estimates but
-    SINR is always evaluated against the true channel. A precoder whose
-    construction fails (rank deficiency, full suppression) contributes a
-    failure marker instead of samples. A precoder that reads no CSI is
-    built once per trial and its outcome repeated at every sigma point.
+    SINR is always evaluated against the true channel. A precoder that
+    reads no CSI is built once per trial and its outcome repeated at
+    every sigma point.
+
+    Returns ``(sinr_db, failures, nmse)`` for S sigma points, P
+    precoders and K users: per-user SINR in dB, (S, P, K), NaN where the
+    construction failed (rank deficiency, full suppression); the failure
+    as ``"ClassName: message"`` or None, (S, P); and the realized NMSE,
+    (S,), NaN under perfect CSI.
 
     ``noise_var`` defaults to the config's noise floor applied to the
     mean received power over all of the config's trials (the same value
@@ -396,41 +393,32 @@ def run_trial(
             config.noise_floor_db, mean_channel_gain(config, sampler)
         )
     positions, h_true = draw_trial_channels(config, trial_index, sampler)
-    entries: list[TrialEntry] = []
+    shape = (len(sigma_points), len(config.precoders))
+    sinr_db = np.full(shape + (config.k_users,), np.nan)
+    failures = np.full(shape, None, dtype=object)
+    nmse = np.full(shape[0], np.nan)
     error_seed = [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
-    # a spec that reads no CSI sees the same inputs at every sigma point
-    location_only: dict[str, tuple[np.ndarray | None, str | None]] = {}
-    for sigma in sigma_points:
+    for s, sigma in enumerate(sigma_points):
         if sigma is None:
-            h_known, realized = h_true, None
+            h_known = h_true
         else:
-            h_known, realized = inject_channel_error(
+            h_known, nmse[s] = inject_channel_error(
                 h_true, ChannelErrorModel(sigma_e2=sigma, rng_seed=error_seed)
             )
         env = _trial_environment(config, h_known, h_true, positions)
-        for spec in config.precoders:
-            if spec.name in location_only:
-                db, failure = location_only[spec.name]
+        for p, spec in enumerate(config.precoders):
+            req = spec.requirements()
+            if s and not (req.csi_intended or req.csi_unintended):
+                # a spec that reads no CSI sees the same inputs at every sigma point
+                sinr_db[s, p], failures[s, p] = sinr_db[0, p], failures[0, p]
+                continue
+            try:
+                w = build_precoder(spec, env, noise_var=noise_var)
+            except PrecodingError as exc:
+                failures[s, p] = f"{type(exc).__name__}: {exc}"
             else:
-                try:
-                    w = build_precoder(spec, env, noise_var=noise_var)
-                except PrecodingError as exc:
-                    db, failure = None, f"{type(exc).__name__}: {exc}"
-                else:
-                    db, failure = sinr_all(LinkRealization(h_true, w, noise_var))[1], None
-                req = spec.requirements()
-                if not (req.csi_intended or req.csi_unintended):
-                    location_only[spec.name] = db, failure
-            entries.append(
-                TrialEntry(
-                    precoder=spec.name,
-                    sigma_e2=sigma,
-                    nmse=realized,
-                    sinr_db=db,
-                    failure=failure,
-                )
-            )
-    return TrialResult(trial=trial_index, ue_positions=positions, entries=tuple(entries))
+                sinr_db[s, p] = sinr_all(LinkRealization(h_true, w, noise_var))[1]
+    return sinr_db, failures, nmse
 
 
 def mean_channel_gain(config: ScenarioConfig, sampler=None) -> float:
@@ -453,46 +441,34 @@ def _decimate_cdf(values: np.ndarray, probs: np.ndarray, max_points: int = CDF_M
 
 def _aggregate(
     config: ScenarioConfig,
-    results: list[TrialResult],
+    sinr_db: np.ndarray,
+    failures: np.ndarray,
+    nmse: np.ndarray,
     sigma_points: tuple[float | None, ...],
 ) -> tuple[PrecoderStats, ...]:
+    """Statistics per (sigma point, precoder) from the (T, S, P, ...) arrays."""
+    failed = np.not_equal(failures, None)
     stats = []
-    for sigma in sigma_points:
-        for spec in config.precoders:
-            samples: list[np.ndarray] = []
-            nmses: list[float] = []
-            failed = 0
-            for res in results:
-                for e in res.entries:
-                    if e.precoder != spec.name or e.sigma_e2 != sigma:
-                        continue
-                    if e.failure is not None:
-                        failed += 1
-                    else:
-                        samples.append(e.sinr_db)
-                    if e.nmse is not None:
-                        nmses.append(e.nmse)
-            if samples:
-                flat = np.concatenate(samples)
-                values, probs = empirical_cdf(flat)
-                values, probs = _decimate_cdf(values, probs)
+    for s, sigma in enumerate(sigma_points):
+        for p, spec in enumerate(config.precoders):
+            flat = sinr_db[~failed[:, s, p], s, p].ravel()
+            if flat.size:
+                values, probs = _decimate_cdf(*empirical_cdf(flat))
                 median = float(np.median(flat))
                 p10 = guaranteed_sinr(flat, 0.9)
-                n_samples = int(flat.size)
             else:
                 values = probs = None
                 median = p10 = None
-                n_samples = 0
             stats.append(
                 PrecoderStats(
                     precoder=spec.name,
                     sigma_e2=sigma,
-                    n_trials=len(results),
-                    n_failed_trials=failed,
-                    n_samples=n_samples,
+                    n_trials=len(sinr_db),
+                    n_failed_trials=int(failed[:, s, p].sum()),
+                    n_samples=int(flat.size),
                     median_db=median,
                     guaranteed_90_db=p10,
-                    mean_nmse=float(np.mean(nmses)) if nmses else None,
+                    mean_nmse=None if sigma is None else float(np.mean(nmse[:, s])),
                     cdf_values=values,
                     cdf_probs=probs,
                 )
@@ -510,7 +486,7 @@ def _init_worker(config, noise_var, sigma_points, sampler):
     _WORKER_STATE["sampler"] = sampler
 
 
-def _worker_trial(trial_index: int) -> TrialResult:
+def _worker_trial(trial_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = _WORKER_STATE
     return run_trial(
         s["config"], trial_index, s["noise_var"], s["sigma_points"], s["sampler"]
@@ -540,7 +516,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
         sigma_points = sigma_grid
 
     if config.workers == 1:
-        results = [
+        trials = [
             run_trial(config, t, noise_var, sigma_points, sampler)
             for t in range(config.trials)
         ]
@@ -551,9 +527,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             initializer=_init_worker,
             initargs=(config, noise_var, sigma_points, sampler),
         ) as pool:
-            results = list(
+            trials = list(
                 pool.map(_worker_trial, range(config.trials), chunksize=chunk)
             )
+    sinr_db, failures, nmse = (np.stack(a) for a in zip(*trials))
 
     return ScenarioSummary(
         config=config,
@@ -561,6 +538,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
         mean_user_gain=mean_user_gain,
         mean_entry_gain=mean_entry_gain,
         sigma_grid=sigma_grid,
-        stats=_aggregate(config, results, sigma_points),
-        trial_results=tuple(results),
+        stats=_aggregate(config, sinr_db, failures, nmse, sigma_points),
+        sinr_db=sinr_db,
+        failures=failures,
+        nmse=nmse,
     )

@@ -4,10 +4,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from dmimo import PhaseOffsetTable, read_dataset
+from dmimo import PhaseOffsetTable, read_dataset, run_scenario
 from dmimo import cli
 from dmimo.calibration import wrap_phase
 from dmimo.cli import main
+from dmimo.configio import parse_simulate_config
 
 GENERATE_CFG = """\
 schema_version: 1
@@ -149,6 +150,42 @@ class TestSimulate:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["config"]["trials"] == 2
         assert doc["config"]["rng_seed"] == 9
+
+    def test_noise_line_names_trial_count(self, tmp_path, capsys):
+        # noise_var depends on the trial count, so stdout says which
+        cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)
+        for extra, trials in (([], 3), (["--trials", "2"], 2)):
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")] + extra) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first.startswith("noise_var = ")
+            assert first.endswith(f"dB vs mean received power over {trials} trials)")
+
+    def test_results_csv_rows_follow_arrays(self, tmp_path):
+        # rows run trial, sigma point, precoder, user; failed builds are
+        # omitted; nmse is the trial's realized value at that sigma point
+        cfg = write(
+            tmp_path / "sim.yaml",
+            SIMULATE_CFG.replace("users: 3", "users: 10").replace(
+                "[mrt, zf, nf_nf]", "[mrt, dis_zf, dis_rzf]"
+            )
+            + "nmse_grid:\n  values: [0.0, 0.1]\n  relative: true\n",
+        )
+        summary = run_scenario(parse_simulate_config(cfg))
+        assert summary.sinr_db.shape == (3, 2, 3, 10)
+        failed = np.not_equal(summary.failures, None)
+        assert failed[:, :, 1].all() and not failed[:, :, [0, 2]].any()
+        expected = ["trial,user,precoder,sinr_db,nmse"]
+        for t in range(3):
+            for s in range(2):
+                for p, name in enumerate(["mrt", "dis_zf", "dis_rzf"]):
+                    if failed[t, s, p]:
+                        continue
+                    nmse = repr(float(summary.nmse[t, s]))
+                    for k in range(10):
+                        value = repr(float(summary.sinr_db[t, s, p, k]))
+                        expected.append(f"{t},{k},{name},{value},{nmse}")
+        cli.write_results_csv(summary, tmp_path / "results.csv")
+        assert (tmp_path / "results.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_zero_trials_exits_1(self, tmp_path):
         cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)

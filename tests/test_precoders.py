@@ -516,6 +516,22 @@ class TestBuildPrecoder:
         np.testing.assert_array_equal(w[outside], 0.0)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "serving",
+        [
+            ((), (), (), (), ()),  # zf: bare IndexError; mrt, nf: DegenerateChannelError
+            ((0,), (), (1,), (2,), (3,)),  # DegenerateChannelError for user 1
+            ((0, 0), (1,), (2,), (3,), (4,)),  # AP 0 counted twice
+            ((99,), (1,), (2,), (3,), (4,)),  # IndexError: index 99 is out of bounds
+            ((0, 8), (1,), (2,), (3,), (4,)),  # one past the last AP
+            ((-1,), (1,), (2,), (3,), (4,)),  # silently served from AP 7
+        ],
+    )
+    def test_invalid_serving_is_config_error(self, scenario_env, serving):
+        geometry, h, positions = scenario_env
+        with pytest.raises(ConfigError, match="serving APs of user"):
+            make_env(geometry, h, positions, serving=serving)
+
     def test_hybrid_mixes_csi_and_nf(self, scenario_env):
         # serving pair holds CSI for users {0, 1} only; zf_nf must null
         # the co-served channel and the out-of-cluster steering vectors
@@ -852,3 +868,37 @@ def test_zf_column_scaling_invariance_property(mode, k, seed):
     w_scaled = build_precoder(spec, scaled)
     for user in range(k):
         assert_same_direction(w[:, user], w_scaled[:, user], tol=1e-8)
+
+
+NEAR_COLLINEAR_NAMES = [
+    "mrt", "zf", "rzf", "nf", "nf_nf", "mrt_nf", "rmrt_nf", "zf_nf", "rzf_nf",
+    "dis_zf", "dis_rzf", "dis_nf_nf", "dis_mrt_nf", "dis_rmrt_nf", "dis_zf_nf",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(NEAR_COLLINEAR_NAMES),
+    k=st.integers(2, 8),
+    log_eps=st.floats(-16.0, -4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_collinear_channels_property(name, k, log_eps, seed):
+    # every user's channel is h0 up to a complex gain plus a tiny
+    # perturbation: a build fails with a precoding error or is sound
+    geometry = perimeter_geometry()
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack(
+        [rng.uniform(1.5, 4.5, k), rng.uniform(1.5, 4.5, k), np.zeros(k)]
+    )
+    h0 = crandn(rng, geometry.num_antennas, 1)
+    gains = crandn(rng, 1, k)
+    h = h0 * gains + 10.0**log_eps * crandn(rng, geometry.num_antennas, k)
+    env = make_env(geometry, h, positions)
+    noise_var = 1e-2 * float(np.mean(np.sum(np.abs(h) ** 2, axis=0)))
+    try:
+        w = build_precoder(parse_precoder_name(name), env, noise_var=noise_var)
+    except PrecodingError:
+        return
+    assert np.isfinite(w).all()
+    np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-10)

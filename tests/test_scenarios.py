@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from dmimo import (
     GridSpec,
+    LinkRealization,
     LosChannelParams,
     ScenarioConfig,
+    build_precoder,
     cluster_users,
     default_roi,
     generate_synthetic_dataset,
+    noise_variance_from_floor,
     parse_precoder_name,
     perimeter_geometry,
     read_dataset,
     run_scenario,
     run_trial,
+    sinr_all,
     write_dataset,
 )
 from dmimo import scenarios
@@ -152,34 +156,41 @@ class TestRunTrial:
     def test_single_user_mrt_is_snr(self):
         cfg = make_config(k_users=1, precoders=(parse_precoder_name("mrt"),))
         noise = 1e-6
-        res = run_trial(cfg, 0, noise_var=noise)
+        sinr_db, _, _ = run_trial(cfg, 0, noise_var=noise)
         positions, h = draw_trial_channels(cfg, 0)
         expected = 10 * np.log10(float(np.sum(np.abs(h) ** 2)) / noise)
-        assert res.entries[0].sinr_db[0] == pytest.approx(expected, rel=1e-10)
+        assert sinr_db[0, 0, 0] == pytest.approx(expected, rel=1e-10)
 
     def test_complete_record_per_precoder(self):
         cfg = make_config(nmse_grid=(0.0, 1e-7), k_users=2)
-        res = run_trial(cfg, 1, noise_var=1e-6, sigma_points=(0.0, 1e-7))
-        labels = [(e.precoder, e.sigma_e2) for e in res.entries]
-        assert labels == [
-            ("mrt", 0.0),
-            ("zf", 0.0),
-            ("mrt", 1e-7),
-            ("zf", 1e-7),
-        ]
+        sinr_db, failures, nmse = run_trial(
+            cfg, 1, noise_var=1e-6, sigma_points=(0.0, 1e-7)
+        )
+        # one record per (sigma point, precoder), in configured order
+        assert sinr_db.shape == (2, 2, 2)
+        assert failures.tolist() == [[None, None], [None, None]]
+        assert nmse[0] == 0.0 and nmse[1] > 0.0
+        assert np.isfinite(sinr_db).all()
+        perfect, _, _ = run_trial(cfg, 1, noise_var=1e-6)
+        np.testing.assert_array_equal(sinr_db[0], perfect[0])
+        mrt_only, _, _ = run_trial(
+            dataclasses.replace(cfg, precoders=cfg.precoders[:1]),
+            1, noise_var=1e-6, sigma_points=(0.0, 1e-7),
+        )
+        np.testing.assert_array_equal(sinr_db[:, :1], mrt_only)
 
     def test_rank_deficiency_recorded_not_raised(self):
         cfg = make_config(
             k_users=10,
             precoders=(parse_precoder_name("dis_zf"), parse_precoder_name("dis_rzf")),
         )
-        res = run_trial(cfg, 0, noise_var=1e-6)
-        by_name = {e.precoder: e for e in res.entries}
-        assert by_name["dis_zf"].failure is not None
-        assert "RankDeficiencyError" in by_name["dis_zf"].failure
-        assert by_name["dis_zf"].sinr_db is None
-        assert by_name["dis_rzf"].failure is None
-        assert by_name["dis_rzf"].sinr_db.shape == (10,)
+        sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-6)
+        assert failures[0, 0] is not None
+        assert "RankDeficiencyError" in failures[0, 0]
+        assert np.isnan(sinr_db[0, 0]).all()
+        assert failures[0, 1] is None
+        assert sinr_db[0, 1].shape == (10,)
+        assert np.isfinite(sinr_db[0, 1]).all()
 
     def test_singular_solve_recorded_not_raised(self, monkeypatch):
         def singular(a, b):
@@ -187,19 +198,17 @@ class TestRunTrial:
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         cfg = make_config(precoders=(parse_precoder_name("mrt"), parse_precoder_name("zf")))
-        res = run_trial(cfg, 0, noise_var=1e-6)
-        by_name = {e.precoder: e for e in res.entries}
-        assert by_name["zf"].sinr_db is None
-        assert by_name["zf"].failure == (
+        sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-6)
+        assert np.isnan(sinr_db[0, 1]).all()
+        assert failures[0, 1] == (
             "RankDeficiencyError: precoder 'zf': singular suppression Gram matrix "
             "(Singular matrix)"
         )
-        assert by_name["mrt"].failure is None
+        assert failures[0, 0] is None
 
     def test_positions_respect_roi_and_spacing(self):
         cfg = make_config(k_users=5, min_spacing_m=0.10)
-        res = run_trial(cfg, 3, noise_var=1e-6)
-        p = res.ue_positions
+        p, _ = draw_trial_channels(cfg, 3)
         assert np.all(p >= cfg.roi.lo - 1e-12) and np.all(p <= cfg.roi.hi + 1e-12)
         d = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
         np.fill_diagonal(d, np.inf)
@@ -215,20 +224,20 @@ class TestDeterminism:
         for sa, sb in zip(a.stats, b.stats):
             assert sa.median_db == sb.median_db
             assert sa.guaranteed_90_db == sb.guaranteed_90_db
-        for ra, rb in zip(a.trial_results, b.trial_results):
-            np.testing.assert_array_equal(ra.ue_positions, rb.ue_positions)
-            for ea, eb in zip(ra.entries, rb.entries):
-                np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
+        for t in range(cfg.trials):
+            np.testing.assert_array_equal(
+                draw_trial_channels(cfg, t)[0], draw_trial_channels(cfg, t)[0]
+            )
+        np.testing.assert_array_equal(a.sinr_db, b.sinr_db)
+        np.testing.assert_array_equal(a.failures, b.failures)
 
     def test_parallel_matches_serial(self):
         cfg = make_config(trials=6, k_users=3)
         serial = run_scenario(cfg)
         parallel = run_scenario(dataclasses.replace(cfg, workers=2))
-        for ra, rb in zip(serial.trial_results, parallel.trial_results):
-            assert ra.trial == rb.trial
-            np.testing.assert_array_equal(ra.ue_positions, rb.ue_positions)
-            for ea, eb in zip(ra.entries, rb.entries):
-                np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
+        assert serial.sinr_db.shape == parallel.sinr_db.shape == (6, 1, 2, 3)
+        np.testing.assert_array_equal(serial.sinr_db, parallel.sinr_db)
+        np.testing.assert_array_equal(serial.failures, parallel.failures)
 
     def test_different_seeds_differ(self):
         a = run_scenario(make_config(rng_seed=1))
@@ -238,13 +247,13 @@ class TestDeterminism:
     def test_single_trial_summary_equals_trial(self):
         cfg = make_config(trials=1, k_users=4)
         summary = run_scenario(cfg)
-        trial = summary.trial_results[0]
-        for stat in summary.stats:
-            entry = next(e for e in trial.entries if e.precoder == stat.precoder)
+        for p, stat in enumerate(summary.stats):
+            assert stat.precoder == cfg.precoders[p].name
+            sinr_db = summary.sinr_db[0, 0, p]
             assert stat.n_samples == 4
-            assert stat.median_db == pytest.approx(float(np.median(entry.sinr_db)))
+            assert stat.median_db == pytest.approx(float(np.median(sinr_db)))
             assert stat.guaranteed_90_db == pytest.approx(
-                float(np.quantile(entry.sinr_db, 0.1))
+                float(np.quantile(sinr_db, 0.1))
             )
 
 
@@ -278,20 +287,20 @@ class TestNmseSweep:
             k_users=10, precoders=tuple(parse_precoder_name(n) for n in names)
         )
         points = (0.0, 1e-7, 2e-7)
-        res = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
+        sinr_db, failures, nmse = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
         assert calls == {"mrt": 3, "nf_nf": 1, "dis_nf_nf": 1, "dis_rzf": 3}
-        by_name = {n: [e for e in res.entries if e.precoder == n] for n in names}
+        col = {n: p for p, n in enumerate(names)}
         # dis_nf_nf has 9 columns on 8 antennas: its failure repeats too
-        assert by_name["dis_nf_nf"][0].failure.startswith("RankDeficiencyError")
+        assert failures[0, col["dis_nf_nf"]].startswith("RankDeficiencyError")
+        assert failures[0, col["nf_nf"]] is None
         for name in ("nf_nf", "dis_nf_nf"):
-            first = by_name[name][0]
-            for e in by_name[name][1:]:
-                assert e.failure == first.failure
-                if first.sinr_db is not None:
-                    np.testing.assert_array_equal(e.sinr_db, first.sinr_db)
-        assert len({e.nmse for e in by_name["nf_nf"]}) == 3
+            p = col[name]
+            for s in (1, 2):
+                assert failures[s, p] == failures[0, p]
+                np.testing.assert_array_equal(sinr_db[s, p], sinr_db[0, p])
+        assert len(set(nmse.tolist())) == 3
         for name in ("mrt", "dis_rzf"):
-            assert not np.array_equal(by_name[name][1].sinr_db, by_name[name][2].sinr_db)
+            assert not np.array_equal(sinr_db[1, col[name]], sinr_db[2, col[name]])
 
     def test_relative_grid_hits_target_nmse(self):
         cfg = make_config(
@@ -315,6 +324,23 @@ class TestNmseSweep:
         assert summary.sigma_grid == (1e-9,)
 
 
+class TestNoiseVariance:
+    def test_noise_var_over_all_configured_trials(self):
+        # the floor is relative to the mean gain over every configured
+        # trial, so a shorter run is not a prefix of a longer one
+        cfg = make_config(trials=6)
+        noise_vars = []
+        for trials in (6, 3):
+            run = dataclasses.replace(cfg, trials=trials)
+            gain = np.mean(
+                [np.sum(np.abs(draw_trial_channels(run, t)[1]) ** 2) for t in range(trials)]
+            )
+            expected = noise_variance_from_floor(run.noise_floor_db, gain / run.k_users)
+            noise_vars.append(run_scenario(run).noise_var)
+            assert noise_vars[-1] == pytest.approx(expected, rel=1e-12)
+        assert noise_vars[0] != pytest.approx(noise_vars[1], rel=1e-3)
+
+
 class TestClusteringScenario:
     def test_serving_antennas_only(self):
         pairs = ((0, 1), (2, 3), (4, 5), (6, 7))
@@ -325,14 +351,29 @@ class TestClusteringScenario:
             clustering=pairs,
         )
         summary = run_scenario(cfg)
+        assert np.equal(summary.failures, None).all()
         geo = cfg.geometry
-        for res in summary.trial_results:
-            positions, h = draw_trial_channels(cfg, res.trial)
+        pair_antennas = [
+            np.concatenate([geo.ap_indices(a) for a in pair]) for pair in pairs
+        ]
+        for t in range(cfg.trials):
+            positions, h = draw_trial_channels(cfg, t)
+            env = scenarios._trial_environment(cfg, h, h, positions)
             gains = np.abs(h.T) ** 2
-            assignment = cluster_users(gains, pairs, geo)
+            for k in range(cfg.k_users):
+                best = np.argmax([gains[k, idx].mean() for idx in pair_antennas])
+                assert env.serving[k] == pairs[best]
             # rebuild the precoders to check the support pattern
-            entry = res.entries[0]
-            assert entry.failure is None
+            for p, spec in enumerate(cfg.precoders):
+                w = build_precoder(spec, env, noise_var=summary.noise_var)
+                np.testing.assert_array_equal(
+                    sinr_all(LinkRealization(h, w, summary.noise_var))[1],
+                    summary.sinr_db[t, 0, p],
+                )
+                for k in range(cfg.k_users):
+                    outside = np.ones(geo.num_antennas, dtype=bool)
+                    outside[pair_antennas[pairs.index(env.serving[k])]] = False
+                    assert np.all(w[outside, k] == 0)
 
     def test_cluster_stats_complete(self):
         cfg = make_config(
@@ -438,10 +479,8 @@ class TestDatasetMode:
             == summary_document(serial)["precoders"]
         )
         assert parallel.noise_var == serial.noise_var
-        for ra, rb in zip(serial.trial_results, parallel.trial_results):
-            np.testing.assert_array_equal(ra.ue_positions, rb.ue_positions)
-            for ea, eb in zip(ra.entries, rb.entries):
-                np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
+        np.testing.assert_array_equal(parallel.sinr_db, serial.sinr_db)
+        np.testing.assert_array_equal(parallel.failures, serial.failures)
 
     def test_init_worker_keeps_given_sampler(self, dataset_dir, monkeypatch):
         cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir))
@@ -456,8 +495,8 @@ class TestDatasetMode:
         assert scenarios._WORKER_STATE["sampler"] is sampler
         trial = scenarios._worker_trial(2)
         expected = run_trial(cfg, 2, 1e-3, (None,), sampler)
-        for ea, eb in zip(trial.entries, expected.entries):
-            np.testing.assert_array_equal(ea.sinr_db, eb.sinr_db)
+        for a, b in zip(trial, expected, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_geometry_mismatch_rejected(self, dataset_dir):
         cfg = make_config(
