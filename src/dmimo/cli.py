@@ -5,17 +5,18 @@
     dmimo simulate  --config cfg.yaml --out DIR [--trials N] [--seed N]
                     [--workers N]
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure (a precoding, placement or geometry error, a floating-point error,
+Exit codes: 0 success, 1 usage/config error (malformed values and invalid
+geometry in a config included), 2 data error, 3 numerical failure (a
+precoding, placement or run-time geometry error, a floating-point error,
 or a ``numpy.linalg.LinAlgError``). All commands are deterministic given
 their config (seeds included); repeated runs produce byte-identical
-payload files.
+payload files. summary.json's ``config`` re-runs as a simulate config;
+its ``noise_var`` is set over all ``config.trials`` trials.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -101,8 +102,7 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
     rx_positions = manifest.rx_positions
     wavelength = manifest.wavelength
     if config_path is not None:
-        doc = configio.load_yaml(config_path)
-        geometry, _ = configio.parse_geometry(doc.get("geometry", {}))
+        geometry = configio.parse_calibrate_config(config_path)
         if geometry.num_antennas != manifest.rx_count:
             raise ConfigError(
                 f"geometry override has {geometry.num_antennas} antennas, "
@@ -122,55 +122,15 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
     return EXIT_OK
 
 
-def _json_safe(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 def summary_document(summary: ScenarioSummary) -> dict:
     """Self-describing JSON document for one scenario run."""
-    cfg = summary.config
-    doc = {
+    return {
         "schema_version": configio.SCHEMA_VERSION,
         "noise_var": summary.noise_var,
         "mean_user_gain": summary.mean_user_gain,
         "mean_entry_gain": summary.mean_entry_gain,
         "sigma_grid": summary.sigma_grid,
-        "config": {
-            "k_users": cfg.k_users,
-            "trials": cfg.trials,
-            "rng_seed": cfg.rng_seed,
-            "noise_floor_db": cfg.noise_floor_db,
-            "min_spacing_m": cfg.min_spacing_m,
-            "amplitude_model": cfg.amplitude_model,
-            "reference_gain": cfg.reference_gain,
-            "channel_source": cfg.channel_source,
-            "dataset_path": cfg.dataset_path,
-            "nmse_grid": list(cfg.nmse_grid) if cfg.nmse_grid is not None else None,
-            "nmse_relative": cfg.nmse_relative,
-            "clustering": [list(p) for p in cfg.clustering]
-            if cfg.clustering is not None
-            else None,
-            "workers": cfg.workers,
-            "precoders": [dataclasses.asdict(s) for s in cfg.precoders],
-            "geometry": {
-                "wavelength_m": cfg.geometry.wavelength,
-                "num_antennas": cfg.geometry.num_antennas,
-                "num_aps": cfg.geometry.num_aps,
-                "antenna_positions": cfg.geometry.antenna_positions,
-                "ap_partition": [list(ap) for ap in cfg.geometry.ap_partition],
-            },
-            "roi": {"lo": cfg.roi.lo, "hi": cfg.roi.hi},
-        },
+        "config": configio.config_document(summary.config),
         "precoders": [
             {
                 "precoder": s.precoder,
@@ -184,12 +144,11 @@ def summary_document(summary: ScenarioSummary) -> dict:
                 "guaranteed_90_db": s.guaranteed_90_db,
                 "cdf": None
                 if s.cdf_values is None
-                else {"sinr_db": s.cdf_values, "probability": s.cdf_probs},
+                else {"sinr_db": s.cdf_values.tolist(), "probability": s.cdf_probs.tolist()},
             }
             for s in summary.stats
         ],
     }
-    return _json_safe(doc)
 
 
 def write_results_csv(summary: ScenarioSummary, path) -> None:
@@ -224,15 +183,7 @@ def cmd_simulate(
     workers: int | None = None,
 ) -> int:
     config = configio.parse_simulate_config(config_path)
-    overrides = {}
-    if trials is not None:
-        overrides["trials"] = trials
-    if seed is not None:
-        overrides["rng_seed"] = seed
-    if workers is not None:
-        overrides["workers"] = workers
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = configio.override(config, trials=trials, seed=seed, workers=workers)
 
     summary = run_scenario(config)
 

@@ -38,6 +38,8 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 CSI_NAME = "csi.csv"
 CSV_HEADER = "tx,rx,m,n,re,im"
+#: UE-side antennas per grid position when a generation config gives none.
+DEFAULT_TX_COUNT = 4
 #: Data lines parsed per ``np.loadtxt`` call by ``read_dataset``. Larger
 #: chunks barely read faster but hold more lines in memory at once.
 CHUNK = 1024
@@ -138,9 +140,11 @@ class GridSpec:
     y_max: float
     z: float = 0.0
 
-    def positions(self) -> np.ndarray:
+    def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise GeometryError("grid needs nx >= 1 and ny >= 1")
+
+    def positions(self) -> np.ndarray:
         x = np.linspace(self.x_min, self.x_max, self.nx)
         y = np.linspace(self.y_min, self.y_max, self.ny)
         out = np.empty((self.nx, self.ny, 3))
@@ -368,7 +372,7 @@ def generate_synthetic_dataset(
     geometry: ArrayGeometry,
     grid_spec: GridSpec,
     params: LosChannelParams,
-    tx_count: int = 4,
+    tx_count: int = DEFAULT_TX_COUNT,
     offsets_seed=None,
 ):
     """Exact LoS CSI over a position grid, optionally with hardware offsets.

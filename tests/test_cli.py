@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from dmimo import PhaseOffsetTable, read_dataset, run_scenario
 from dmimo import cli
 from dmimo.calibration import wrap_phase
 from dmimo.cli import main
-from dmimo.configio import parse_simulate_config
+from dmimo.configio import config_document, parse_simulate_config
 
 GENERATE_CFG = """\
 schema_version: 1
@@ -39,6 +41,22 @@ trials: 3
 seed: 5
 precoders: [mrt, zf, nf_nf]
 """
+
+# Two 2-antenna APs and a RoI with a height range.
+EXPLICIT_CFG = """\
+schema_version: 1
+geometry:
+  kind: explicit
+  wavelength_m: 0.115
+  antenna_positions: [[0.0, 0.0, 1.0], [0.0575, 0.0, 1.0], [6.0, 0.0, 1.0], [6.0575, 0.0, 1.0]]
+  ap_partition: [[0, 1], [2, 3]]
+roi: {x_min: 1.0, x_max: 5.0, y_min: 1.0, y_max: 5.0, z_min: 0.0, z_max: 0.5}
+users: 2
+trials: 2
+precoders: [mrt, zf]
+"""
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(path, text):
@@ -127,7 +145,7 @@ class TestSimulate:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["schema_version"] == 1
         assert doc["noise_var"] > 0
-        assert doc["config"]["k_users"] == 3
+        assert doc["config"]["users"] == 3
         assert {p["precoder"] for p in doc["precoders"]} == {"mrt", "zf", "nf_nf"}
         for p in doc["precoders"]:
             assert p["failure_rate"] == 0.0
@@ -149,7 +167,7 @@ class TestSimulate:
         ) == 0
         doc = json.loads((out / "summary.json").read_text())
         assert doc["config"]["trials"] == 2
-        assert doc["config"]["rng_seed"] == 9
+        assert doc["config"]["seed"] == 9
 
     def test_noise_line_names_trial_count(self, tmp_path, capsys):
         # noise_var depends on the trial count, so stdout says which
@@ -249,6 +267,140 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    def test_summary_reruns_as_config(self, tmp_path, dataset):
+        # summary.json's config section is a simulate config: re-running
+        # it, CLI overrides included, reproduces both payload files
+        text = SIMULATE_CFG.replace("[mrt, zf, nf_nf]", "[mrt, nf_nf, dis_rzf]")
+        text += "nmse_grid:\n  values: [0.0, 0.05]\n  relative: true\n"
+        if dataset:
+            gen = write(tmp_path / "gen.yaml", GENERATE_CFG)
+            assert main(["generate", "--config", gen, "--out", str(tmp_path / "ds")]) == 0
+            text = _in_geometry(text, "n_aps: 2\n  antennas_per_ap: 4")
+            text += f"channel:\n  source: dataset\n  path: {tmp_path / 'ds'}\n"
+        cfg = write(tmp_path / "sim.yaml", text)
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["simulate", "--config", cfg, "--out", str(a), "--trials", "2", "--seed", "11"]
+        assert main(argv) == 0
+        assert main(["simulate", "--config", str(a / "summary.json"), "--out", str(b)]) == 0
+        for name in ("results.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _in_geometry(text, line):
+    return text.replace("kind: perimeter", f"kind: perimeter\n  {line}")
+
+
+def _with_key(key, value):
+    return SIMULATE_CFG + f"{key}: {value}\n"
+
+
+def _bad_precoder(field):
+    entry = f"{{name: myrzf, base: mrt, suppression: csi, {field}}}"
+    return SIMULATE_CFG.replace("[mrt, zf, nf_nf]", f"[mrt, {entry}]")
+
+
+MALFORMED = [
+    pytest.param("simulate", SIMULATE_CFG.replace("users: 3", "users: abc"),
+                 "users must be an integer, got 'abc'", id="users-string"),
+    pytest.param("simulate", SIMULATE_CFG.replace("seed: 5", "seed: x"),
+                 "seed must be an integer, got 'x'", id="seed-string"),
+    pytest.param("simulate", SIMULATE_CFG.replace("users: 3", "users: [1, 2]"),
+                 "users must be an integer, got [1, 2]", id="users-list"),
+    pytest.param("simulate", SIMULATE_CFG.replace("users: 3", "users: 2.7"),
+                 "users must be an integer, got 2.7", id="users-float"),
+    pytest.param("simulate", SIMULATE_CFG.replace("users: 3", "users: true"),
+                 "users must be an integer, got True", id="users-bool"),
+    pytest.param("simulate", _with_key("noise_floor_db", "null"),
+                 "noise_floor_db must be a number, got None", id="noise-floor-null"),
+    pytest.param("simulate", SIMULATE_CFG.replace("[mrt, zf, nf_nf]", "5"),
+                 "precoders must be a list, got 5", id="precoders-int"),
+    pytest.param("simulate", _with_key("nmse_grid", "{values: 5}"),
+                 "values must be a list, got 5", id="nmse-grid-values-int"),
+    pytest.param("simulate", _with_key("clustering", "{pairs: 3}"),
+                 "pairs must be a list, got 3", id="clustering-pairs-int"),
+    pytest.param("simulate", _bad_precoder('regularized: "no"'),
+                 "regularized must be true or false, got 'no'", id="regularized-string"),
+    pytest.param("simulate", _bad_precoder("regularized: true, alpha: abc"),
+                 "alpha must be a number, got 'abc'", id="alpha-string"),
+    pytest.param("generate", GENERATE_CFG.replace("tx_count: 2", "tx_count: abc"),
+                 "tx_count must be an integer, got 'abc'", id="tx-count-string"),
+    # invalid geometry is a config error (exit 1), not a numerical failure
+    pytest.param("simulate", _in_geometry(SIMULATE_CFG, "n_aps: 0"),
+                 "geometry: need at least one AP", id="n-aps-zero"),
+    pytest.param("simulate", _in_geometry(SIMULATE_CFG, "wavelength_m: -1"),
+                 "geometry: wavelength must be > 0", id="negative-wavelength"),
+    pytest.param("simulate", EXPLICIT_CFG.replace("[[0, 1], [2, 3]]", "[[0, 1], [2]]"),
+                 "geometry: ap_partition must cover", id="partition-misses-antenna"),
+    pytest.param("simulate", EXPLICIT_CFG.replace("x_min: 1.0", "x_min: 5.5"),
+                 "roi: box must satisfy lo <= hi", id="roi-x-min-above-x-max"),
+    pytest.param("generate", GENERATE_CFG.replace("nx: 6", "nx: 0"),
+                 "grid needs nx >= 1", id="grid-nx-zero"),
+    pytest.param("calibrate", GENERATE_CFG.replace("n_aps: 2", "n_aps: 0"),
+                 "geometry: need at least one AP", id="calibrate-override-n-aps-zero"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command,text,message", MALFORMED)
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, command, text, message):
+        cfg = write(tmp_path / "bad.yaml", text)
+        out = str(tmp_path / "out")
+        argv = [command, "--config", cfg, "--out", out]
+        if command == "calibrate":
+            ds = str(tmp_path / "ds")
+            assert main(["generate", "--config", write(tmp_path / "gen.yaml", GENERATE_CFG),
+                         "--out", ds]) == 0
+            argv += ["--dataset", ds]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dmimo: config error: ") and message in err, err
+
+
+def _assert_same_config(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "geometry":
+            assert np.array_equal(x.antenna_positions, y.antenna_positions)
+            assert (x.ap_partition, x.wavelength) == (y.ap_partition, y.wavelength)
+        elif field.name == "roi":
+            assert np.array_equal(x.lo, y.lo) and np.array_equal(x.hi, y.hi)
+        else:
+            assert x == y, field.name
+
+
+ROUND_TRIP = {
+    **{
+        p.stem: p.read_text()
+        for p in sorted(CONFIGS.glob("*.yaml"))
+        if p.stem != "generate_dataset"
+    },
+    "explicit-z-range": EXPLICIT_CFG,
+    "explicit-alpha": SIMULATE_CFG.replace(
+        "[mrt, zf, nf_nf]",
+        "[mrt, {name: myrzf, base: mrt, suppression: csi, regularized: true, alpha: 1e-7}]",
+    ),
+    "clustering": SIMULATE_CFG + "clustering:\n  pairs: [[0, 1], [2, 3], [4, 5], [6, 7]]\n",
+    "dataset": SIMULATE_CFG + "channel:\n  source: dataset\n  path: data/calibrated\n",
+}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("name", list(ROUND_TRIP))
+    def test_config_document_parses_back(self, tmp_path, name):
+        config = parse_simulate_config(write(tmp_path / "cfg.yaml", ROUND_TRIP[name]))
+        doc = config_document(config)
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        again = parse_simulate_config(tmp_path / "doc.json")
+        _assert_same_config(again, config)
+        assert config_document(again) == doc
+
+    def test_alpha_exponent_read_as_float(self, tmp_path):
+        config = parse_simulate_config(write(tmp_path / "c.yaml", ROUND_TRIP["explicit-alpha"]))
+        assert config.precoders[1].alpha == 1e-7
 
 
 class TestUsage:
