@@ -94,6 +94,16 @@ _SIMULATE_SECTIONS = {
 }
 _SIMULATE_KEYS = {"schema_version", "geometry", "roi", "precoders", *_SIMULATE_SECTIONS}
 
+#: ScenarioConfig field -> its YAML key, "section.key" inside a section.
+_FIELD_KEYS = {
+    **{field: key for key, (field, _) in _SIMULATE_SCALARS.items()},
+    **{
+        field: f"{section}.{key}"
+        for section, (_, table) in _SIMULATE_SECTIONS.items()
+        for key, (field, _) in table.items()
+    },
+}
+
 #: Precoder mapping entries: YAML key -> (PrecoderSpec field, type).
 _PRECODER_KEYS = {
     "name": ("name", _str),
@@ -239,6 +249,11 @@ def parse_simulate_config(path) -> ScenarioConfig:
         precoders=_tuple_of(parse_precoder_entry)(doc["precoders"], "precoders"),
         **fields,
     )
+
+
+def yaml_key(field: str) -> str:
+    """The simulate-config YAML key of a ScenarioConfig field, for messages."""
+    return _FIELD_KEYS.get(field, field)
 
 
 def override(config: ScenarioConfig, **values) -> ScenarioConfig:

@@ -142,6 +142,10 @@ class LosChannelParams:
                 f"amplitude_model must be one of {AMPLITUDE_MODELS}, "
                 f"got {self.amplitude_model!r}"
             )
+        if not 0 < self.reference_gain < np.inf:
+            raise GeometryError(
+                f"reference_gain must be finite and > 0, got {self.reference_gain}"
+            )
 
     def amplitude(self, distance) -> np.ndarray:
         """Channel magnitude at the given distance(s)."""

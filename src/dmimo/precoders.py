@@ -22,7 +22,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -286,8 +286,8 @@ class PrecoderSpec:
                    "nf" (near-field vectors from locations) or "csi+nf"
                    (CSI where held, near-field otherwise)
     regularized  : use the regularized projection
-    alpha        : regularization weight (> 0); None resolves to the noise
-                   variance at build time
+    alpha        : regularization weight (finite, > 0); None resolves to
+                   the noise variance at build time
     scope        : "centralized" assembles jointly over all serving
                    antennas; "per-ap" repeats the assembly per AP using
                    only that AP's antennas and CSI
@@ -312,8 +312,8 @@ class PrecoderSpec:
         if self.alpha is not None:
             if not self.regularized:
                 raise ConfigError("alpha is only meaningful for regularized specs")
-            if not self.alpha > 0:
-                raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+            if not 0 < self.alpha < np.inf:
+                raise ConfigError(f"alpha must be > 0 and finite, got {self.alpha}")
 
     def requirements(self) -> InfoRequirements:
         return InfoRequirements(
@@ -446,6 +446,19 @@ class InfoEnvironment:
                         f"serving APs of user {user} must be distinct indices in "
                         f"[0, {num_aps}) and at least one, got {tuple(aps)}"
                     )
+        # location and assembly state that build_precoder derives once
+        object.__setattr__(self, "_derived", {})
+
+    def with_channel(self, channel) -> "InfoEnvironment":
+        """This environment holding ``channel`` as its CSI, same grants.
+
+        The copy shares the state :func:`build_precoder` derives from
+        locations and serving alone (the near-field matrix, the assembly
+        units), so the CSI variants of one trial derive it once.
+        """
+        env = replace(self, csi=ChannelAccess(self.geometry, channel, self.csi.granted))
+        object.__setattr__(env, "_derived", self._derived)
+        return env
 
     def serving_aps(self, user: int) -> tuple[int, ...]:
         if self.serving is None:
@@ -465,7 +478,15 @@ def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
         )
 
 
-def _assembly(spec: PrecoderSpec, env: InfoEnvironment):
+def _derive(env: InfoEnvironment, key, make):
+    """``make()``, computed once per environment and its CSI variants."""
+    state = env._derived
+    if key not in state:
+        state[key] = make()
+    return state[key]
+
+
+def _assembly(env: InfoEnvironment, scope: str):
     """The assembly units of one build and the (unit, user) pairs they form.
 
     Returns the units (AP tuples, first-use order); their antenna rows,
@@ -480,7 +501,7 @@ def _assembly(spec: PrecoderSpec, env: InfoEnvironment):
     users = np.repeat(np.arange(k), [len(aps) for aps in serving])
     served = np.zeros((geo.num_aps, k), dtype=bool)
     served[flat, users] = True
-    if spec.scope == "centralized":
+    if scope == "centralized":
         unit_of, pair_user = serving, np.arange(k)
     else:
         unit_of, pair_user = [(a,) for a in flat], users
@@ -507,32 +528,65 @@ _PAIR_FAILURES = {
     _SUPPRESSED: (FullySuppressedError, "base vector lies in the suppression subspace"),
 }
 
+#: Largest condition number of a unit's Gram matrix whose inverse the
+#: leave-one-out downdate may use; worse-conditioned units are solved
+#: pair by pair.
+DOWNDATE_COND = 1e8
 
-def _rank_deficient(pool, present, sizes, pair_unit, mask, n) -> np.ndarray:
+#: Fewest pairs per unit, on average, for which a regularized build
+#: inverts its units; below it the downdate and its refinement step
+#: cost more than one solve per pair. Unregularized builds, which
+#: solve each pair twice, always invert.
+DOWNDATE_PAIRS = 6
+
+
+def _rank_deficient(pool, present, sizes, pair_unit, mask, n):
     """Per pair: do its n pool columns under ``mask`` lack full column rank?
 
     The threshold is :func:`numerical_rank`'s, eps * sigma_max *
     max(Ma, n). By singular-value interlacing every column subset of a
     full-rank pool is full rank, so one SVD per unit pool clears all its
     pairs; only the pairs of a pool that fails, or that has more columns
-    than antennas, get an SVD of their own.
+    than antennas, get an SVD of their own. Also returns per unit whether
+    its pool is full rank with a Gram condition number (sigma_max /
+    sigma_min)^2 of at most ``DOWNDATE_COND``.
     """
     eps = np.finfo(float).eps
     ma = sizes[pair_unit]
     deficient = n > ma
     n_pool = present.sum(axis=1)
     cleared = np.zeros(sizes.size, dtype=bool)
+    conditioned = np.zeros(sizes.size, dtype=bool)
     check = np.flatnonzero((n_pool > 0) & (n_pool <= sizes))
     if check.size:
         s = np.linalg.svd(pool[check], compute_uv=False)
         tol = eps * s[:, :1] * np.maximum(sizes[check], n_pool[check])[:, None]
         cleared[check] = np.sum(s > tol, axis=1) == n_pool[check]
+        well = np.sum(s * s * DOWNDATE_COND >= s[:, :1] ** 2, axis=1) == n_pool[check]
+        conditioned[check] = cleared[check] & well
     check = np.flatnonzero(~cleared[pair_unit] & ~deficient & (n > 0))
     if check.size:
         s = np.linalg.svd(pool[pair_unit[check]] * mask[check, None, :], compute_uv=False)
         tol = eps * s[:, :1] * np.maximum(ma[check], n[check])[:, None]
         deficient[check] = np.sum(s > tol, axis=1) < n[check]
-    return deficient
+    return deficient, conditioned
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a contiguous (S, K, K) stack."""
+    return a.reshape(len(a), -1)[:, :: a.shape[-1] + 1]
+
+
+def _leave_one_out(inv: np.ndarray, inv_cols: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Column j of (A_{-j,-j})^{-1} r_{-j} per system, from B = A^{-1}.
+
+    The Schur downdate (A_{-j,-j})^{-1} = B_{-j,-j} - B_{-j,j} B_{j,-j} /
+    B_jj gives every column at once: X = B R - B diag(diag(B R) /
+    diag(B)), with ``inv_cols`` = B diag(B)^{-1}. With the diagonal of
+    ``inv_cols`` set to exactly 1, entry j of column j is exactly 0.
+    """
+    z = inv @ r
+    return z - inv_cols * np.diagonal(z, axis1=1, axis2=2)[:, None, :]
 
 
 def build_precoder(
@@ -552,25 +606,43 @@ def build_precoder(
     ``orthogonalize`` (or ``orthogonalize_regularized``) of the user's
     base against its own suppression columns.
 
-    All (assembly unit, user) pairs are projected in one stacked solve.
-    Every user l has one pool column per unit: its CSI where the unit
-    holds it on every AP (natural channel scale), else its unit-norm
-    near-field vector when the spec suppresses by location, else none.
-    Pair (unit, u) projects off V, the pool masked to exclude u, by
-    solving (V^H V + D) x = V^H b: D is alpha*I when regularized, else 1
-    on the masked-out diagonal, which gives those columns zero weight
-    exactly; unregularized, the projection runs twice, as in
-    :func:`orthogonalize`, after one rank SVD per unit pool (see
-    :func:`_rank_deficient`). Units are padded to the widest with zero
-    rows, which change no Gram matrix, projection or norm. Specs without
-    suppression skip all of this.
+    Every user l has one pool column per assembly unit: its CSI where
+    the unit holds it on every AP (natural channel scale), else its
+    unit-norm near-field vector when the spec suppresses by location,
+    else none. Pair (unit, u) projects off the pool without column u.
+    Each unit's Gram matrix A = V^H V + D (D is alpha*I when regularized,
+    else 1 on the diagonal of absent columns) is inverted once, and every
+    user's leave-one-out coefficients follow from that inverse by a Schur
+    downdate (:func:`_leave_one_out`). Regularized specs add one
+    refinement step with the same inverse, X += downdate(R - A X), which
+    takes the columns from ~1e-8 to ~1e-11 of the per-vector
+    construction when K - 1 exceeds the unit's antenna count.
+    Unregularized specs project twice, as :func:`orthogonalize` does,
+    each pass reusing the inverse, after one rank SVD per unit pool (see
+    :func:`_rank_deficient`).
+
+    Pairs fall back to a solve of their own masked Gram matrix when
+    their unit's pool is rank deficient, when the unit's Gram condition
+    number may exceed ``DOWNDATE_COND``, or, regularized, when their
+    columns mix CSI and near-field sources: alpha then acts on unit-norm
+    columns, a scale the unit's other pairs do not share. A regularized
+    build whose units average fewer than ``DOWNDATE_PAIRS`` pairs solves
+    every pair that way, since there one solve per pair is cheaper. Units
+    are padded to the widest with zero rows, which change no Gram
+    matrix, projection or norm. Specs without suppression skip all of
+    this.
+
+    The near-field matrix and the assembly units depend only on
+    locations and serving. They are derived once per environment and
+    shared with its :meth:`InfoEnvironment.with_channel` copies, so a
+    trial computes them once for all its specs and error levels.
 
     ``noise_var`` supplies the default regularization weight when the
     spec is regularized with ``alpha=None``. A precoding failure is
     raised for the lowest failing user: a zero base vector, else its
     first failing unit in serving order (naming both), else an
-    all-suppressed column. A singular stacked solve raises
-    RankDeficiencyError naming the spec.
+    all-suppressed column. A singular Gram matrix, in the unit inverse
+    or a pair's solve, raises RankDeficiencyError naming the spec.
     """
     _check_requirements(spec, env)
     alpha = None
@@ -581,10 +653,13 @@ def build_precoder(
                 f"regularized precoder {spec.name!r} needs alpha or noise_var > 0"
             )
     geo, k = env.geometry, env.num_users
-    units, ant, sizes, served, pu, pk = _assembly(spec, env)
+    units, ant, sizes, served, pu, pk = _derive(
+        env, ("assembly", spec.scope), lambda: _assembly(env, spec.scope)
+    )
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
-        nf = _near_field_phasors(geo.antenna_positions, env.ue_positions, geo.wavelength)
+        nf = _derive(env, "nf", lambda: _near_field_phasors(
+            geo.antenna_positions, env.ue_positions, geo.wavelength))
     if spec.base == "mrt":
         w = env.csi.gather(served)
     elif spec.base == "nf":
@@ -616,40 +691,68 @@ def build_precoder(
         mask = present[pu] & (np.arange(k) != pk[:, None])
         n = mask.sum(axis=1)
         scale = mask.astype(float)
-        if alpha is not None:
+        ph = pool.conj().transpose(0, 2, 1)
+        gram = ph @ pool
+        if alpha is None:
+            deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n)
+            code[deficient] = _RANK
+            solve = (code == 0) & (n > 0)
+            direct = solve & conditioned[pu]
+        else:
             # alpha acts on one scale: a pair whose columns mix CSI and
             # near-field sources gets every column normalized to unit norm
+            # and is solved on its own
             mixed = (mask & is_csi[pu]).any(axis=1) & (mask & ~is_csi[pu]).any(axis=1)
-            norms = np.linalg.norm(pool, axis=1)[pu[mixed]]
-            code[np.flatnonzero(mixed)[(mask[mixed] & (norms == 0)).any(axis=1)]] = _DEGENERATE
-            scale[mixed] /= np.where(norms > 0, norms, 1.0)
+            if mixed.any():
+                norms = np.linalg.norm(pool, axis=1)[pu[mixed]]
+                code[np.flatnonzero(mixed)[(mask[mixed] & (norms == 0)).any(axis=1)]] = _DEGENERATE
+                scale[mixed] /= np.where(norms > 0, norms, 1.0)
             solve = n > 0
-        else:
-            code[_rank_deficient(pool, present, sizes, pu, mask, n)] = _RANK
-            solve = (code == 0) & (n > 0)
-        # every user's base on every unit; columns outside a pair never move
-        b = _pad(w)[ant]
-        su, sk, ss = pu[solve], pk[solve], scale[solve]
-        if su.size:
-            ph = pool.conj().transpose(0, 2, 1)
-            gram = (ph @ pool)[su] * (ss[:, :, None] * ss[:, None, :])
-            gram[:, range(k), range(k)] += alpha if alpha is not None else ~mask[solve]
+            direct = np.zeros_like(solve)
+            if pu.size >= DOWNDATE_PAIRS * sizes.size:
+                # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
+                trace = np.trace(gram, axis1=1, axis2=2).real
+                direct = solve & ~mixed & (trace <= (DOWNDATE_COND - 1) * alpha)[pu]
+        slow = solve & ~direct
+        if solve.any():
+            sys_unit = np.flatnonzero(np.bincount(pu[direct], minlength=sizes.size))
+            any_slow = slow.any()
+            # every user's base on every unit; columns outside a pair never move
+            b = _pad(w)[ant]
             step = np.zeros((sizes.size, k, k), dtype=complex)
             try:
+                if sys_unit.size:
+                    a = gram[sys_unit]
+                    _diagonal(a)[...] += alpha if alpha is not None else ~present[sys_unit]
+                    inv = np.linalg.inv(a)
+                    inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
+                    _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
+                if any_slow:
+                    su, sk, ss = pu[slow], pk[slow], scale[slow]
+                    g = gram[su] * (ss[:, :, None] * ss[:, None, :])
+                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[slow]
                 for _ in range(1 if alpha is not None else 2):
-                    rhs = ((ph @ b)[su, :, sk] * ss)[:, :, None]
-                    step[su, :, sk] = ss * np.linalg.solve(gram, rhs)[:, :, 0]
+                    r = ph @ b
+                    if sys_unit.size:
+                        rs = r[sys_unit]
+                        x = _leave_one_out(inv, inv_cols, rs)
+                        if alpha is not None:
+                            x += _leave_one_out(inv, inv_cols, rs - a @ x)
+                        step[sys_unit] = x
+                    if any_slow:
+                        rhs = (r[su, :, sk] * ss)[:, :, None]
+                        step[su, :, sk] = ss * np.linalg.solve(g, rhs)[:, :, 0]
                     b -= pool @ step
             except np.linalg.LinAlgError as exc:
                 raise RankDeficiencyError(
                     f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
                 ) from exc
             if alpha is None:
-                tiny = np.linalg.norm(b[su, :, sk], axis=1) < FULL_SUPPRESSION_TOL
+                tiny = np.linalg.norm(b[pu[solve], :, pk[solve]], axis=1) < FULL_SUPPRESSION_TOL
                 code[np.flatnonzero(solve)[tiny]] = _SUPPRESSED
-        w = np.zeros((geo.num_antennas + 1, k), dtype=complex)
-        w[ant[pu], pk[:, None]] = b[pu, :, pk]
-        w = w[:-1]
+            w = np.zeros((geo.num_antennas + 1, k), dtype=complex)
+            w[ant[pu], pk[:, None]] = b[pu, :, pk]
+            w = w[:-1]
 
     norms = np.linalg.norm(w, axis=0)
     failed = (total == 0) | (norms < FULL_SUPPRESSION_TOL)

@@ -145,20 +145,35 @@ class ScenarioSummary:
     nmse: np.ndarray
 
 
+def _key(field: str) -> str:
+    """The YAML key a config field is written under."""
+    from .configio import yaml_key  # configio builds on this module
+
+    return yaml_key(field)
+
+
 def validate_config(config: ScenarioConfig) -> None:
-    """Reject invalid configurations before any trial runs."""
-    if config.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {config.trials}")
-    if config.k_users < 1:
-        raise ConfigError(f"k_users must be >= 1, got {config.k_users}")
+    """Reject invalid configurations before any trial runs.
+
+    Messages name the simulate-config YAML keys (``users``, ``seed``,
+    ``channel.source``), not the dataclass fields.
+    """
+    for field, least in (("trials", 1), ("k_users", 1), ("workers", 1), ("rng_seed", 0)):
+        value = getattr(config, field)
+        if value < least:
+            raise ConfigError(f"{_key(field)} must be >= {least}, got {value}")
     if not np.isfinite(config.noise_floor_db):
-        raise ConfigError(f"noise_floor_db must be finite, got {config.noise_floor_db}")
-    if config.min_spacing_m < 0:
-        raise ConfigError(f"min_spacing_m must be >= 0, got {config.min_spacing_m}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.rng_seed < 0:
-        raise ConfigError(f"rng_seed must be >= 0, got {config.rng_seed}")
+        raise ConfigError(
+            f"{_key('noise_floor_db')} must be finite, got {config.noise_floor_db}"
+        )
+    if not 0 <= config.min_spacing_m < np.inf:
+        raise ConfigError(
+            f"{_key('min_spacing_m')} must be finite and >= 0, got {config.min_spacing_m}"
+        )
+    if not 0 < config.reference_gain < np.inf:
+        raise ConfigError(
+            f"{_key('reference_gain')} must be finite and > 0, got {config.reference_gain}"
+        )
     if not config.precoders:
         raise ConfigError("at least one precoder must be configured")
     names = [s.name for s in config.precoders]
@@ -166,28 +181,32 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError(f"precoder names must be unique, got {names}")
     if config.channel_source not in CHANNEL_SOURCES:
         raise ConfigError(
-            f"channel_source must be one of {CHANNEL_SOURCES}, "
+            f"{_key('channel_source')} must be one of {CHANNEL_SOURCES}, "
             f"got {config.channel_source!r}"
         )
     if config.channel_source == "dataset" and not config.dataset_path:
-        raise ConfigError("dataset channel source requires dataset_path")
+        raise ConfigError(
+            f"{_key('channel_source')} 'dataset' requires {_key('dataset_path')}"
+        )
     if config.amplitude_model not in AMPLITUDE_MODELS:
         raise ConfigError(
-            f"amplitude_model must be one of {AMPLITUDE_MODELS}, "
+            f"{_key('amplitude_model')} must be one of {AMPLITUDE_MODELS}, "
             f"got {config.amplitude_model!r}"
         )
     if config.nmse_grid is not None:
         if len(config.nmse_grid) == 0:
-            raise ConfigError("nmse_grid must not be empty when given")
-        if any(v < 0 for v in config.nmse_grid):
-            raise ConfigError("nmse_grid values must be >= 0")
+            raise ConfigError(f"{_key('nmse_grid')} must not be empty when given")
+        if not all(0 <= v < np.inf for v in config.nmse_grid):
+            raise ConfigError(
+                f"{_key('nmse_grid')} must be finite and >= 0, got {list(config.nmse_grid)}"
+            )
     if config.clustering is not None:
         flat = [a for pair in config.clustering for a in pair]
         if any(len(pair) != 2 for pair in config.clustering):
-            raise ConfigError("clustering entries must be AP pairs")
+            raise ConfigError(f"{_key('clustering')} entries must be AP pairs")
         if sorted(flat) != list(range(config.geometry.num_aps)):
             raise ConfigError(
-                "clustering pairs must be disjoint and cover all APs exactly once"
+                f"{_key('clustering')} must be disjoint and cover all APs exactly once"
             )
     _validate_far_field(config)
 
@@ -328,18 +347,19 @@ def draw_trial_channels(
 
 
 def _trial_environment(
-    config: ScenarioConfig, h_known: np.ndarray, h_true: np.ndarray, positions: np.ndarray
+    config: ScenarioConfig, h_true: np.ndarray, positions: np.ndarray
 ) -> InfoEnvironment:
-    """Information environment for one trial.
+    """Information environment for one trial, holding the true channel.
 
     With clustering, users are assigned to pairs by true-channel mean
     gain; each AP is granted CSI only toward the users its pair serves,
-    and each user is served by its pair's antennas only.
+    and each user is served by its pair's antennas only. Estimated CSI
+    enters through :meth:`InfoEnvironment.with_channel`.
     """
     geo = config.geometry
     k = config.k_users
     if config.clustering is None:
-        access = ChannelAccess.full(geo, h_known)
+        access = ChannelAccess.full(geo, h_true)
         serving = None
     else:
         assignment = cluster_users(np.abs(h_true.T) ** 2, config.clustering, geo)
@@ -347,7 +367,7 @@ def _trial_environment(
         for user in range(k):
             for a in config.clustering[assignment.ue_to_pair[user]]:
                 granted[a, user] = True
-        access = ChannelAccess(geo, h_known, granted)
+        access = ChannelAccess(geo, h_true, granted)
         serving = tuple(
             tuple(config.clustering[assignment.ue_to_pair[user]]) for user in range(k)
         )
@@ -398,14 +418,16 @@ def run_trial(
     failures = np.full(shape, None, dtype=object)
     nmse = np.full(shape[0], np.nan)
     error_seed = [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
+    # one environment per trial: its sigma variants share what builds derive
+    # from locations and serving alone
+    trial_env = _trial_environment(config, h_true, positions)
     for s, sigma in enumerate(sigma_points):
-        if sigma is None:
-            h_known = h_true
-        else:
+        env = trial_env
+        if sigma is not None:
             h_known, nmse[s] = inject_channel_error(
                 h_true, ChannelErrorModel(sigma_e2=sigma, rng_seed=error_seed)
             )
-        env = _trial_environment(config, h_known, h_true, positions)
+            env = trial_env.with_channel(h_known)
         for p, spec in enumerate(config.precoders):
             req = spec.requirements()
             if s and not (req.csi_intended or req.csi_unintended):

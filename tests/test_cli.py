@@ -340,6 +340,38 @@ MALFORMED = [
                  "grid needs nx >= 1", id="grid-nx-zero"),
     pytest.param("calibrate", GENERATE_CFG.replace("n_aps: 2", "n_aps: 0"),
                  "geometry: need at least one AP", id="calibrate-override-n-aps-zero"),
+    # range checks name the YAML key, not the ScenarioConfig field
+    pytest.param("simulate", SIMULATE_CFG.replace("users: 3", "users: 0"),
+                 "config error: users must be >= 1, got 0", id="users-zero"),
+    pytest.param("simulate", SIMULATE_CFG.replace("seed: 5", "seed: -1"),
+                 "config error: seed must be >= 0, got -1", id="seed-negative"),
+    pytest.param("simulate", _with_key("channel", "{source: measured}"),
+                 "config error: channel.source must be one of", id="channel-source-unknown"),
+    pytest.param("simulate", _with_key("channel", "{source: dataset}"),
+                 "config error: channel.source 'dataset' requires channel.path",
+                 id="channel-path-missing"),
+    pytest.param("simulate", _with_key("nmse_grid", "{values: [0.0, .nan]}"),
+                 "config error: nmse_grid.values must be finite and >= 0",
+                 id="nmse-grid-nan"),
+    # invalid numeric ranges, NaN included, are config errors
+    pytest.param("simulate", _with_key("min_spacing_m", ".nan"),
+                 "config error: min_spacing_m must be finite and >= 0, got nan",
+                 id="min-spacing-nan"),
+    pytest.param("simulate", _with_key("min_spacing_m", "-0.1"),
+                 "config error: min_spacing_m must be finite and >= 0, got -0.1",
+                 id="min-spacing-negative"),
+    *[
+        pytest.param("simulate", _with_key("reference_gain", value),
+                     f"config error: reference_gain must be finite and > 0, got {shown}",
+                     id=f"reference-gain-{name}")
+        for name, value, shown in (("negative", "-1", "-1.0"), ("zero", "0", "0.0"),
+                                   ("inf", ".inf", "inf"), ("nan", ".nan", "nan"))
+    ],
+    pytest.param("simulate", _bad_precoder("regularized: true, alpha: .inf"),
+                 "config error: alpha must be > 0 and finite, got inf", id="alpha-inf"),
+    pytest.param("generate", GENERATE_CFG + "reference_gain: -1\n",
+                 "reference_gain must be finite and > 0, got -1.0",
+                 id="generate-reference-gain-negative"),
 ]
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from dmimo import (
     los_channel,
     mrt,
     near_field_weights,
+    noise_variance_from_floor,
     orthogonalize,
     orthogonalize_regularized,
     parse_precoder_name,
@@ -25,6 +28,7 @@ from dmimo import (
     steering_angle,
     zf,
 )
+from dmimo.configio import parse_simulate_config
 from dmimo.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -34,6 +38,8 @@ from dmimo.errors import (
     PrecodingError,
     RankDeficiencyError,
 )
+from dmimo.precoders import _leave_one_out
+from dmimo.scenarios import draw_trial_channels
 
 
 def ula(n: int, lam: float = 0.115) -> ArrayGeometry:
@@ -358,7 +364,7 @@ class TestPrecoderSpec:
         with pytest.raises(ConfigError):
             PrecoderSpec(name="x", base="mrt", suppression="csi", alpha=0.1)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
     def test_alpha_must_be_positive(self, alpha):
         with pytest.raises(ConfigError):
             PrecoderSpec(
@@ -549,6 +555,22 @@ class TestBuildPrecoder:
         for l in range(2, 5):
             v = near_field_weights(geometry, positions[l], antenna_subset=pair_idx)
             assert abs(np.vdot(v, w[pair_idx])) < 1e-9
+
+    def test_with_channel_swaps_csi_and_shares_derived_state(self, scenario_env):
+        geometry, h, positions = scenario_env
+        env = make_env(geometry, h, positions)
+        spec = parse_precoder_name("rzf_nf")
+        build_precoder(spec, env, noise_var=1e-6)
+        other = env.with_channel(2 * h)
+        assert other.csi.channel is not env.csi.channel
+        np.testing.assert_array_equal(other.csi.channel, 2 * h)
+        assert other.csi.granted is env.csi.granted
+        assert other._derived is env._derived and env._derived
+        fresh = make_env(geometry, 2 * h, positions)
+        np.testing.assert_array_equal(
+            build_precoder(spec, other, noise_var=1e-6),
+            build_precoder(spec, fresh, noise_var=1e-6),
+        )
 
     def test_ff_base_on_linear_array(self):
         lam = 0.115
@@ -748,6 +770,86 @@ class TestBuildPrecoderOracleUnevenAps(TestBuildPrecoderOracle):
     assembly units are padded with zero rows."""
 
     LAYOUT = "uneven"
+
+
+class TestBuildPrecoderOracleManyUsers:
+    """Clustered builds with enough users that each unit has the pairs
+    to be inverted whole, while the regularized pairs whose columns mix
+    held CSI and near-field vectors are solved on their own."""
+
+    @pytest.mark.parametrize("name", ["zf", "rzf", "nf_nf", "rmrt_nf", "zf_nf", "rzf_nf"])
+    @pytest.mark.parametrize("prefix", ["", "dis_"])
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_matches_per_vector_construction(self, name, prefix, k):
+        env, noise_var = oracle_env(k, 3, "clustered")
+        assert_matches_reference(parse_precoder_name(prefix + name), env, noise_var)
+
+
+class TestDowndateRefinement:
+    """Regularized near-field pools with K - 1 > Ma and noise-level alpha.
+
+    The estimation-error sweep's per-AP builds (K = 10 on 8-antenna APs,
+    alpha at -20 dB of the mean gain) are where a bare Schur downdate of
+    the unit inverse drifts from the per-vector construction (~3e-8);
+    one refinement step with the same inverse brings it to ~1e-11.
+    """
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "estimation_error_sweep_k10.yaml"
+    TRIALS = range(4)
+
+    @pytest.fixture(scope="class")
+    def trials(self):
+        cfg = parse_simulate_config(self.CONFIG)
+        drawn = [draw_trial_channels(cfg, t) for t in self.TRIALS]
+        gain = np.mean([np.sum(np.abs(h) ** 2) / cfg.k_users for _, h in drawn])
+        noise_var = noise_variance_from_floor(cfg.noise_floor_db, gain)
+        assert cfg.k_users - 1 > max(map(len, cfg.geometry.ap_partition))
+        return cfg.geometry, drawn, noise_var
+
+    @pytest.mark.parametrize("name", ["dis_rmrt_nf", "dis_rzf"])
+    @pytest.mark.parametrize("trial", TRIALS)
+    def test_columns_match_per_vector_construction(self, trials, name, trial):
+        geometry, drawn, noise_var = trials
+        positions, h = drawn[trial]
+        env = make_env(geometry, h, positions)
+        spec = parse_precoder_name(name)
+        w = build_precoder(spec, env, noise_var=noise_var)
+        for user in range(env.num_users):
+            col = reference_column(spec, user, env, noise_var)
+            assert np.abs(w[:, user] - col).max() < 1e-9, (name, user)
+
+
+class TestDowndateConditioning:
+    # user 5 repeats user 4's channel up to 1e-7: the pool passes the rank
+    # SVD (cond ~1e7) but its Gram matrix (cond ~1e14) is past what the
+    # unit inverse resolves, so the pairs are solved one by one; users 4
+    # and 5, whose own columns carry the ill-conditioning, are then exact
+    @pytest.mark.parametrize("name,noise_var", [("zf", None), ("rzf", 1e-12)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_pool_solved_pair_by_pair(self, name, noise_var, seed):
+        rng = np.random.default_rng(seed)
+        h = crandn(rng, 8, 6)
+        h[:, 5] = h[:, 4] + 1e-7 * crandn(rng, 8)
+        env = make_env(ula(8), h, np.zeros((6, 3)), locations=False)
+        spec = parse_precoder_name(name)
+        w = build_precoder(spec, env, noise_var=noise_var)
+        for user in (4, 5):
+            col = reference_column(spec, user, env, noise_var)
+            assert np.abs(w[:, user] - col).max() < 1e-8, user
+
+    def test_leave_one_out_matches_reduced_solves(self):
+        rng = np.random.default_rng(4)
+        v, r = crandn(rng, 3, 9, 5), crandn(rng, 3, 5, 5)
+        a = v.conj().transpose(0, 2, 1) @ v + 0.1 * np.eye(5)
+        inv = np.linalg.inv(a)
+        inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
+        inv_cols[:, range(5), range(5)] = 1
+        x = _leave_one_out(inv, inv_cols, r)
+        for j in range(5):
+            keep = np.arange(5) != j
+            expected = np.linalg.solve(a[:, keep][:, :, keep], r[:, keep, j][:, :, None])
+            np.testing.assert_allclose(x[:, keep, j], expected[:, :, 0], atol=1e-12)
+            assert (x[:, j, j] == 0).all()
 
 
 class TestRankThreshold:

@@ -25,7 +25,7 @@ from dmimo import (
     sinr_all,
     write_dataset,
 )
-from dmimo import scenarios
+from dmimo import precoders, scenarios
 from dmimo.cli import summary_document
 from dmimo.errors import ConfigError
 from dmimo.scenarios import draw_trial_channels, validate_config
@@ -193,18 +193,23 @@ class TestRunTrial:
         assert np.isfinite(sinr_db[0, 1]).all()
 
     def test_singular_solve_recorded_not_raised(self, monkeypatch):
-        def singular(a, b):
+        def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        cfg = make_config(precoders=(parse_precoder_name("mrt"), parse_precoder_name("zf")))
-        sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-6)
-        assert np.isnan(sinr_db[0, 1]).all()
-        assert failures[0, 1] == (
-            "RankDeficiencyError: precoder 'zf': singular suppression Gram matrix "
-            "(Singular matrix)"
-        )
-        assert failures[0, 0] is None
+        # zf inverts its unit's Gram matrix; rzf, with three users on one
+        # unit, solves pair by pair
+        names = ("mrt", "zf", "rzf")
+        cfg = make_config(precoders=tuple(parse_precoder_name(n) for n in names))
+        for routine, p in (("inv", 1), ("solve", 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, routine, singular)
+                sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-6)
+            assert np.isnan(sinr_db[0, p]).all()
+            assert failures[0, p] == (
+                f"RankDeficiencyError: precoder '{names[p]}': singular suppression "
+                "Gram matrix (Singular matrix)"
+            )
+            assert [f is None for f in failures[0]] == [q != p for q in range(3)]
 
     def test_positions_respect_roi_and_spacing(self):
         cfg = make_config(k_users=5, min_spacing_m=0.10)
@@ -273,6 +278,23 @@ class TestNmseSweep:
         assert len({row.median_db for row in nf_rows}) == 1
         zf_rows = [s for s in summary.stats if s.precoder == "zf"]
         assert len({row.median_db for row in zf_rows}) == 3
+
+    def test_location_state_derived_once_per_trial(self, monkeypatch):
+        # the near-field matrix and each scope's assembly units are
+        # computed once per trial, shared by every spec and sigma point
+        calls = collections.Counter()
+        for name in ("_near_field_phasors", "_assembly"):
+            def counting(*args, name=name, inner=getattr(precoders, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(precoders, name, counting)
+        names = ["mrt", "nf_nf", "mrt_nf", "rzf", "dis_rzf", "dis_rmrt_nf"]
+        cfg = make_config(k_users=4, precoders=tuple(parse_precoder_name(n) for n in names))
+        points = (0.0, 1e-7, 2e-7)
+        _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
+        assert np.equal(failures, None).all()
+        assert calls == {"_near_field_phasors": 1, "_assembly": 2}
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
         calls = collections.Counter()
@@ -358,7 +380,7 @@ class TestClusteringScenario:
         ]
         for t in range(cfg.trials):
             positions, h = draw_trial_channels(cfg, t)
-            env = scenarios._trial_environment(cfg, h, h, positions)
+            env = scenarios._trial_environment(cfg, h, positions)
             gains = np.abs(h.T) ** 2
             for k in range(cfg.k_users):
                 best = np.argmax([gains[k, idx].mean() for idx in pair_antennas])
