@@ -1,20 +1,25 @@
 """Record a performance change: alternating benchmark runs and per-build times.
 
-    python scripts/bench_record.py --parent DIR --out BENCH_<n>.json
-        [--runs dist_sweep_k10:10 cluster_k10_pool:3 dataset_pipeline:3]
-        [--seconds 35] [--seed 41] [--no-perbuild]
+    python scripts/bench_record.py --parent DIR --seed N --out BENCH_<n>.json
 
 Run from the repository root (the change); DIR is a checkout of the
-parent commit. For each workload it runs ``perfbench/run.py`` in the two
-trees in alternating order (parent first in even pairs), so host speed
-drift hits both alike, and records per end-to-end metric the medians and
-quartiles of each side and the pairs in which the change was better.
+parent commit, and N a seed not used while developing the change. For
+each workload it runs ``perfbench/run.py`` for BENCHMARK.json's
+``run_seconds`` in the two trees in alternating order (parent first in
+even pairs), so host speed drift hits both alike: ``PAIRS`` pairs per
+workload. It records per end-to-end metric the medians and quartiles of
+each side and the pairs in which the change was better. The subprocess
+call and the quartiles mirror ``perfbench/spread.py``, which runs the
+benchmark in one tree only; keep the two in step.
+
 The per-build table imports both trees' ``dmimo`` in one process and
 times ``build_precoder`` for every spec of the bundled configs,
-alternating parent and change: the median over 15 repetitions of 20
-calls on each of the config's first three trials. "cold" gives every
-call an environment of its own; "warm" reuses one per trial, as
-``run_trial`` does across specs and error levels. The output is a
+alternating parent and change: ``REPS`` repetitions of ``CALLS`` calls
+on each of the config's first ``TRIALS`` trials, summarized per side by
+median and quartiles. "cold" gives every call an environment of its
+own; "warm" reuses one per trial, as ``run_trial`` does across specs and
+error levels. A row's ``verdict`` is "faster" or "slower" where the two
+sides' quartile ranges are disjoint, else "overlap". The output is a
 record, not a gate.
 """
 
@@ -34,15 +39,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+#: Alternating parent/change pairs of benchmark runs per workload.
+PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 3, "dataset_pipeline": 3}
+
 #: Repetitions and calls per trial of the per-build table.
 REPS, CALLS, TRIALS = 15, 20, 3
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True, timeout=600, check=True,
     )
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(l[len("# env "):]) for l in lines if l.startswith("# env "))
@@ -54,7 +62,13 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def pairs(parent: Path, workload: str, n: int, seed: int, seconds: float) -> tuple[dict, dict]:
+def verdict(parent: dict, change: dict) -> str:
+    if change["q3"] < parent["q1"]:
+        return "faster"
+    return "slower" if change["q1"] > parent["q3"] else "overlap"
+
+
+def pairs(parent: Path, workload: str, n: int, seed: int, seconds: int) -> tuple[dict, dict]:
     runs = {"parent": [], "change": []}
     env = {}
     for i in range(n):
@@ -128,7 +142,8 @@ def perbuild(parent: Path) -> list[dict]:
                                 total += time.perf_counter() - t0
                                 del env
                         ms[side].append(total / (TRIALS * CALLS) * 1e3)
-                row[f"{mode}_ms"] = {s: round(statistics.median(v), 4) for s, v in ms.items()}
+                sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in ms.items()}
+                row[f"{mode}_ms"] = dict(sides, verdict=verdict(sides["parent"], sides["change"]))
             rows.append(row)
             print(json.dumps(row), flush=True)
     return rows
@@ -143,15 +158,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--runs", nargs="*",
-                        default=["dist_sweep_k10:10", "cluster_k10_pool:3", "dataset_pipeline:3"])
-    parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--seed", type=int, default=41)
-    parser.add_argument("--no-perbuild", action="store_true")
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as perfbench's clients; set before numpy loads BLAS
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     record = {
         "parent_sha": git(parent, "rev-parse", "HEAD").strip(),
         "change_base_sha": git(ROOT, "rev-parse", "HEAD").strip(),
@@ -159,16 +171,13 @@ def main(argv=None) -> int:
         .hexdigest(),
         "nproc": len(os.sched_getaffinity(0)),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
-    for run in args.runs:
-        workload, _, n = run.partition(":")
-        record["workloads"][workload], env = pairs(parent, workload, int(n or 1), args.seed,
-                                                   args.seconds)
+    for workload, n in PAIRS.items():
+        record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
         record.update({k: v for k, v in env.items() if k != "git_sha"})
-    if not args.no_perbuild:
-        record["perbuild_ms"] = perbuild(parent)
+    record["perbuild_ms"] = perbuild(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -533,11 +533,13 @@ _PAIR_FAILURES = {
 #: pair by pair.
 DOWNDATE_COND = 1e8
 
-#: Fewest pairs per unit, on average, for which a regularized build
-#: inverts its units; below it the downdate and its refinement step
-#: cost more than one solve per pair. Unregularized builds, which
-#: solve each pair twice, always invert.
-DOWNDATE_PAIRS = 6
+#: Fewest pairs per unit, on average, and fewest pairs in all, for which
+#: a regularized build inverts its units; below either the downdate and
+#: its refinement step cost more than one solve per pair. Per-AP builds
+#: on eight APs break even at 5-6 users, on two to four APs at 6-7, and
+#: one-unit builds at 9-10. Unregularized builds, which solve each pair
+#: twice, always invert.
+DOWNDATE_PAIRS, DOWNDATE_MIN_PAIRS = 6, 10
 
 
 def _rank_deficient(pool, present, sizes, pair_unit, mask, n):
@@ -626,8 +628,9 @@ def build_precoder(
     number may exceed ``DOWNDATE_COND``, or, regularized, when their
     columns mix CSI and near-field sources: alpha then acts on unit-norm
     columns, a scale the unit's other pairs do not share. A regularized
-    build whose units average fewer than ``DOWNDATE_PAIRS`` pairs solves
-    every pair that way, since there one solve per pair is cheaper. Units
+    build whose units average fewer than ``DOWNDATE_PAIRS`` pairs, or
+    that has fewer than ``DOWNDATE_MIN_PAIRS`` pairs in all, solves every
+    pair that way, since there one solve per pair is cheaper. Units
     are padded to the widest with zero rows, which change no Gram
     matrix, projection or norm. Specs without suppression skip all of
     this.
@@ -709,7 +712,7 @@ def build_precoder(
                 scale[mixed] /= np.where(norms > 0, norms, 1.0)
             solve = n > 0
             direct = np.zeros_like(solve)
-            if pu.size >= DOWNDATE_PAIRS * sizes.size:
+            if pu.size >= max(DOWNDATE_PAIRS * sizes.size, DOWNDATE_MIN_PAIRS):
                 # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
                 trace = np.trace(gram, axis1=1, axis2=2).real
                 direct = solve & ~mixed & (trace <= (DOWNDATE_COND - 1) * alpha)[pu]
