@@ -12,15 +12,23 @@ each side and the pairs in which the change was better. The subprocess
 call and the quartiles mirror ``perfbench/spread.py``, which runs the
 benchmark in one tree only; keep the two in step.
 
+The configs table runs every bundled simulate config through ``dmimo.cli
+simulate --trials CONFIG_TRIALS`` at one worker and at ``nproc``, in the
+two trees in alternating order: ``CONFIG_REPS`` runs per side, each
+timed as a whole process, so trials/s includes interpreter start and
+writing the payload files. A row records per side the median and
+quartiles of trials/s, their verdict, and whether the last runs of the
+two sides wrote byte-identical ``results.csv`` and ``summary.json``.
+
 The per-build table imports both trees' ``dmimo`` in one process and
 times ``build_precoder`` for every spec of the bundled configs,
 alternating parent and change: ``REPS`` repetitions of ``CALLS`` calls
 on each of the config's first ``TRIALS`` trials, summarized per side by
 median and quartiles. "cold" gives every call an environment of its
 own; "warm" reuses one per trial, as ``run_trial`` does across specs and
-error levels. A row's ``verdict`` is "faster" or "slower" where the two
-sides' quartile ranges are disjoint, else "overlap". The output is a
-record, not a gate.
+error levels. A ``verdict``, here and in the configs table, is "faster" or "slower"
+where the two sides' quartile ranges are disjoint, else "overlap". The
+output is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -33,14 +41,19 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-#: Alternating parent/change pairs of benchmark runs per workload.
-PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 3, "dataset_pipeline": 3}
+#: Alternating parent/change pairs of benchmark runs per workload: ten,
+#: so a claimed gain can meet the nine-in-ten rule from the record.
+PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 10, "dataset_pipeline": 10}
+
+#: Runs per side and trials per run of the configs table.
+CONFIG_REPS, CONFIG_TRIALS = 5, 200
 
 #: Repetitions and calls per trial of the per-build table.
 REPS, CALLS, TRIALS = 15, 20, 3
@@ -62,7 +75,9 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def verdict(parent: dict, change: dict) -> str:
+def verdict(parent: dict, change: dict, higher: bool = False) -> str:
+    if higher:  # larger is faster: with the sides swapped the test below holds
+        parent, change = change, parent
     if change["q3"] < parent["q1"]:
         return "faster"
     return "slower" if change["q1"] > parent["q3"] else "overlap"
@@ -93,6 +108,49 @@ def pairs(parent: Path, workload: str, n: int, seed: int, seconds: int) -> tuple
     return record, env
 
 
+def simulate_configs() -> list[Path]:
+    return [p for p in sorted((ROOT / "configs").glob("*.yaml")) if p.stem != "generate_dataset"]
+
+
+def cli_trials_per_s(tree: Path, config: str, workers: int, out: Path) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "dmimo.cli", "simulate", "--config", config,
+         "--trials", str(CONFIG_TRIALS), "--workers", str(workers), "--out", str(out)],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, timeout=600, check=True,
+    )
+    return CONFIG_TRIALS / (time.perf_counter() - t0)
+
+
+def configs(parent: Path, nproc: int) -> list[dict]:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for path in simulate_configs():
+            config = str(path.relative_to(ROOT))
+            for workers in sorted({1, nproc}):
+                tps = {"parent": [], "change": []}
+                for rep in range(CONFIG_REPS):
+                    for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                        tree = parent if side == "parent" else ROOT
+                        tps[side].append(cli_trials_per_s(tree, config, workers, out[side]))
+                sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in tps.items()}
+                identical = all(
+                    (out["parent"] / name).read_bytes() == (out["change"] / name).read_bytes()
+                    for name in ("results.csv", "summary.json")
+                )
+                row = {
+                    "config": path.stem, "workers": workers, "trials": CONFIG_TRIALS,
+                    "trials_per_s": dict(sides, verdict=verdict(
+                        sides["parent"], sides["change"], higher=True)),
+                    "payload_identical": identical,
+                }
+                rows.append(row)
+                print(json.dumps(row), flush=True)
+    return rows
+
+
 def load_tree(src: Path, name: str):
     """The ``dmimo`` package under ``src`` imported as ``name``."""
     spec = importlib.util.spec_from_file_location(
@@ -112,9 +170,7 @@ def perbuild(parent: Path) -> list[dict]:
     old = load_tree(parent / "src", "dmimo_parent")
     errors = (PrecodingError, sys.modules["dmimo_parent.errors"].PrecodingError)
     rows = []
-    for path in sorted((ROOT / "configs").glob("*.yaml")):
-        if path.stem == "generate_dataset":
-            continue
+    for path in simulate_configs():
         cfg = configio.override(configio.parse_simulate_config(path), trials=20)
         noise_var = scenarios.noise_variance_from_floor(
             cfg.noise_floor_db, scenarios.mean_channel_gain(cfg)
@@ -164,12 +220,13 @@ def main(argv=None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as perfbench's clients; set before numpy loads BLAS
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    nproc = len(os.sched_getaffinity(0))
     record = {
         "parent_sha": git(parent, "rev-parse", "HEAD").strip(),
         "change_base_sha": git(ROOT, "rev-parse", "HEAD").strip(),
         "change_src_diff_sha1": hashlib.sha1(git(ROOT, "diff", "HEAD", "--", "src").encode())
         .hexdigest(),
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": nproc,
         "seed": args.seed,
         "seconds": seconds,
         "workloads": {},
@@ -177,6 +234,7 @@ def main(argv=None) -> int:
     for workload, n in PAIRS.items():
         record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
         record.update({k: v for k, v in env.items() if k != "git_sha"})
+    record["configs"] = configs(parent, nproc)
     record["perbuild_ms"] = perbuild(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -78,11 +78,6 @@ class ArrayGeometry:
             aps[list(idx)] = a
         return aps
 
-    def distances(self, point) -> np.ndarray:
-        """Euclidean distance from every antenna to ``point``, shape (M,)."""
-        p = np.asarray(point, dtype=float).reshape(3)
-        return np.linalg.norm(self.antenna_positions - p, axis=1)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -170,18 +165,37 @@ def los_phase(distance, wavelength: float):
     return float(out) if np.isscalar(distance) else out
 
 
-def los_channel(
-    geometry: ArrayGeometry, ue_position, params: LosChannelParams
-) -> np.ndarray:
-    """Theoretical LoS channel from all antennas to one UE, shape (M,).
+def distance_phasors(
+    antenna_positions: np.ndarray, points: np.ndarray, wavelength: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances d from antennas to points and the phasors exp(-j*2*pi*d/lambda).
 
-    Element i is amplitude(d_i) * exp(j * los_phase(d_i)) with d_i the
-    distance from antenna i to the UE.
+    Both results have shape (antennas, points). A point on an antenna is a
+    GeometryError.
     """
-    d = geometry.distances(ue_position)
+    d = np.linalg.norm(antenna_positions[:, None, :] - points[None, :, :], axis=2)
     if np.any(d == 0):
         raise GeometryError("UE position coincides with an antenna position")
-    return params.amplitude(d) * np.exp(1j * los_phase(d, params.wavelength))
+    return d, np.exp(1j * los_phase(d, wavelength))
+
+
+def los_channel(
+    geometry: ArrayGeometry, positions, params: LosChannelParams
+) -> np.ndarray:
+    """Theoretical LoS channel from all antennas to one or K UEs.
+
+    One position (3,) gives shape (M,); K positions (K, 3) give the
+    channel matrix (M, K). Element (i, k) is amplitude(d_ik) *
+    exp(j * los_phase(d_ik)) with d_ik the distance from antenna i to UE k.
+    """
+    p = np.asarray(positions, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise GeometryError(f"positions must have shape (3,) or (K, 3), got {p.shape}")
+    d, phasors = distance_phasors(
+        geometry.antenna_positions, p.reshape(-1, 3), params.wavelength
+    )
+    h = params.amplitude(d) * phasors
+    return h[:, 0] if p.ndim == 1 else h
 
 
 def place_ues(
@@ -196,26 +210,43 @@ def place_ues(
     Rejection sampling: a candidate closer than ``min_spacing`` to an
     already-accepted point is discarded and counted against
     ``retry_budget``. Deterministic for a given seed.
+
+    Candidates are drawn in blocks of exactly as many as are still needed
+    and judged in draw order, so the positions and the generator's state
+    afterwards equal those of drawing one candidate at a time.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(rng_seed)
-    accepted: list[np.ndarray] = []
+    if not min_spacing > 0:
+        return UePlacement(
+            positions=rng.uniform(roi.lo, roi.hi, size=(k, 3)), min_spacing=min_spacing
+        )
+    accepted = np.empty((0, 3))
     rejections = 0
     while len(accepted) < k:
-        cand = rng.uniform(roi.lo, roi.hi)
-        if min_spacing > 0 and any(
-            np.linalg.norm(cand - p) < min_spacing for p in accepted
-        ):
-            rejections += 1
-            if rejections >= retry_budget:
-                raise PlacementError(
-                    f"could not place {k} points with spacing {min_spacing} m "
-                    f"after {rejections} rejections"
-                )
-            continue
-        accepted.append(cand)
-    return UePlacement(positions=np.array(accepted), min_spacing=min_spacing)
+        n = len(accepted)
+        block = rng.uniform(roi.lo, roi.hi, size=(k - n, 3))
+        points = np.concatenate([accepted, block])
+        # UePlacement's own distance expression, so the two agree at the boundary
+        d = np.linalg.norm(block[:, None, :] - points[None, :, :], axis=-1)
+        close = d < min_spacing
+        close[:, n:] &= np.tri(len(block), k=-1, dtype=bool)  # earlier candidates only
+        keep = np.ones(len(block), dtype=bool)
+        if close.any():
+            keep[:] = False
+            for i, row in enumerate(close):
+                if row[:n].any() or row[n:][keep].any():
+                    rejections += 1
+                    if rejections >= retry_budget:
+                        raise PlacementError(
+                            f"could not place {k} points with spacing {min_spacing} m "
+                            f"after {rejections} rejections"
+                        )
+                else:
+                    keep[i] = True
+        accepted = np.concatenate([accepted, block[keep]])
+    return UePlacement(positions=accepted, min_spacing=min_spacing)
 
 
 def perimeter_geometry(

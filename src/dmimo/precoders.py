@@ -35,7 +35,7 @@ from .errors import (
     InformationError,
     RankDeficiencyError,
 )
-from .geometry import ArrayGeometry, los_phase
+from .geometry import ArrayGeometry, distance_phasors
 
 #: Residual norm below which a projected vector counts as fully suppressed.
 FULL_SUPPRESSION_TOL = 1e-12
@@ -125,18 +125,8 @@ def near_field_weights(
     else:
         positions = geometry.antenna_positions[np.asarray(antenna_subset, dtype=int)]
     p = np.asarray(ue_position, dtype=float).reshape(1, 3)
-    w = _near_field_phasors(positions, p, geometry.wavelength)[:, 0]
+    w = distance_phasors(positions, p, geometry.wavelength)[1][:, 0]
     return w / np.linalg.norm(w)
-
-
-def _near_field_phasors(
-    antenna_positions: np.ndarray, ue_positions: np.ndarray, wavelength: float
-) -> np.ndarray:
-    """Unit-modulus phasors exp(-j*2*pi*d/lambda), shape (antennas, UEs)."""
-    d = np.linalg.norm(antenna_positions[:, None, :] - ue_positions[None, :, :], axis=2)
-    if np.any(d == 0):
-        raise GeometryError("UE position coincides with an antenna position")
-    return np.exp(1j * los_phase(d, wavelength))
 
 
 def mrt(h) -> np.ndarray:
@@ -661,8 +651,8 @@ def build_precoder(
     )
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
-        nf = _derive(env, "nf", lambda: _near_field_phasors(
-            geo.antenna_positions, env.ue_positions, geo.wavelength))
+        nf = _derive(env, "nf", lambda: distance_phasors(
+            geo.antenna_positions, env.ue_positions, geo.wavelength)[1])
     if spec.base == "mrt":
         w = env.csi.gather(served)
     elif spec.base == "nf":

@@ -265,10 +265,7 @@ class _SyntheticSampler:
         self.params = config.los_params()
 
     def sample(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = np.stack(
-            [los_channel(self.geometry, p, self.params) for p in positions], axis=1
-        )
-        return h, positions
+        return los_channel(self.geometry, positions, self.params), positions
 
 
 class _DatasetSampler:

@@ -8,14 +8,18 @@ from dmimo import (
     ArrayGeometry,
     Box,
     LosChannelParams,
+    ScenarioConfig,
     UePlacement,
     default_roi,
     los_channel,
     los_phase,
+    parse_precoder_name,
     perimeter_geometry,
     place_ues,
 )
 from dmimo.errors import GeometryError, PlacementError
+from dmimo.geometry import AMPLITUDE_MODELS, DEFAULT_RETRY_BUDGET
+from dmimo.scenarios import _STREAM_PLACEMENT, draw_trial_channels
 
 
 class TestLosPhase:
@@ -96,9 +100,37 @@ class TestLosChannel:
         params = LosChannelParams(wavelength=geometry.wavelength)
         ue = np.array([1.7, 4.2, 0.3])
         h = los_channel(geometry, ue, params)
-        d = geometry.distances(ue)
+        d = np.linalg.norm(geometry.antenna_positions - ue, axis=1)
         mismatch = np.angle(h * np.exp(-1j * los_phase(d, geometry.wavelength)))
         np.testing.assert_allclose(mismatch, 0.0, atol=1e-12)
+
+
+class TestLosChannelMatrix:
+    @pytest.mark.parametrize("model", AMPLITUDE_MODELS)
+    def test_matrix_equals_stacked_columns(self, geometry, model):
+        params = LosChannelParams(wavelength=geometry.wavelength, amplitude_model=model)
+        positions = place_ues(default_roi(), 10, 0.1, rng_seed=5).positions
+        h = los_channel(geometry, positions, params)
+        stacked = np.stack([los_channel(geometry, p, params) for p in positions], axis=1)
+        assert h.shape == (geometry.num_antennas, 10)
+        assert h.tobytes() == stacked.tobytes()
+
+    def test_single_position_gives_vector(self, geometry):
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        assert los_channel(geometry, [3.0, 3.0, 0.0], params).shape == (geometry.num_antennas,)
+
+    def test_ue_on_antenna_among_many_raises(self, geometry):
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        positions = place_ues(default_roi(), 4, 0.1, rng_seed=5).positions
+        positions[2] = geometry.antenna_positions[17]
+        with pytest.raises(GeometryError, match="coincides"):
+            los_channel(geometry, positions, params)
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (1, 2, 3)])
+    def test_bad_shape_raises(self, geometry, shape):
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        with pytest.raises(GeometryError, match="shape"):
+            los_channel(geometry, np.ones(shape), params)
 
 
 class TestPlaceUes:
@@ -139,6 +171,105 @@ class TestPlaceUes:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             place_ues(default_roi(), 0, 0.1, rng_seed=0)
+
+
+def reference_place_ues(roi, k, min_spacing, rng, retry_budget=DEFAULT_RETRY_BUDGET):
+    """Spaced placement one candidate at a time, judged in draw order.
+
+    Block placement must reproduce these positions and leave ``rng`` in
+    the same state.
+    """
+    accepted = []
+    rejections = 0
+    while len(accepted) < k:
+        cand = rng.uniform(roi.lo, roi.hi)
+        if min_spacing > 0 and any(np.linalg.norm(cand - p) < min_spacing for p in accepted):
+            rejections += 1
+            if rejections >= retry_budget:
+                raise PlacementError(
+                    f"could not place {k} points with spacing {min_spacing} m "
+                    f"after {rejections} rejections"
+                )
+            continue
+        accepted.append(cand)
+    return np.array(accepted)
+
+
+def same_stream(roi, k, spacing, seed, retry_budget=DEFAULT_RETRY_BUDGET) -> bool:
+    """Assert place_ues matches the reference; False when both give up.
+
+    On success the positions are bitwise equal and so is the generator's
+    next draw; on budget exhaustion the error text is equal.
+    """
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = reference_place_ues(roi, k, spacing, ref_rng, retry_budget)
+    except PlacementError as exc:
+        with pytest.raises(PlacementError) as info:
+            place_ues(roi, k, spacing, rng, retry_budget)
+        assert str(info.value) == str(exc)
+        return False
+    got = place_ues(roi, k, spacing, rng, retry_budget).positions
+    assert got.tobytes() == expected.tobytes()
+    assert rng.random() == ref_rng.random()
+    return True
+
+
+class TestPlaceUesStream:
+    @pytest.mark.parametrize("spacing", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 10, 20])
+    def test_default_roi_matches_reference(self, k, spacing):
+        for seed in range(40):
+            assert same_stream(default_roi(), k, spacing, [seed, k])
+
+    def test_budget_spans_blocks(self):
+        # a budget of three rejections, often used up over several blocks
+        outcomes = [same_stream(default_roi(), 10, 0.5, seed, 3) for seed in range(30)]
+        assert 0 < sum(outcomes) < 30
+
+    def test_rejections_match_reference(self):
+        # twenty points 0.2 m apart in a unit square: many rejections, and
+        # the budget runs out in about three of four seeds
+        box = Box([0, 0, 0], [1, 1, 0])
+        outcomes = [same_stream(box, k, 0.2, seed, 300) for k in (10, 20) for seed in range(30)]
+        assert all(outcomes[:30])
+        assert 0 < sum(outcomes[30:]) < 30
+
+    def test_budget_exhaustion_text(self):
+        box = Box([0, 0, 0], [1, 1, 0])
+        with pytest.raises(PlacementError) as info:
+            place_ues(box, 20, 0.2, np.random.default_rng(0), retry_budget=300)
+        assert str(info.value) == (
+            "could not place 20 points with spacing 0.2 m after 300 rejections"
+        )
+
+    @pytest.mark.parametrize("rejected", [0, 1, 5])
+    def test_replacement_after_sampler_rejection(self, rejected):
+        # dataset mode re-places with the same generator after a snap
+        # collision, so every placement must leave the stream as the
+        # one-at-a-time loop does
+        cfg = ScenarioConfig(
+            geometry=perimeter_geometry(),
+            roi=default_roi(),
+            k_users=10,
+            trials=1,
+            precoders=(parse_precoder_name("mrt"),),
+            min_spacing_m=0.5,
+            rng_seed=11,
+        )
+
+        class Sampler:
+            calls = 0
+
+            def sample(self, positions):
+                self.calls += 1
+                return None if self.calls <= rejected else (None, positions)
+
+        positions, _ = draw_trial_channels(cfg, 4, Sampler())
+        rng = np.random.default_rng([cfg.rng_seed, 4, _STREAM_PLACEMENT])
+        for _ in range(rejected + 1):
+            expected = reference_place_ues(cfg.roi, cfg.k_users, cfg.min_spacing_m, rng)
+        assert positions.tobytes() == expected.tobytes()
 
 
 class TestTypes:

@@ -16,6 +16,7 @@ from dmimo import (
     cluster_users,
     default_roi,
     generate_synthetic_dataset,
+    los_channel,
     noise_variance_from_floor,
     parse_precoder_name,
     perimeter_geometry,
@@ -211,6 +212,19 @@ class TestRunTrial:
             )
             assert [f is None for f in failures[0]] == [q != p for q in range(3)]
 
+    def test_synthetic_draw_synthesizes_channels_once(self, monkeypatch):
+        calls = []
+
+        def counting(geometry, positions, params):
+            calls.append(np.shape(positions))
+            return los_channel(geometry, positions, params)
+
+        monkeypatch.setattr(scenarios, "los_channel", counting)
+        cfg = make_config(k_users=6)
+        for t in range(3):
+            draw_trial_channels(cfg, t)
+        assert calls == [(6, 3)] * 3
+
     def test_positions_respect_roi_and_spacing(self):
         cfg = make_config(k_users=5, min_spacing_m=0.10)
         p, _ = draw_trial_channels(cfg, 3)
@@ -283,7 +297,7 @@ class TestNmseSweep:
         # the near-field matrix and each scope's assembly units are
         # computed once per trial, shared by every spec and sigma point
         calls = collections.Counter()
-        for name in ("_near_field_phasors", "_assembly"):
+        for name in ("distance_phasors", "_assembly"):
             def counting(*args, name=name, inner=getattr(precoders, name)):
                 calls[name] += 1
                 return inner(*args)
@@ -294,7 +308,7 @@ class TestNmseSweep:
         points = (0.0, 1e-7, 2e-7)
         _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
         assert np.equal(failures, None).all()
-        assert calls == {"_near_field_phasors": 1, "_assembly": 2}
+        assert calls == {"distance_phasors": 1, "_assembly": 2}
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
         calls = collections.Counter()
