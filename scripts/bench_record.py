@@ -26,9 +26,9 @@ alternating parent and change: ``REPS`` repetitions of ``CALLS`` calls
 on each of the config's first ``TRIALS`` trials, summarized per side by
 median and quartiles. "cold" gives every call an environment of its
 own; "warm" reuses one per trial, as ``run_trial`` does across specs and
-error levels. A ``verdict``, here and in the configs table, is "faster" or "slower"
-where the two sides' quartile ranges are disjoint, else "overlap". The
-output is a record, not a gate.
+error levels. A ``verdict``, here and in the configs table, is
+"faster" or "slower" where the two sides' quartile ranges are disjoint,
+else "overlap". The output is a record, not a gate.
 """
 
 from __future__ import annotations
