@@ -1,4 +1,4 @@
-"""Record a performance change: alternating benchmark runs and per-build times.
+"""Record a performance change: alternating benchmark runs and per-trial times.
 
     python scripts/bench_record.py --parent DIR --seed N --out BENCH_<n>.json
 
@@ -20,20 +20,21 @@ writing the payload files. A row records per side the median and
 quartiles of trials/s, their verdict, and whether the last runs of the
 two sides wrote byte-identical ``results.csv`` and ``summary.json``.
 
-The per-build table imports both trees' ``dmimo`` in one process and
-times ``build_precoder`` for every spec of the bundled configs,
-alternating parent and change: ``REPS`` repetitions of ``CALLS`` calls
-on each of the config's first ``TRIALS`` trials, summarized per side by
-median and quartiles. "cold" gives every call an environment of its
-own; "warm" reuses one per trial, as ``run_trial`` does across specs and
-error levels. A ``verdict``, here and in the configs table, is
-"faster" or "slower" where the two sides' quartile ranges are disjoint,
-else "overlap". The output is a record, not a gate.
+The per-trial table imports both trees' ``dmimo`` in one process and
+times ``scenarios.run_trial``, the runner's unit of work, on a one-spec
+copy of every bundled config over that config's error grid (perfect CSI
+when it has none), alternating parent and change: ``REPS`` repetitions
+of the config's first ``TRIALS`` trials, summarized per side by median
+and quartiles of ms per call. Each side runs on its own parsed config,
+sampler and noise variance. A ``verdict``, here and in the configs
+table, is "faster" or "slower" where the two sides' quartile ranges are
+disjoint, else "overlap". The output is a record, not a gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -55,8 +56,8 @@ PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 10, "dataset_pipeline": 10}
 #: Runs per side and trials per run of the configs table.
 CONFIG_REPS, CONFIG_TRIALS = 5, 200
 
-#: Repetitions and calls per trial of the per-build table.
-REPS, CALLS, TRIALS = 15, 20, 3
+#: Repetitions and trials per repetition of the per-trial table.
+REPS, TRIALS = 15, 5
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -162,44 +163,38 @@ def load_tree(src: Path, name: str):
     return module
 
 
-def perbuild(parent: Path) -> list[dict]:
-    import dmimo
-    from dmimo import configio, scenarios
-    from dmimo.errors import PrecodingError
+def trial_setup(mod, path: Path) -> tuple:
+    """A side's config (20 trials), sampler, noise variance and error grid."""
+    configio, scenarios = (importlib.import_module(f"{mod}.{m}") for m in ("configio", "scenarios"))
+    cfg = configio.override(configio.parse_simulate_config(path), trials=20)
+    sampler = scenarios._make_sampler(cfg)
+    gain = scenarios.mean_channel_gain(cfg, sampler)
+    noise_var = scenarios.noise_variance_from_floor(cfg.noise_floor_db, gain)
+    sigma_points = (None,)
+    if cfg.nmse_grid is not None:  # as run_scenario scales it
+        scale = gain / cfg.geometry.num_antennas if cfg.nmse_relative else 1.0
+        sigma_points = tuple(float(v) * scale for v in cfg.nmse_grid)
+    return scenarios, cfg, sampler, noise_var, sigma_points
 
-    old = load_tree(parent / "src", "dmimo_parent")
-    errors = (PrecodingError, sys.modules["dmimo_parent.errors"].PrecodingError)
+
+def pertrial(parent: Path) -> list[dict]:
+    load_tree(parent / "src", "dmimo_parent")
     rows = []
     for path in simulate_configs():
-        cfg = configio.override(configio.parse_simulate_config(path), trials=20)
-        noise_var = scenarios.noise_variance_from_floor(
-            cfg.noise_floor_db, scenarios.mean_channel_gain(cfg)
-        )
-        drawn = [scenarios.draw_trial_channels(cfg, t) for t in range(TRIALS)]
-        for name in (spec.name for spec in cfg.precoders):
-            row = {"config": path.stem, "spec": name}
-            for mode in ("cold", "warm"):
-                ms = {"parent": [], "change": []}
-                for rep in range(REPS):
-                    for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                        mod = old if side == "parent" else dmimo
-                        spec = mod.parse_precoder_name(name)
-                        total = 0.0
-                        for positions, h in drawn:
-                            shared = scenarios._trial_environment(cfg, h, positions)
-                            for _ in range(CALLS):
-                                env = shared if mode == "warm" else scenarios._trial_environment(
-                                    cfg, h, positions)
-                                t0 = time.perf_counter()
-                                try:
-                                    mod.build_precoder(spec, env, noise_var=noise_var)
-                                except errors:
-                                    pass
-                                total += time.perf_counter() - t0
-                                del env
-                        ms[side].append(total / (TRIALS * CALLS) * 1e3)
-                sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in ms.items()}
-                row[f"{mode}_ms"] = dict(sides, verdict=verdict(sides["parent"], sides["change"]))
+        sides = {"parent": trial_setup("dmimo_parent", path), "change": trial_setup("dmimo", path)}
+        for p, name in enumerate(spec.name for spec in sides["change"][1].precoders):
+            ms = {"parent": [], "change": []}
+            for rep in range(REPS):
+                for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                    scenarios, cfg, sampler, noise_var, sigma_points = sides[side]
+                    one = dataclasses.replace(cfg, precoders=cfg.precoders[p : p + 1])
+                    t0 = time.perf_counter()
+                    for t in range(TRIALS):
+                        scenarios.run_trial(one, t, noise_var, sigma_points, sampler)
+                    ms[side].append((time.perf_counter() - t0) / TRIALS * 1e3)
+            summary = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in ms.items()}
+            row = {"config": path.stem, "spec": name, "sigma_points": len(sides["change"][4]),
+                   "ms_per_trial": dict(summary, verdict=verdict(summary["parent"], summary["change"]))}
             rows.append(row)
             print(json.dumps(row), flush=True)
     return rows
@@ -235,7 +230,7 @@ def main(argv=None) -> int:
         record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
         record.update({k: v for k, v in env.items() if k != "git_sha"})
     record["configs"] = configs(parent, nproc)
-    record["perbuild_ms"] = perbuild(parent)
+    record["pertrial_ms"] = pertrial(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -18,6 +18,7 @@ from .precoders import (
     InfoEnvironment,
     PrecoderSpec,
     build_precoder,
+    build_precoders,
     far_field_weights,
     mrt,
     near_field_weights,

@@ -32,7 +32,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DatasetFormatError, GeometryError
-from .geometry import ArrayGeometry, LosChannelParams, los_phase
+from .geometry import ArrayGeometry, LosChannelParams, los_channel
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -386,11 +386,8 @@ def generate_synthetic_dataset(
     """
     positions = grid_spec.positions()
     rx_positions = geometry.antenna_positions
-    flat = positions.reshape(-1, 3)
-    d = np.linalg.norm(flat[None, :, :] - rx_positions[:, None, :], axis=2)
-    if np.any(d == 0):
-        raise GeometryError("a grid position coincides with an antenna position")
-    ideal = params.amplitude(d) * np.exp(1j * los_phase(d, params.wavelength))
+    # a grid position on an antenna raises GeometryError
+    ideal = los_channel(geometry, positions.reshape(-1, 3), params)
     ideal = ideal.reshape(rx_positions.shape[0], *positions.shape[:2])
     csi = np.broadcast_to(ideal, (tx_count, *ideal.shape)).copy()
     grid = CsiGrid(

@@ -70,6 +70,20 @@ class ArrayGeometry:
     def ap_indices(self, ap: int) -> np.ndarray:
         return np.asarray(self.ap_partition[ap], dtype=int)
 
+    def unit_indices(self, aps) -> np.ndarray:
+        """Antenna indices of the APs ``aps``, AP by AP; worked out once
+        per AP tuple and geometry (read-only)."""
+        aps = tuple(aps)
+        if aps not in self._units:
+            idx = np.concatenate([self.ap_indices(a) for a in aps])
+            idx.flags.writeable = False
+            self._units[aps] = idx
+        return self._units[aps]
+
+    @cached_property
+    def _units(self) -> dict:
+        return {}
+
     @cached_property
     def antenna_aps(self) -> np.ndarray:
         """AP index of every antenna, shape (M,)."""

@@ -17,10 +17,11 @@ from .errors import NoDataError
 
 @dataclass(frozen=True)
 class LinkRealization:
-    """One channel/precoder pair under a fixed noise variance.
+    """One channel and its precoders under a fixed noise variance.
 
-    channel and precoding are both (M, K); column k of ``precoding`` is
-    the unit-norm vector serving user k. noise_var is linear power.
+    channel is (M, K); precoding is (M, K), or an (S, M, K) stack of
+    precoders evaluated against the one channel. Column k of a precoder
+    is the unit-norm vector serving user k. noise_var is linear power.
     """
 
     channel: np.ndarray
@@ -30,9 +31,10 @@ class LinkRealization:
     def __post_init__(self):
         h = np.asarray(self.channel, dtype=complex)
         w = np.asarray(self.precoding, dtype=complex)
-        if h.ndim != 2 or w.ndim != 2 or h.shape != w.shape:
+        if h.ndim != 2 or w.ndim not in (2, 3) or h.shape != w.shape[-2:]:
             raise ValueError(
-                f"channel {h.shape} and precoding {w.shape} must be equal 2D shapes"
+                f"channel {h.shape} must be 2D and precoding {w.shape} (M, K) "
+                "or (S, M, K) of the same M and K"
             )
         if not self.noise_var > 0:
             raise ValueError(f"noise_var must be > 0, got {self.noise_var}")
@@ -45,13 +47,15 @@ class LinkRealization:
 
 
 def sinr_all(link: LinkRealization) -> tuple[np.ndarray, np.ndarray]:
-    """SINR of every user, returned as (linear, dB) arrays of shape (K,).
+    """SINR of every user, returned as (linear, dB) arrays of shape (K,),
+    or (S, K) for a stack of precoders.
 
-    A user whose precoder delivers exactly zero signal gets -inf dB.
+    A user whose precoder delivers exactly zero signal gets -inf dB; a
+    NaN precoder (a failed build) gives NaN.
     """
     cross = np.abs(link.channel.conj().T @ link.precoding) ** 2
-    signal = np.diag(cross).copy()
-    interference = cross.sum(axis=1) - signal
+    signal = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = cross.sum(axis=-1) - signal
     linear = signal / (interference + link.noise_var)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(linear)
@@ -59,7 +63,7 @@ def sinr_all(link: LinkRealization) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sinr(link: LinkRealization, k: int) -> tuple[float, float]:
-    """SINR of user k as (linear, dB)."""
+    """SINR of user k as (linear, dB); ``link`` holds one (M, K) precoder."""
     if not 0 <= k < link.num_users:
         raise ValueError(f"user index {k} out of range")
     linear, db = sinr_all(link)
@@ -68,37 +72,44 @@ def sinr(link: LinkRealization, k: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ChannelErrorModel:
-    """i.i.d. circularly symmetric complex Gaussian estimation error."""
+    """i.i.d. circularly symmetric complex Gaussian estimation error.
 
-    sigma_e2: float
+    ``sigma_e2`` is one per-entry error variance, or a sequence of S of
+    them for a stack of estimates drawn from one unit-noise draw.
+    """
+
+    sigma_e2: float | tuple[float, ...]
     rng_seed: object = 0
 
     def __post_init__(self):
-        if not self.sigma_e2 >= 0:
+        if not np.all(np.asarray(self.sigma_e2, dtype=float) >= 0):
             raise ValueError(f"sigma_e2 must be >= 0, got {self.sigma_e2}")
 
 
 def inject_channel_error(
     h_matrix, model: ChannelErrorModel
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Return (H + E, realized NMSE) with E ~ CN(0, sigma_e2) per entry.
 
     The realized NMSE is sum|E|^2 / sum|H|^2 (mean squared error over
-    mean squared channel magnitude). Deterministic
-    per seed; for a fixed seed the draws at different sigma_e2 are scaled
-    versions of the same unit-variance noise, so error sweeps vary
-    smoothly.
+    mean squared channel magnitude). Deterministic per seed: the error
+    at every sigma_e2 is a scaled version of the same unit-variance
+    noise, so error sweeps vary smoothly. With a sequence of S variances
+    the unit noise is drawn once and the results are the (S, M, K)
+    estimates and the (S,) NMSEs, each slice what its variance alone
+    gives.
     """
     h = np.asarray(h_matrix, dtype=complex)
     rng = np.random.default_rng(model.rng_seed)
     unit = (
         rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     ) / np.sqrt(2.0)
-    error = np.sqrt(model.sigma_e2) * unit
+    sigma = np.asarray(model.sigma_e2, dtype=float)
+    error = np.sqrt(sigma)[..., None, None] * unit
     denom = float(np.sum(np.abs(h) ** 2))
-    num = float(np.sum(np.abs(error) ** 2))
-    nmse = 0.0 if num == 0 else num / denom
-    return h + error, nmse
+    num = [float(np.sum(np.abs(e) ** 2)) for e in error.reshape(-1, *h.shape)]
+    nmse = np.array([0.0 if x == 0 else x / denom for x in num])
+    return h + error, nmse.reshape(sigma.shape)[()]
 
 
 def guaranteed_sinr(samples, coverage: float) -> float:

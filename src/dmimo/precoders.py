@@ -33,6 +33,7 @@ from .errors import (
     FullySuppressedError,
     GeometryError,
     InformationError,
+    PrecodingError,
     RankDeficiencyError,
 )
 from .geometry import ArrayGeometry, distance_phasors
@@ -388,15 +389,17 @@ class ChannelAccess:
     def num_users(self) -> int:
         return self.channel.shape[1]
 
-    def gather(self, wanted: np.ndarray) -> np.ndarray:
+    def gather(self, wanted: np.ndarray, channels=None) -> np.ndarray:
         """The (M, K) channel with every (AP, user) block outside ``wanted``
         zeroed; ``wanted`` is (num_aps, K) and must only ask for granted
-        blocks."""
-        denied = np.argwhere(wanted & ~self.granted)
-        if denied.size:
-            a, l = denied[0]
+        blocks. An (S, M, K) stack of ``channels`` read under the same
+        grants stands in for the held channel and gives (S, M, K)."""
+        denied = wanted & ~self.granted
+        if denied.any():
+            a, l = np.argwhere(denied)[0]
             raise InformationError(f"CSI for AP {a}, user {l} was not granted")
-        return np.where(wanted[self.geometry.antenna_aps], self.channel, 0)
+        h = self.channel if channels is None else channels
+        return np.where(wanted[self.geometry.antenna_aps], h, 0)
 
 
 @dataclass(frozen=True)
@@ -436,15 +439,16 @@ class InfoEnvironment:
                         f"serving APs of user {user} must be distinct indices in "
                         f"[0, {num_aps}) and at least one, got {tuple(aps)}"
                     )
-        # location and assembly state that build_precoder derives once
+        # location and assembly state that build_precoders derives once
         object.__setattr__(self, "_derived", {})
 
     def with_channel(self, channel) -> "InfoEnvironment":
         """This environment holding ``channel`` as its CSI, same grants.
 
-        The copy shares the state :func:`build_precoder` derives from
-        locations and serving alone (the near-field matrix, the assembly
-        units), so the CSI variants of one trial derive it once.
+        The copy shares the state :func:`build_precoders` derives from
+        locations, grants and serving alone (the near-field matrix, the
+        assembly units, the pool layouts and the pools made from
+        locations), so the CSI variants of one trial derive it once.
         """
         env = replace(self, csi=ChannelAccess(self.geometry, channel, self.csi.granted))
         object.__setattr__(env, "_derived", self._derived)
@@ -456,7 +460,7 @@ class InfoEnvironment:
         return tuple(self.serving[user])
 
 
-def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
+def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> InfoRequirements:
     req = spec.requirements()
     if (req.csi_intended or req.csi_unintended) and env.csi is None:
         raise InformationError(
@@ -466,6 +470,7 @@ def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> None:
         raise InformationError(
             f"precoder {spec.name!r} requires UE locations but none were granted"
         )
+    return req
 
 
 def _derive(env: InfoEnvironment, key, make):
@@ -504,9 +509,22 @@ def _assembly(env: InfoEnvironment, scope: str):
     return list(index), antennas, sizes, served, pair_unit, pair_user
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` by the same arithmetic, without the
+    dispatch that costs a small build several microseconds per call."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _unit_columns(x: np.ndarray) -> np.ndarray:
+    """``x`` with every column scaled to unit norm."""
+    x /= _norms(x, -2)[..., None, :]
+    return x
+
+
 def _pad(x: np.ndarray) -> np.ndarray:
-    """``x`` with the zero row that padded antenna indices read appended."""
-    return np.concatenate([x, np.zeros_like(x[:1])])
+    """``x`` (..., M, K) with the zero row that padded antenna indices read
+    appended."""
+    return np.concatenate([x, np.zeros_like(x[..., :1, :])], axis=-2)
 
 
 #: Exception class and message of each (unit, user) pair failure code.
@@ -533,39 +551,45 @@ DOWNDATE_PAIRS, DOWNDATE_MIN_PAIRS = 6, 10
 
 
 def _rank_deficient(pool, present, sizes, pair_unit, mask, n):
-    """Per pair: do its n pool columns under ``mask`` lack full column rank?
+    """Per pool slice and pair: do its n columns under ``mask`` lack full rank?
 
-    The threshold is :func:`numerical_rank`'s, eps * sigma_max *
-    max(Ma, n). By singular-value interlacing every column subset of a
-    full-rank pool is full rank, so one SVD per unit pool clears all its
-    pairs; only the pairs of a pool that fails, or that has more columns
-    than antennas, get an SVD of their own. Also returns per unit whether
-    its pool is full rank with a Gram condition number (sigma_max /
-    sigma_min)^2 of at most ``DOWNDATE_COND``.
+    ``pool`` is (S, U, Ma, K). The threshold is :func:`numerical_rank`'s,
+    eps * sigma_max * max(Ma, n). By singular-value interlacing every
+    column subset of a full-rank pool is full rank, so one SVD per unit
+    pool clears all its pairs; only the pairs of a pool that fails, or
+    that has more columns than antennas, get an SVD of their own. Also
+    returns per slice and unit whether its pool is full rank with a Gram
+    condition number (sigma_max / sigma_min)^2 of at most ``DOWNDATE_COND``.
     """
     eps = np.finfo(float).eps
     ma = sizes[pair_unit]
-    deficient = n > ma
+    deficient = np.repeat((n > ma)[None], len(pool), axis=0)
     n_pool = present.sum(axis=1)
-    cleared = np.zeros(sizes.size, dtype=bool)
-    conditioned = np.zeros(sizes.size, dtype=bool)
+    cleared = np.zeros((len(pool), sizes.size), dtype=bool)
+    conditioned = np.zeros((len(pool), sizes.size), dtype=bool)
     check = np.flatnonzero((n_pool > 0) & (n_pool <= sizes))
     if check.size:
-        s = np.linalg.svd(pool[check], compute_uv=False)
-        tol = eps * s[:, :1] * np.maximum(sizes[check], n_pool[check])[:, None]
-        cleared[check] = np.sum(s > tol, axis=1) == n_pool[check]
-        well = np.sum(s * s * DOWNDATE_COND >= s[:, :1] ** 2, axis=1) == n_pool[check]
-        conditioned[check] = cleared[check] & well
-    check = np.flatnonzero(~cleared[pair_unit] & ~deficient & (n > 0))
+        s = np.linalg.svd(pool[:, check], compute_uv=False)
+        tol = eps * s[..., :1] * np.maximum(sizes[check], n_pool[check])[:, None]
+        cleared[:, check] = np.sum(s > tol, axis=-1) == n_pool[check]
+        well = np.sum(s * s * DOWNDATE_COND >= s[..., :1] ** 2, axis=-1) == n_pool[check]
+        conditioned[:, check] = cleared[:, check] & well
+    si, check = np.nonzero(~cleared[:, pair_unit] & ~deficient & (n > 0))
     if check.size:
-        s = np.linalg.svd(pool[pair_unit[check]] * mask[check, None, :], compute_uv=False)
+        s = np.linalg.svd(pool[si, pair_unit[check]] * mask[check, None, :], compute_uv=False)
         tol = eps * s[:, :1] * np.maximum(ma[check], n[check])[:, None]
-        deficient[check] = np.sum(s > tol, axis=1) < n[check]
+        deficient[si, check] = np.sum(s > tol, axis=1) < n[check]
     return deficient, conditioned
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a contiguous (S, K, K) stack."""
+    """Writable view of the diagonals of a C-contiguous (S, K, K) stack.
+
+    Any other layout raises: the reshape would copy, and a write through
+    it would be lost.
+    """
+    if a.ndim != 3 or not a.flags.c_contiguous:
+        raise ValueError(f"diagonal view needs a C-contiguous (S, K, K) stack, got {a.shape}")
     return a.reshape(len(a), -1)[:, :: a.shape[-1] + 1]
 
 
@@ -576,22 +600,134 @@ def _leave_one_out(inv: np.ndarray, inv_cols: np.ndarray, r: np.ndarray) -> np.n
     B_jj gives every column at once: X = B R - B diag(diag(B R) /
     diag(B)), with ``inv_cols`` = B diag(B)^{-1}. With the diagonal of
     ``inv_cols`` set to exactly 1, entry j of column j is exactly 0.
+    ``r`` may carry leading axes that ``inv`` broadcasts over.
     """
     z = inv @ r
-    return z - inv_cols * np.diagonal(z, axis1=1, axis2=2)[:, None, :]
+    return z - inv_cols * np.diagonal(z, axis1=-2, axis2=-1)[..., None, :]
 
 
-def build_precoder(
+def _failure(spec, units, sizes, n, pu, pk, total, code, failed) -> PrecodingError:
+    """The error one failing build raises: for the lowest failing user, a
+    zero base vector, else its first failing unit in serving order (naming
+    both), else an all-suppressed column."""
+    user = int(np.argmax(failed))
+    where = f"precoder {spec.name!r}, user {user}"
+    if total[user] == 0:
+        return DegenerateChannelError(f"{where}: zero base vector")
+    bad = np.flatnonzero((pk == user) & (code > 0))
+    if bad.size:
+        p, u = bad[0], pu[bad[0]]
+        cls, msg = _PAIR_FAILURES[code[p]]
+        label = "centralized" if spec.scope == "centralized" else f"AP {units[u][0]}"
+        return cls(f"{where}, {label}: " + msg.format(ma=sizes[u], n=n[p]))
+    return FullySuppressedError(f"{where}: all components suppressed")
+
+
+def _layout(env: InfoEnvironment, scope: str, suppression: str, nf):
+    """What a suppression pool holds, fixed by grants, locations and
+    serving: per unit, which users' columns are CSI (``is_csi``) and which
+    are present; per pair, the columns it projects off (``mask``), their
+    count and its unit as a one-hot row; and the units' unit-norm
+    near-field columns (or None)."""
+    geo, k = env.geometry, env.num_users
+    _, ant, sizes, _, pu, pk = _derive(env, ("assembly", scope), lambda: _assembly(env, scope))
+    is_csi = np.zeros((sizes.size, k), dtype=bool)
+    if suppression in ("csi", "csi+nf"):
+        # a unit holds a user's CSI when every one of its APs was granted it
+        is_csi = ~_pad(~env.csi.granted[geo.antenna_aps])[ant].any(axis=1)
+    present, cols = is_csi, None
+    if suppression in ("nf", "csi+nf"):
+        cols = _unit_columns(_pad(nf)[ant])
+        present = np.ones_like(is_csi)
+    mask = present[pu] & (np.arange(k) != pk[:, None])
+    return is_csi, present, mask, mask.sum(axis=1), pu[:, None] == np.arange(sizes.size), cols
+
+
+def _pool(spec, env, alpha, stack, nf) -> tuple:
+    """Every unit's suppression pool for each CSI estimate in ``stack``,
+    the checks that choose how each pair is solved, and the inverse of
+    every unit Gram matrix the downdate uses (see :func:`build_precoders`).
+
+    Arrays lead with one slice per estimate, or a single slice for a
+    pool made from locations alone. Returns the pool, its conjugate
+    transpose and Gram matrices; the pairs' column masks, counts and
+    scales; the pair failures known before projecting; the pairs
+    projected and those solved on their own; the (slice, unit) indices
+    of the unit Gram matrices ``a`` inverted whole, the inverses and
+    ``inv_cols`` (None without such units).
+    """
+    _, ant, sizes, _, pu, _ = _derive(
+        env, ("assembly", spec.scope), lambda: _assembly(env, spec.scope)
+    )
+    is_csi, present, mask, n, unit_of, cols = _derive(
+        env, ("layout", spec.scope, spec.suppression),
+        lambda: _layout(env, spec.scope, spec.suppression, nf),
+    )
+    if spec.suppression == "nf":
+        pool = cols[None]
+    else:
+        held = env.csi.gather(env.csi.granted, stack)
+        other = 0 if cols is None else cols
+        pool = np.where(is_csi[:, None, :], np.take(_pad(held), ant, axis=1), other)
+    ph = pool.conj().swapaxes(-1, -2)
+    gram = ph @ pool
+    code = np.zeros((len(pool), pu.size), dtype=int)
+    scale = mask[None].astype(float)  # one slice until mixed pairs rescale per pool slice
+    if alpha is None:
+        deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n)
+        code[deficient] = _RANK
+        solve = ~deficient & (n > 0)
+        direct = solve & conditioned[:, pu]
+    else:
+        # alpha acts on one scale: a pair whose columns mix CSI and
+        # near-field sources gets every column normalized to unit norm
+        # and is solved on its own
+        mixed = (mask & is_csi[pu]).any(axis=1) & (mask & ~is_csi[pu]).any(axis=1)
+        if mixed.any():
+            norms = _norms(pool, -2)[:, pu[mixed]]
+            code[:, mixed] = np.where((mask[mixed] & (norms == 0)).any(axis=-1), _DEGENERATE, 0)
+            scale = np.repeat(scale, len(pool), axis=0)
+            scale[:, mixed] /= np.where(norms > 0, norms, 1.0)
+        solve = np.repeat((n > 0)[None], len(pool), axis=0)
+        direct = np.zeros_like(solve)
+        if pu.size >= max(DOWNDATE_PAIRS * sizes.size, DOWNDATE_MIN_PAIRS):
+            # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
+            trace = np.trace(gram, axis1=-2, axis2=-1).real
+            direct = solve & ~mixed & (trace <= (DOWNDATE_COND - 1) * alpha)[:, pu]
+    inverted = np.nonzero(direct @ unit_of)  # (slice, unit) holding a directly solved pair
+    a = inv = inv_cols = None
+    if inverted[1].size:
+        a = gram[inverted]
+        _diagonal(a)[...] += alpha if alpha is not None else ~present[inverted[1]]
+        inv = np.linalg.inv(a)
+        inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
+        _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
+    return pool, ph, gram, mask, n, scale, code, solve, solve & ~direct, inverted, a, inv, inv_cols
+
+
+def build_precoders(
     spec: PrecoderSpec,
     env: InfoEnvironment,
+    channels=None,
     noise_var: float | None = None,
-) -> np.ndarray:
-    """Assemble the (M, K) precoding matrix, one unit-norm column per user.
+) -> tuple[np.ndarray, tuple[PrecodingError | None, ...]]:
+    """Build one spec for a stack of S channel estimates in one pass.
 
-    Column k is user k's base vector (MRT from CSI, or a steering vector
-    from the UE location) orthogonalized against the suppression
-    subspace built from the other users' CSI columns and/or near-field
-    vectors. With scope "per-ap" the projection is repeated
+    ``channels`` is an (S, M, K) stack that stands in for the channel
+    ``env`` holds, under the same grants; None builds from that channel
+    alone (S = 1). Returns ``(W, failures)``: W is (S, M, K), slice s the
+    precoder :func:`build_precoder` returns for
+    ``env.with_channel(channels[s])`` and NaN where that build fails, and
+    ``failures[s]`` is the PrecodingError that build raises, or None. A
+    spec that reads no CSI does not depend on the estimates: it is built
+    once and W has one slice. Slices are independent builds that share
+    what they derive from locations and serving, so a batch may hold
+    any estimates of one environment's channel.
+
+    Column k of a slice is user k's base vector (MRT from CSI, or a
+    steering vector from the UE location) orthogonalized against the
+    suppression subspace built from the other users' CSI columns and/or
+    near-field vectors. With scope "per-ap" the projection is repeated
     independently over each serving AP's antennas using only that AP's
     CSI. Per-unit results are concatenated over the user's serving
     antennas; entries outside them are zero. Each column equals
@@ -623,21 +759,26 @@ def build_precoder(
     pair that way, since there one solve per pair is cheaper. Units
     are padded to the widest with zero rows, which change no Gram
     matrix, projection or norm. Specs without suppression skip all of
-    this.
+    this. Each of these choices is made per slice.
 
-    The near-field matrix and the assembly units depend only on
-    locations and serving. They are derived once per environment and
-    shared with its :meth:`InfoEnvironment.with_channel` copies, so a
-    trial computes them once for all its specs and error levels.
+    Only the arrays read from CSI carry the S axis: the MRT bases, CSI
+    pools, their Gram matrices, inverses and rank SVDs. Products with a
+    shared operand broadcast it over the slices and take one slice at a
+    time, so each slice's arithmetic is that of a build of its own. What
+    depends only on locations, grants and serving is derived once per
+    environment and shared with its :meth:`InfoEnvironment.with_channel`
+    copies: the near-field matrix, the assembly units, which columns each
+    unit's pool holds, and a pool made from locations alone (``nf_nf``,
+    ``mrt_nf``, ``rmrt_nf``) with its rank SVD and unit inverses, once
+    per regularization weight for every spec and slice that uses it.
 
     ``noise_var`` supplies the default regularization weight when the
-    spec is regularized with ``alpha=None``. A precoding failure is
-    raised for the lowest failing user: a zero base vector, else its
-    first failing unit in serving order (naming both), else an
-    all-suppressed column. A singular Gram matrix, in the unit inverse
-    or a pair's solve, raises RankDeficiencyError naming the spec.
+    spec is regularized with ``alpha=None``. A singular Gram matrix, in
+    a unit inverse or a pair's solve, fails its slice with a
+    RankDeficiencyError naming the spec. Missing information or weight
+    raises for the whole stack.
     """
-    _check_requirements(spec, env)
+    req = _check_requirements(spec, env)
     alpha = None
     if spec.regularized:
         alpha = spec.alpha if spec.alpha is not None else noise_var
@@ -646,6 +787,11 @@ def build_precoder(
                 f"regularized precoder {spec.name!r} needs alpha or noise_var > 0"
             )
     geo, k = env.geometry, env.num_users
+    stack = None
+    if req.csi_intended or req.csi_unintended:
+        stack = env.csi.channel[None] if channels is None else np.asarray(channels, complex)
+        if stack.ndim != 3 or stack.shape[1:] != env.csi.channel.shape:
+            raise ValueError(f"channels must be (S, {geo.num_antennas}, {k}), got {stack.shape}")
     units, ant, sizes, served, pu, pk = _derive(
         env, ("assembly", spec.scope), lambda: _assembly(env, spec.scope)
     )
@@ -654,112 +800,100 @@ def build_precoder(
         nf = _derive(env, "nf", lambda: distance_phasors(
             geo.antenna_positions, env.ue_positions, geo.wavelength)[1])
     if spec.base == "mrt":
-        w = env.csi.gather(served)
+        w = env.csi.gather(served, stack)
     elif spec.base == "nf":
-        w = np.where(served[geo.antenna_aps], nf, 0)
+        w = np.where(served[geo.antenna_aps], nf, 0)[None]
     else:
-        w = np.zeros((geo.num_antennas, k), dtype=complex)
+        w = np.zeros((1, geo.num_antennas, k), dtype=complex)
         for u, user in zip(pu, pk):
             idx = ant[u, : sizes[u]]
             theta, ref = steering_angle(geo, env.ue_positions[user], idx)
-            w[idx, user] = far_field_weights(geo, theta, ref)[idx]
-    total = np.linalg.norm(w, axis=0)
-    w /= np.where(total > 0, total, 1.0)
+            w[0, idx, user] = far_field_weights(geo, theta, ref)[idx]
+    if stack is not None and len(w) < len(stack):  # a location base under CSI suppression
+        w = np.repeat(w, len(stack), axis=0)
+    total = _norms(w, 1)
+    w /= np.where(total > 0, total, 1.0)[:, None, :]
 
-    code = np.zeros(pu.size, dtype=int)
+    n = None
+    code = np.zeros((len(w), pu.size), dtype=int)
     if spec.suppression != "none":
-        is_csi = np.zeros((sizes.size, k), dtype=bool)
-        pool = np.zeros(ant.shape + (k,), dtype=complex)
-        if spec.suppression in ("csi", "csi+nf"):
-            # a unit holds a user's CSI when every one of its APs was granted it
-            is_csi = ~_pad(~env.csi.granted[geo.antenna_aps])[ant].any(axis=1)
-            held = env.csi.gather(env.csi.granted)
-            pool = np.where(is_csi[:, None, :], _pad(held)[ant], 0)
-        present = is_csi
-        if spec.suppression in ("nf", "csi+nf"):
-            cols = _pad(nf)[ant]
-            cols /= np.linalg.norm(cols, axis=1, keepdims=True)
-            pool = np.where(is_csi[:, None, :], pool, cols)
-            present = np.ones_like(is_csi)
-        mask = present[pu] & (np.arange(k) != pk[:, None])
-        n = mask.sum(axis=1)
-        scale = mask.astype(float)
-        ph = pool.conj().transpose(0, 2, 1)
-        gram = ph @ pool
-        if alpha is None:
-            deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n)
-            code[deficient] = _RANK
-            solve = (code == 0) & (n > 0)
-            direct = solve & conditioned[pu]
-        else:
-            # alpha acts on one scale: a pair whose columns mix CSI and
-            # near-field sources gets every column normalized to unit norm
-            # and is solved on its own
-            mixed = (mask & is_csi[pu]).any(axis=1) & (mask & ~is_csi[pu]).any(axis=1)
-            if mixed.any():
-                norms = np.linalg.norm(pool, axis=1)[pu[mixed]]
-                code[np.flatnonzero(mixed)[(mask[mixed] & (norms == 0)).any(axis=1)]] = _DEGENERATE
-                scale[mixed] /= np.where(norms > 0, norms, 1.0)
-            solve = n > 0
-            direct = np.zeros_like(solve)
-            if pu.size >= max(DOWNDATE_PAIRS * sizes.size, DOWNDATE_MIN_PAIRS):
-                # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
-                trace = np.trace(gram, axis1=1, axis2=2).real
-                direct = solve & ~mixed & (trace <= (DOWNDATE_COND - 1) * alpha)[pu]
-        slow = solve & ~direct
-        if solve.any():
-            sys_unit = np.flatnonzero(np.bincount(pu[direct], minlength=sizes.size))
-            any_slow = slow.any()
-            # every user's base on every unit; columns outside a pair never move
-            b = _pad(w)[ant]
-            step = np.zeros((sizes.size, k, k), dtype=complex)
-            try:
-                if sys_unit.size:
-                    a = gram[sys_unit]
-                    _diagonal(a)[...] += alpha if alpha is not None else ~present[sys_unit]
-                    inv = np.linalg.inv(a)
-                    inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
-                    _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
-                if any_slow:
-                    su, sk, ss = pu[slow], pk[slow], scale[slow]
-                    g = gram[su] * (ss[:, :, None] * ss[:, None, :])
-                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[slow]
+        try:
+            if spec.suppression == "nf":  # made from locations: once per environment
+                state = _derive(env, ("pool", spec.scope, alpha),
+                                lambda: _pool(spec, env, alpha, None, nf))
+            else:
+                state = _pool(spec, env, alpha, stack, nf)
+            pool, ph, gram, mask, n, scale, pool_code, solve, slow, inverted, a, inv, inv_cols = state
+            code[...] = pool_code  # slices that share one pool share its codes
+            if solve.any():
+                # every user's base on every unit; columns outside a pair never move
+                b = np.take(_pad(w), ant, axis=1)
+                step = np.zeros(b.shape[:2] + (k, k), dtype=complex)
+                sel = inverted if len(pool) == len(b) else (slice(None), inverted[1])
+                # pairs solved one by one, per slice of the build
+                sl_s, sl_p = np.nonzero(np.repeat(slow, len(b) // len(slow), axis=0))
+                if sl_p.size:
+                    su, sk, ss = pu[sl_p], pk[sl_p], scale[sl_s % len(scale), sl_p]
+                    g = gram[sl_s % len(pool), su] * (ss[:, :, None] * ss[:, None, :])
+                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[sl_p]
                 for _ in range(1 if alpha is not None else 2):
                     r = ph @ b
-                    if sys_unit.size:
-                        rs = r[sys_unit]
+                    if inv is not None:
+                        rs = r[sel]
                         x = _leave_one_out(inv, inv_cols, rs)
                         if alpha is not None:
                             x += _leave_one_out(inv, inv_cols, rs - a @ x)
-                        step[sys_unit] = x
-                    if any_slow:
-                        rhs = (r[su, :, sk] * ss)[:, :, None]
-                        step[su, :, sk] = ss * np.linalg.solve(g, rhs)[:, :, 0]
+                        step[sel] = x
+                    if sl_p.size:
+                        rhs = (r[sl_s, su, :, sk] * ss)[:, :, None]
+                        step[sl_s, su, :, sk] = ss * np.linalg.solve(g, rhs)[:, :, 0]
                     b -= pool @ step
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyError(
-                    f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
-                ) from exc
-            if alpha is None:
-                tiny = np.linalg.norm(b[pu[solve], :, pk[solve]], axis=1) < FULL_SUPPRESSION_TOL
-                code[np.flatnonzero(solve)[tiny]] = _SUPPRESSED
-            w = np.zeros((geo.num_antennas + 1, k), dtype=complex)
-            w[ant[pu], pk[:, None]] = b[pu, :, pk]
-            w = w[:-1]
+                if alpha is None:
+                    ts, tp = np.nonzero(np.repeat(solve, len(b) // len(solve), axis=0))
+                    tiny = _norms(b[ts, pu[tp], :, pk[tp]], 1) < FULL_SUPPRESSION_TOL
+                    code[ts[tiny], tp[tiny]] = _SUPPRESSED
+                w = np.zeros((len(b), geo.num_antennas + 1, k), dtype=complex)
+                w[:, ant[pu], pk[:, None]] = b.swapaxes(-1, -2)[:, pu, pk]
+                w = w[:, :-1]
+        except np.linalg.LinAlgError as exc:
+            if len(w) > 1:  # find the singular slices: build each on its own
+                builds = [build_precoders(spec, env, h[None], noise_var) for h in stack]
+                return np.concatenate([b[0] for b in builds]), sum((b[1] for b in builds), ())
+            error = RankDeficiencyError(
+                f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
+            )
+            error.__cause__ = exc
+            return np.full(w.shape, np.nan, dtype=complex), (error,)
 
-    norms = np.linalg.norm(w, axis=0)
+    norms = _norms(w, 1)
     failed = (total == 0) | (norms < FULL_SUPPRESSION_TOL)
-    failed[pk[code > 0]] = True
+    fs, fp = np.nonzero(code)
+    failed[fs, pk[fp]] = True
     if not failed.any():
-        return w / norms
-    user = int(np.argmax(failed))
-    where = f"precoder {spec.name!r}, user {user}"
-    if total[user] == 0:
-        raise DegenerateChannelError(f"{where}: zero base vector")
-    bad = np.flatnonzero((pk == user) & (code > 0))
-    if bad.size:
-        p, u = bad[0], pu[bad[0]]
-        cls, msg = _PAIR_FAILURES[code[p]]
-        label = "centralized" if spec.scope == "centralized" else f"AP {units[u][0]}"
-        raise cls(f"{where}, {label}: " + msg.format(ma=sizes[u], n=n[p]))
-    raise FullySuppressedError(f"{where}: all components suppressed")
+        return w / norms[:, None, :], (None,) * len(w)
+    bad = failed.any(axis=1)
+    w = w / np.where(failed, 1.0, norms)[:, None, :]
+    w[bad] = np.nan
+    return w, tuple(
+        _failure(spec, units, sizes, n, pu, pk, total[s], code[s], failed[s]) if bad[s] else None
+        for s in range(len(w))
+    )
+
+
+def build_precoder(
+    spec: PrecoderSpec,
+    env: InfoEnvironment,
+    noise_var: float | None = None,
+) -> np.ndarray:
+    """Assemble the (M, K) precoding matrix, one unit-norm column per user.
+
+    :func:`build_precoders` for the one channel ``env`` holds, which
+    describes the construction. A precoding failure is raised for the
+    lowest failing user: a zero base vector, else its first failing unit
+    in serving order (naming both), else an all-suppressed column. A
+    singular Gram matrix raises RankDeficiencyError naming the spec.
+    """
+    (w,), (error,) = build_precoders(spec, env, None, noise_var)
+    if error is not None:
+        raise error
+    return w

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csidata import read_dataset
-from .errors import ConfigError, GeometryError, PlacementError, PrecodingError
+from .errors import ConfigError, GeometryError, PlacementError
 from .geometry import (
     AMPLITUDE_MODELS,
     ArrayGeometry,
@@ -45,7 +45,7 @@ from .precoders import (
     InfoEnvironment,
     PrecoderSpec,
     _array_axis,
-    build_precoder,
+    build_precoders,
 )
 
 #: Stream ids for per-trial RNG derivation.
@@ -218,17 +218,12 @@ def _validate_far_field(config: ScenarioConfig) -> None:
         if spec.base != "ff":
             continue
         if spec.scope == "per-ap":
-            units = [geo.ap_indices(a) for a in range(geo.num_aps)]
-        elif config.clustering is not None:
-            units = [
-                np.concatenate([geo.ap_indices(a) for a in pair])
-                for pair in config.clustering
-            ]
+            units = [(a,) for a in range(geo.num_aps)]
         else:
-            units = [np.arange(geo.num_antennas)]
+            units = config.clustering or [range(geo.num_aps)]
         for unit in units:
             try:
-                _array_axis(geo.antenna_positions[unit])
+                _array_axis(geo.antenna_positions[geo.unit_indices(unit)])
             except GeometryError as exc:
                 raise ConfigError(
                     f"precoder {spec.name!r}: far-field base needs collinear "
@@ -246,11 +241,7 @@ def cluster_users(gains, pairs, geometry: ArrayGeometry) -> ClusterAssignment:
     if g.ndim != 2 or g.shape[1] != geometry.num_antennas:
         raise ValueError(f"gains must be (K, {geometry.num_antennas}), got {g.shape}")
     mean_gains = np.stack(
-        [
-            g[:, np.concatenate([geometry.ap_indices(a) for a in pair])].mean(axis=1)
-            for pair in pairs
-        ],
-        axis=1,
+        [g[:, geometry.unit_indices(pair)].mean(axis=1) for pair in pairs], axis=1
     )
     return ClusterAssignment(
         ue_to_pair=np.argmax(mean_gains, axis=1), mean_gains=mean_gains
@@ -387,10 +378,12 @@ def run_trial(
     """Place UEs, build every configured precoder, evaluate SINR.
 
     ``sigma_points`` lists per-entry channel-error variances (None means
-    perfect CSI). Precoders consume the perturbed channel estimates but
-    SINR is always evaluated against the true channel. A precoder that
-    reads no CSI is built once per trial and its outcome repeated at
-    every sigma point.
+    perfect CSI). The estimates at all S points come from one unit-noise
+    draw, and each precoder is built once for the whole stack
+    (:func:`build_precoders`) and evaluated by one SINR call, always
+    against the true channel; a failure fails only its own sigma point.
+    A precoder that reads no CSI is built and evaluated once and its
+    outcome repeated at every sigma point.
 
     Returns ``(sinr_db, failures, nmse)`` for S sigma points, P
     precoders and K users: per-user SINR in dB, (S, P, K), NaN where the
@@ -414,29 +407,21 @@ def run_trial(
     sinr_db = np.full(shape + (config.k_users,), np.nan)
     failures = np.full(shape, None, dtype=object)
     nmse = np.full(shape[0], np.nan)
-    error_seed = [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
-    # one environment per trial: its sigma variants share what builds derive
-    # from locations and serving alone
-    trial_env = _trial_environment(config, h_true, positions)
-    for s, sigma in enumerate(sigma_points):
-        env = trial_env
-        if sigma is not None:
-            h_known, nmse[s] = inject_channel_error(
-                h_true, ChannelErrorModel(sigma_e2=sigma, rng_seed=error_seed)
-            )
-            env = trial_env.with_channel(h_known)
-        for p, spec in enumerate(config.precoders):
-            req = spec.requirements()
-            if s and not (req.csi_intended or req.csi_unintended):
-                # a spec that reads no CSI sees the same inputs at every sigma point
-                sinr_db[s, p], failures[s, p] = sinr_db[0, p], failures[0, p]
-                continue
-            try:
-                w = build_precoder(spec, env, noise_var=noise_var)
-            except PrecodingError as exc:
-                failures[s, p] = f"{type(exc).__name__}: {exc}"
-            else:
-                sinr_db[s, p] = sinr_all(LinkRealization(h_true, w, noise_var))[1]
+    channels = np.repeat(h_true[None], shape[0], axis=0)
+    known = [s for s, sigma in enumerate(sigma_points) if sigma is not None]
+    if known:
+        channels[known], nmse[known] = inject_channel_error(h_true, ChannelErrorModel(
+            [sigma_points[s] for s in known], [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
+        ))
+    # one environment per trial: its builds share what they derive from
+    # locations and serving alone
+    env = _trial_environment(config, h_true, positions)
+    for p, spec in enumerate(config.precoders):
+        w, errors = build_precoders(spec, env, channels, noise_var)
+        if not all(errors):  # some sigma point built
+            sinr_db[:, p] = sinr_all(LinkRealization(h_true, w, noise_var))[1]
+        if any(errors):
+            failures[:, p] = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
     return sinr_db, failures, nmse
 
 

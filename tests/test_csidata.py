@@ -11,13 +11,14 @@ from dmimo import (
     GridSpec,
     LosChannelParams,
     generate_synthetic_dataset,
+    los_channel,
     perimeter_geometry,
     read_dataset,
     write_dataset,
 )
 from dmimo import csidata
 from dmimo.calibration import estimate_phase_offsets, theoretical_los_phases, wrap_phase
-from dmimo.errors import DatasetFormatError
+from dmimo.errors import DatasetFormatError, GeometryError
 
 
 def random_dataset(rng, tx=2, rx=4, gm=3, gn=5):
@@ -366,6 +367,23 @@ class TestSyntheticGeneration:
         np.testing.assert_allclose(
             np.abs(grid.csi[0]), params.wavelength / (4 * np.pi * d), atol=1e-15
         )
+
+    def test_ideal_csi_is_the_los_channel(self):
+        geometry = perimeter_geometry(n_aps=2, antennas_per_ap=4)
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        spec = GridSpec(nx=4, ny=3, x_min=1.0, x_max=5.0, y_min=1.0, y_max=5.0)
+        grid, _, _ = generate_synthetic_dataset(geometry, spec, params, tx_count=2)
+        expected = los_channel(geometry, grid.positions.reshape(-1, 3), params)
+        for tx in range(2):
+            np.testing.assert_array_equal(grid.csi[tx].reshape(expected.shape), expected)
+
+    def test_grid_point_on_antenna(self):
+        geometry = perimeter_geometry(n_aps=2, antennas_per_ap=4)
+        x, y, z = geometry.antenna_positions[5]
+        spec = GridSpec(nx=2, ny=1, x_min=x, x_max=x + 1.0, y_min=y, y_max=y, z=z)
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        with pytest.raises(GeometryError, match="coincides"):
+            generate_synthetic_dataset(geometry, spec, params)
 
     def test_grid_spec_positions(self):
         spec = GridSpec(nx=3, ny=2, x_min=0.0, x_max=2.0, y_min=5.0, y_max=6.0, z=1.5)

@@ -300,6 +300,15 @@ class TestTypes:
             LosChannelParams(wavelength=0.1, amplitude_model="rayleigh")
 
 
+class TestUnitIndices:
+    def test_concatenates_aps_in_order_once(self):
+        geo = ArrayGeometry(np.arange(15.0).reshape(5, 3), ((3, 0), (1,), (4, 2)), 0.1)
+        idx = geo.unit_indices((2, 0))
+        np.testing.assert_array_equal(idx, [4, 2, 3, 0])
+        assert geo.unit_indices([2, 0]) is idx  # worked out once per AP tuple
+        assert not idx.flags.writeable
+
+
 class TestPerimeterGeometry:
     def test_default_shape(self):
         geo = perimeter_geometry()

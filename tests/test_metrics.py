@@ -103,6 +103,22 @@ class TestSinr:
             LinkRealization(crandn(rng, 4, 2), crandn(rng, 4, 2), 0.0)
 
 
+class TestSinrStack:
+    def test_slices_match_single_precoders(self, rng):
+        h = crandn(rng, 8, 3)
+        w = crandn(rng, 4, 8, 3)
+        w[2] = np.nan  # a failed build
+        linear, db = sinr_all(LinkRealization(h, w, 0.1))
+        assert db.shape == (4, 3)
+        for s in (0, 1, 3):
+            np.testing.assert_array_equal(db[s], sinr_all(LinkRealization(h, w[s], 0.1))[1])
+        assert np.isnan(db[2]).all()
+
+    def test_stack_shape_must_match_channel(self, rng):
+        with pytest.raises(ValueError):
+            LinkRealization(crandn(rng, 8, 3), crandn(rng, 2, 8, 4), 0.1)
+
+
 class TestInjectChannelError:
     def test_zero_variance(self, rng):
         h = crandn(rng, 8, 4)
@@ -142,6 +158,20 @@ class TestInjectChannelError:
         true_link = sinr_all(LinkRealization(h, w_true, noise))[0]
         est_link = sinr_all(LinkRealization(h, w_est, noise))[0]
         assert np.all(est_link <= true_link + 1e-9)
+
+    def test_sequence_draws_unit_noise_once(self, rng):
+        # a stack of S variances: each slice and NMSE what that variance
+        # alone gives, bit for bit
+        h = crandn(rng, 8, 4)
+        sigmas = (0.0, 0.01, 0.04)
+        stack, nmse = inject_channel_error(h, ChannelErrorModel(sigmas, rng_seed=[5, 1]))
+        assert stack.shape == (3, 8, 4) and nmse.shape == (3,)
+        for s, sigma in enumerate(sigmas):
+            h_hat, expected = inject_channel_error(h, ChannelErrorModel(sigma, rng_seed=[5, 1]))
+            np.testing.assert_array_equal(stack[s], h_hat)
+            assert nmse[s] == expected
+        with pytest.raises(ValueError):
+            ChannelErrorModel((0.1, -0.1))
 
     def test_negative_variance(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import crandn
 from dmimo import (
+    ChannelErrorModel,
     ArrayGeometry,
     ChannelAccess,
     InfoEnvironment,
     LosChannelParams,
     PrecoderSpec,
     build_precoder,
+    build_precoders,
     cluster_users,
     far_field_weights,
+    inject_channel_error,
     los_channel,
     mrt,
     near_field_weights,
@@ -38,7 +41,7 @@ from dmimo.errors import (
     PrecodingError,
     RankDeficiencyError,
 )
-from dmimo.precoders import _leave_one_out
+from dmimo.precoders import _diagonal, _leave_one_out
 from dmimo.scenarios import draw_trial_channels
 
 
@@ -914,6 +917,116 @@ class TestRankThreshold:
         # column is full rank on its own scale
         w = self.build(1.0, self.TOL / 1.5)
         np.testing.assert_allclose(np.abs(w[:2]), np.eye(2), atol=1e-12)
+
+
+def error_stack(env, s, seed):
+    """S estimates of ``env``'s channel from one unit-noise draw: slice 0
+    exact (sigma = 0), the others with growing error."""
+    h = env.csi.channel
+    sigma = np.linspace(0.0, 0.05, s) * float(np.mean(np.abs(h) ** 2))
+    return inject_channel_error(h, ChannelErrorModel(tuple(sigma), seed))[0]
+
+
+def assert_slices_match_builds(spec, env, channels, noise_var):
+    """Every slice of the batched build equals the single build on that
+    slice's channel: its columns within 1e-9, or the same exception class
+    and message (and a NaN slice). Returns the per-slice failures."""
+    w, failures = build_precoders(spec, env, channels, noise_var)
+    reads = spec.requirements().csi_intended or spec.requirements().csi_unintended
+    assert w.shape == ((len(channels) if reads else 1),) + channels.shape[1:]
+    assert len(failures) == len(w)
+    for s, failure in enumerate(failures):
+        try:
+            expected = build_precoder(spec, env.with_channel(channels[s]), noise_var)
+        except PrecodingError as exc:
+            assert type(failure) is type(exc) and str(failure) == str(exc), (s, failure)
+            assert np.isnan(w[s]).all()
+        else:
+            assert failure is None, (s, failure)
+            assert np.abs(w[s] - expected).max() < 1e-9, s
+    return failures
+
+
+class TestBuildPrecodersBatch:
+    """The sigma batch axis: one build for a stack of channel estimates."""
+
+    @pytest.mark.parametrize("name,mode,k", list(oracle_cases()))
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_slices_match_single_builds(self, name, mode, k, s):
+        env, noise_var = oracle_env(k, 1, mode)
+        spec = parse_precoder_name(("dis_" if mode == "dis" else "") + name)
+        failures = assert_slices_match_builds(spec, env, error_stack(env, s, k), noise_var)
+        if (name, mode, k) == ("zf", "dis", 10):  # 9 columns on 8 antennas per AP
+            assert all(isinstance(f, RankDeficiencyError) for f in failures)
+
+    @pytest.mark.parametrize("name", ["zf", "dis_zf", "zf_nf", "dis_zf_nf"])
+    def test_failing_slice_among_passing(self, name):
+        # slice 1 holds users 0 and 1 with one channel: only it fails
+        env, noise_var = oracle_env(5, 2, "centralized")
+        channels = error_stack(env, 3, 2)
+        channels[1][:, 1] = channels[1][:, 0]
+        spec = parse_precoder_name(name)
+        failures = assert_slices_match_builds(spec, env, channels, noise_var)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], PrecodingError)
+
+    def test_singular_slice_fails_alone(self, monkeypatch):
+        # a singular stacked inverse fails only the slice it belongs to:
+        # slice 1's Gram entries are 1e6 times the others', the marker the
+        # patched inverse treats as singular
+        env, noise_var = oracle_env(5, 1, "centralized")
+        channels = error_stack(env, 3, 1)
+        channels[1] *= 1e3
+        inv = np.linalg.inv
+
+        def singular_on_marker(a):
+            if np.abs(a).max() > 1e3 * np.abs(env.csi.channel).max() ** 2 * 64:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_on_marker)
+        spec = parse_precoder_name("zf")
+        w, failures = build_precoders(spec, env, channels, noise_var)
+        assert [f is None for f in failures] == [True, False, True]
+        assert str(failures[1]) == (
+            "precoder 'zf': singular suppression Gram matrix (Singular matrix)"
+        )
+        assert isinstance(failures[1], RankDeficiencyError)
+        assert np.isnan(w[1]).all()
+        for s in (0, 2):
+            expected = build_precoder(spec, env.with_channel(channels[s]), noise_var)
+            assert np.abs(w[s] - expected).max() < 1e-9
+
+    def test_location_spec_has_one_slice(self):
+        env, noise_var = oracle_env(5, 1, "centralized")
+        channels = error_stack(env, 3, 1)
+        w, failures = build_precoders(parse_precoder_name("nf_nf"), env, channels, noise_var)
+        assert w.shape == (1,) + channels.shape[1:] and failures == (None,)
+
+    def test_channels_shape_checked(self):
+        env, noise_var = oracle_env(5, 1, "centralized")
+        with pytest.raises(ValueError, match="channels must be"):
+            build_precoders(parse_precoder_name("mrt"), env, env.csi.channel, noise_var)
+
+    def test_diagonal_view_adds_to_every_matrix(self):
+        a = crandn(np.random.default_rng(0), 3, 4, 4)
+        expected = a + 0.5 * np.eye(4)
+        _diagonal(a)[...] += 0.5
+        np.testing.assert_array_equal(a, expected)
+
+    @pytest.mark.parametrize("layout", ["fancy-indexed", "transposed", "strided"])
+    def test_diagonal_of_non_contiguous_stack_raises(self, layout):
+        # a reshape of these stacks copies: alpha added through it would be
+        # lost, so the view refuses them instead
+        rng = np.random.default_rng(0)
+        a = {
+            "fancy-indexed": lambda: crandn(rng, 2, 3, 4, 4)[:, [2, 0]][0],
+            "transposed": lambda: crandn(rng, 4, 3, 4).transpose(1, 0, 2),
+            "strided": lambda: crandn(rng, 6, 4, 4)[::2],
+        }[layout]()
+        assert not a.flags.c_contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _diagonal(a)
 
 
 # --- properties ------------------------------------------------------------

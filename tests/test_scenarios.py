@@ -293,6 +293,46 @@ class TestNmseSweep:
         zf_rows = [s for s in summary.stats if s.precoder == "zf"]
         assert len({row.median_db for row in zf_rows}) == 3
 
+    def test_one_inverse_per_spec_over_the_grid(self, monkeypatch):
+        # a location-made pool (rmrt_nf, dis_rmrt_nf) is inverted once for
+        # all five sigma points; a CSI pool (dis_rzf) once per trial too,
+        # as one stack of 5 x 8 unit Gram matrices
+        shapes = collections.defaultdict(list)
+        inv = np.linalg.inv
+
+        def counting(a):
+            shapes[current].append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        points = (0.0, 1e-7, 2e-7, 5e-7, 1e-6)
+        for current in ("rmrt_nf", "dis_rmrt_nf", "dis_rzf"):
+            cfg = make_config(k_users=10, precoders=(parse_precoder_name(current),))
+            _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
+            assert np.equal(failures, None).all()
+        assert shapes == {
+            "rmrt_nf": [(1, 10, 10)],
+            "dis_rmrt_nf": [(8, 10, 10)],
+            "dis_rzf": [(40, 10, 10)],
+        }
+
+    def test_location_pool_shared_across_specs(self, monkeypatch):
+        # nf_nf and mrt_nf suppress by the same unregularized near-field
+        # pool: it is rank-checked and inverted once per trial for both;
+        # rmrt_nf's pool carries alpha and is inverted on its own
+        calls = collections.Counter()
+        for name in ("inv", "svd"):
+            def counting(*args, name=name, inner=getattr(np.linalg, name), **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        names = ["nf_nf", "mrt_nf", "rmrt_nf"]
+        cfg = make_config(k_users=10, precoders=tuple(parse_precoder_name(n) for n in names))
+        _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=(0.0, 1e-7, 2e-7))
+        assert np.equal(failures, None).all()
+        assert calls == {"inv": 2, "svd": 1}
+
     def test_location_state_derived_once_per_trial(self, monkeypatch):
         # the near-field matrix and each scope's assembly units are
         # computed once per trial, shared by every spec and sigma point
@@ -311,20 +351,25 @@ class TestNmseSweep:
         assert calls == {"distance_phasors": 1, "_assembly": 2}
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
-        calls = collections.Counter()
+        # one build per (trial, spec); only the specs that read CSI get a
+        # slice per sigma point
+        calls, slices = collections.Counter(), {}
 
-        def counting(spec, env, noise_var=None, build=scenarios.build_precoder):
+        def counting(spec, env, channels=None, noise_var=None, build=scenarios.build_precoders):
             calls[spec.name] += 1
-            return build(spec, env, noise_var=noise_var)
+            w, errors = build(spec, env, channels, noise_var)
+            slices[spec.name] = len(w)
+            return w, errors
 
-        monkeypatch.setattr(scenarios, "build_precoder", counting)
+        monkeypatch.setattr(scenarios, "build_precoders", counting)
         names = ["mrt", "nf_nf", "dis_nf_nf", "dis_rzf"]
         cfg = make_config(
             k_users=10, precoders=tuple(parse_precoder_name(n) for n in names)
         )
         points = (0.0, 1e-7, 2e-7)
         sinr_db, failures, nmse = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
-        assert calls == {"mrt": 3, "nf_nf": 1, "dis_nf_nf": 1, "dis_rzf": 3}
+        assert calls == {"mrt": 1, "nf_nf": 1, "dis_nf_nf": 1, "dis_rzf": 1}
+        assert slices == {"mrt": 3, "nf_nf": 1, "dis_nf_nf": 1, "dis_rzf": 3}
         col = {n: p for p, n in enumerate(names)}
         # dis_nf_nf has 9 columns on 8 antennas: its failure repeats too
         assert failures[0, col["dis_nf_nf"]].startswith("RankDeficiencyError")
