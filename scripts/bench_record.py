@@ -20,15 +20,22 @@ writing the payload files. A row records per side the median and
 quartiles of trials/s, their verdict, and whether the last runs of the
 two sides wrote byte-identical ``results.csv`` and ``summary.json``.
 
+The suite row runs ``scripts/run_all_experiments.py`` at its 2000-trial
+defaults with one worker, ``SUITE_PAIRS`` alternating parent/change
+pairs, each timed as a whole process, and records whether the two
+sides' last runs wrote byte-identical payload files.
+
 The per-trial table imports both trees' ``dmimo`` in one process and
-times ``scenarios.run_trial``, the runner's unit of work, on a one-spec
-copy of every bundled config over that config's error grid (perfect CSI
-when it has none), alternating parent and change: ``REPS`` repetitions
-of the config's first ``TRIALS`` trials, summarized per side by median
-and quartiles of ms per call. Each side runs on its own parsed config,
-sampler and noise variance. A ``verdict``, here and in the configs
-table, is "faster" or "slower" where the two sides' quartile ranges are
-disjoint, else "overlap". The output is a record, not a gate.
+times the runner's unit of work on a one-spec copy of every bundled
+config over that config's error grid (perfect CSI when it has none),
+alternating parent and change: ``REPS`` repetitions of the config's
+first ``TRIALS`` trials, run as one ``scenarios.run_chunk`` call (one
+``run_trial`` call per trial in a tree without chunks), summarized per
+side by median and quartiles of ms per trial. Each side runs on its own
+parsed config, sampler and noise variance. A ``verdict``, here and in
+the configs and suite rows, is "faster" or "slower" where the two
+sides' quartile ranges are disjoint, else "overlap". The output is a
+record, not a gate.
 """
 
 from __future__ import annotations
@@ -56,8 +63,11 @@ PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 10, "dataset_pipeline": 10}
 #: Runs per side and trials per run of the configs table.
 CONFIG_REPS, CONFIG_TRIALS = 5, 200
 
-#: Repetitions and trials per repetition of the per-trial table.
-REPS, TRIALS = 15, 5
+#: Repetitions and trials per repetition (one chunk) of the per-trial table.
+REPS, TRIALS = 10, 32
+
+#: Alternating parent/change pairs of the suite row.
+SUITE_PAIRS = 3
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -152,6 +162,32 @@ def configs(parent: Path, nproc: int) -> list[dict]:
     return rows
 
 
+def suite(parent: Path) -> dict:
+    """Wall time of the 2000-trial suite at one worker, per side."""
+    wall = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(SUITE_PAIRS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                tree = parent if side == "parent" else ROOT
+                t0 = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, "scripts/run_all_experiments.py", "--workers", "1",
+                     "--out", str(Path(tmp) / side)],
+                    cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                    capture_output=True, timeout=1800, check=True,
+                )
+                wall[side].append(time.perf_counter() - t0)
+                print(f"suite pair {i} {side}: {wall[side][-1]:.2f} s", flush=True)
+        identical = all(
+            (Path(tmp) / "parent" / path.stem / name).read_bytes()
+            == (Path(tmp) / "change" / path.stem / name).read_bytes()
+            for path in simulate_configs() for name in ("results.csv", "summary.json")
+        )
+    sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in wall.items()}
+    return {"pairs": SUITE_PAIRS, "workers": 1, "wall_s": dict(
+        sides, verdict=verdict(sides["parent"], sides["change"])), "payload_identical": identical}
+
+
 def load_tree(src: Path, name: str):
     """The ``dmimo`` package under ``src`` imported as ``name``."""
     spec = importlib.util.spec_from_file_location(
@@ -164,9 +200,9 @@ def load_tree(src: Path, name: str):
 
 
 def trial_setup(mod, path: Path) -> tuple:
-    """A side's config (20 trials), sampler, noise variance and error grid."""
+    """A side's config (``TRIALS`` trials), sampler, noise variance and error grid."""
     configio, scenarios = (importlib.import_module(f"{mod}.{m}") for m in ("configio", "scenarios"))
-    cfg = configio.override(configio.parse_simulate_config(path), trials=20)
+    cfg = configio.override(configio.parse_simulate_config(path), trials=TRIALS)
     sampler = scenarios._make_sampler(cfg)
     gain = scenarios.mean_channel_gain(cfg, sampler)
     noise_var = scenarios.noise_variance_from_floor(cfg.noise_floor_db, gain)
@@ -189,8 +225,11 @@ def pertrial(parent: Path) -> list[dict]:
                     scenarios, cfg, sampler, noise_var, sigma_points = sides[side]
                     one = dataclasses.replace(cfg, precoders=cfg.precoders[p : p + 1])
                     t0 = time.perf_counter()
-                    for t in range(TRIALS):
-                        scenarios.run_trial(one, t, noise_var, sigma_points, sampler)
+                    if hasattr(scenarios, "run_chunk"):
+                        scenarios.run_chunk(one, range(TRIALS), noise_var, sigma_points, sampler)
+                    else:
+                        for t in range(TRIALS):
+                            scenarios.run_trial(one, t, noise_var, sigma_points, sampler)
                     ms[side].append((time.perf_counter() - t0) / TRIALS * 1e3)
             summary = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in ms.items()}
             row = {"config": path.stem, "spec": name, "sigma_points": len(sides["change"][4]),
@@ -230,6 +269,7 @@ def main(argv=None) -> int:
         record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
         record.update({k: v for k, v in env.items() if k != "git_sha"})
     record["configs"] = configs(parent, nproc)
+    record["suite"] = suite(parent)
     record["pertrial_ms"] = pertrial(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

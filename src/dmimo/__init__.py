@@ -60,6 +60,7 @@ from .scenarios import (
     ScenarioConfig,
     ScenarioSummary,
     cluster_users,
+    run_chunk,
     run_scenario,
     run_trial,
 )

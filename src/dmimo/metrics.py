@@ -17,11 +17,13 @@ from .errors import NoDataError
 
 @dataclass(frozen=True)
 class LinkRealization:
-    """One channel and its precoders under a fixed noise variance.
+    """Channels and their precoders under a fixed noise variance.
 
     channel is (M, K); precoding is (M, K), or an (S, M, K) stack of
-    precoders evaluated against the one channel. Column k of a precoder
-    is the unit-norm vector serving user k. noise_var is linear power.
+    precoders evaluated against the one channel. Leading axes of both
+    broadcast: a (B, 1, M, K) channel stack meets (B, S, M, K)
+    precoders. Column k of a precoder is the unit-norm vector serving
+    user k. noise_var is linear power.
     """
 
     channel: np.ndarray
@@ -31,11 +33,12 @@ class LinkRealization:
     def __post_init__(self):
         h = np.asarray(self.channel, dtype=complex)
         w = np.asarray(self.precoding, dtype=complex)
-        if h.ndim != 2 or w.ndim not in (2, 3) or h.shape != w.shape[-2:]:
+        if h.ndim < 2 or w.ndim < 2 or h.shape[-2:] != w.shape[-2:]:
             raise ValueError(
-                f"channel {h.shape} must be 2D and precoding {w.shape} (M, K) "
-                "or (S, M, K) of the same M and K"
+                f"channel {h.shape} and precoding {w.shape} must be (..., M, K) "
+                "stacks of the same M and K"
             )
+        np.broadcast_shapes(h.shape[:-2], w.shape[:-2])
         if not self.noise_var > 0:
             raise ValueError(f"noise_var must be > 0, got {self.noise_var}")
         object.__setattr__(self, "channel", h)
@@ -43,17 +46,17 @@ class LinkRealization:
 
     @property
     def num_users(self) -> int:
-        return self.channel.shape[1]
+        return self.channel.shape[-1]
 
 
 def sinr_all(link: LinkRealization) -> tuple[np.ndarray, np.ndarray]:
     """SINR of every user, returned as (linear, dB) arrays of shape (K,),
-    or (S, K) for a stack of precoders.
+    or (..., K) for stacks of channels and precoders.
 
     A user whose precoder delivers exactly zero signal gets -inf dB; a
     NaN precoder (a failed build) gives NaN.
     """
-    cross = np.abs(link.channel.conj().T @ link.precoding) ** 2
+    cross = np.abs(link.channel.conj().swapaxes(-1, -2) @ link.precoding) ** 2
     signal = np.diagonal(cross, axis1=-2, axis2=-1)
     interference = cross.sum(axis=-1) - signal
     linear = signal / (interference + link.noise_var)

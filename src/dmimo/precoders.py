@@ -22,7 +22,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -351,13 +351,16 @@ def parse_precoder_name(name: str) -> PrecoderSpec:
     return PrecoderSpec(name=canonical, scope=scope, **_NAME_TABLE[token])
 
 
+
 @dataclass(frozen=True)
 class ChannelAccess:
     """CSI blocks the transmitter holds, mediated per (AP, user).
 
-    ``granted[ap, user]`` gates access to the rows of ``channel``
-    belonging to that AP; reading an ungranted block raises
-    InformationError so information constraints hold by construction.
+    ``channel`` is (M, K), or (B, M, K) for a batch of B trials.
+    ``granted[..., ap, user]`` gates access to the rows of ``channel``
+    belonging to that AP, (num_aps, K) for every trial alike or (B,
+    num_aps, K); reading an ungranted block raises InformationError so
+    information constraints hold by construction.
     """
 
     geometry: ArrayGeometry
@@ -365,107 +368,124 @@ class ChannelAccess:
     granted: np.ndarray
 
     def __post_init__(self):
-        h = _as_matrix(self.channel)
+        h = np.asarray(self.channel, dtype=complex)
+        if h.ndim not in (2, 3):
+            raise ValueError(f"expected a matrix or a stack of them, got shape {h.shape}")
         object.__setattr__(self, "channel", h)
         g = np.asarray(self.granted, dtype=bool)
-        if h.shape[0] != self.geometry.num_antennas:
+        if h.shape[-2] != self.geometry.num_antennas:
             raise ConfigError(
-                f"channel has {h.shape[0]} rows, geometry has "
+                f"channel has {h.shape[-2]} rows, geometry has "
                 f"{self.geometry.num_antennas} antennas"
             )
-        if g.shape != (self.geometry.num_aps, h.shape[1]):
-            raise ConfigError(
-                f"granted mask must have shape (num_aps, K) = "
-                f"({self.geometry.num_aps}, {h.shape[1]}), got {g.shape}"
-            )
+        shape = (self.geometry.num_aps, h.shape[-1])
+        if g.shape not in (shape, h.shape[:-2] + shape):
+            raise ConfigError(f"granted mask must have shape (num_aps, K) = {shape}, got {g.shape}")
         object.__setattr__(self, "granted", g)
 
     @classmethod
     def full(cls, geometry: ArrayGeometry, channel) -> "ChannelAccess":
-        h = _as_matrix(channel)
-        return cls(geometry, h, np.ones((geometry.num_aps, h.shape[1]), dtype=bool))
+        h = np.asarray(channel, dtype=complex)
+        return cls(geometry, h, np.ones((geometry.num_aps, h.shape[-1]), dtype=bool))
 
     @property
     def num_users(self) -> int:
-        return self.channel.shape[1]
+        return self.channel.shape[-1]
 
     def gather(self, wanted: np.ndarray, channels=None) -> np.ndarray:
-        """The (M, K) channel with every (AP, user) block outside ``wanted``
-        zeroed; ``wanted`` is (num_aps, K) and must only ask for granted
-        blocks. An (S, M, K) stack of ``channels`` read under the same
-        grants stands in for the held channel and gives (S, M, K)."""
+        """The channel with every (AP, user) block outside ``wanted``
+        zeroed; ``wanted`` is (..., num_aps, K) and must only ask for
+        granted blocks. A stack of ``channels`` read under the same grants,
+        its estimate axis S before the last two, stands in for the held
+        channel and gives (..., S, M, K)."""
         denied = wanted & ~self.granted
         if denied.any():
-            a, l = np.argwhere(denied)[0]
+            a, l = np.argwhere(denied)[0][-2:]
             raise InformationError(f"CSI for AP {a}, user {l} was not granted")
-        h = self.channel if channels is None else channels
-        return np.where(wanted[self.geometry.antenna_aps], h, 0)
+        rows = wanted[..., self.geometry.antenna_aps, :]
+        if channels is None:
+            return np.where(rows, self.channel, 0)
+        return np.where(rows[..., None, :, :], channels, 0)
 
 
 @dataclass(frozen=True)
 class InfoEnvironment:
-    """Everything a transmitter may consult when building precoders.
+    """Everything a transmitter may consult when building precoders, for
+    one trial or for a batch of B trials.
 
     csi/ue_positions are None when that category of information is not
-    granted at all. ``serving`` lists the AP indices that transmit to
-    each user (None means all APs serve everyone).
+    granted at all. ``serving`` lists per user the AP indices that
+    transmit to it, equally many for every user (None means all APs
+    serve everyone). A batch carries a leading trial axis on the
+    channel, (B, M, K), and the positions, (B, K, 3), and on the grants
+    and serving where its trials differ: (B, num_aps, K) and (B, K, n).
     """
 
     geometry: ArrayGeometry
     num_users: int
     csi: ChannelAccess | None = None
     ue_positions: np.ndarray | None = None
-    serving: tuple[tuple[int, ...], ...] | None = None
+    serving: tuple[tuple[int, ...], ...] | np.ndarray | None = None
+    #: B for a batch of B trials, None for one trial.
+    batch: int | None = field(init=False, default=None)
 
     def __post_init__(self):
+        k, num_aps = self.num_users, self.geometry.num_aps
+        leads = set()  # the trial axis of each batched array
         if self.ue_positions is not None:
             p = np.asarray(self.ue_positions, dtype=float)
-            if p.shape != (self.num_users, 3):
-                raise ConfigError(
-                    f"ue_positions must have shape ({self.num_users}, 3), got {p.shape}"
-                )
+            if p.ndim not in (2, 3) or p.shape[-2:] != (k, 3):
+                raise ConfigError(f"ue_positions must have shape ({k}, 3), got {p.shape}")
             object.__setattr__(self, "ue_positions", p)
-        if self.csi is not None and self.csi.num_users != self.num_users:
-            raise ConfigError("CSI access and environment disagree on K")
+            leads.add(p.shape[:-2])
+        if self.csi is not None:
+            if self.csi.num_users != k:
+                raise ConfigError("CSI access and environment disagree on K")
+            leads.add(self.csi.channel.shape[:-2])
+        aps = np.broadcast_to(np.arange(num_aps), (k, num_aps))
         if self.serving is not None:
-            if len(self.serving) != self.num_users:
+            try:
+                aps = np.array(self.serving, dtype=int)
+            except ValueError:  # ragged
+                raise ConfigError("serving APs of users must be equally many") from None
+            if aps.ndim not in (2, 3) or aps.shape[-2] != k:
                 raise ConfigError("serving must list AP indices for every user")
-            num_aps = self.geometry.num_aps
-            for user, aps in enumerate(self.serving):
-                if not aps or len(set(aps)) != len(aps) or not all(
-                    0 <= a < num_aps for a in aps
-                ):
-                    raise ConfigError(
-                        f"serving APs of user {user} must be distinct indices in "
-                        f"[0, {num_aps}) and at least one, got {tuple(aps)}"
-                    )
-        # location and assembly state that build_precoders derives once
-        object.__setattr__(self, "_derived", {})
+            s = np.sort(aps, axis=-1)
+            bad = (s[..., 1:] == s[..., :-1]).any(axis=-1) | ((s < 0) | (s >= num_aps)).any(axis=-1)
+            user = np.argwhere(bad | (aps.shape[-1] == 0))
+            if user.size:
+                raise ConfigError(
+                    f"serving APs of user {user[0][-1]} must be distinct indices in [0, "
+                    f"{num_aps}) and at least one, got {tuple(aps[tuple(user[0])].tolist())}"
+                )
+            if aps.ndim == 3:
+                leads.add(aps.shape[:1])
+        if len(leads) > 1:
+            raise ConfigError(f"environment arrays disagree on the trial axis: {sorted(leads)}")
+        lead = leads.pop() if leads else ()
+        object.__setattr__(self, "_aps", aps)
+        object.__setattr__(self, "batch", lead[0] if lead else None)
 
-    def with_channel(self, channel) -> "InfoEnvironment":
-        """This environment holding ``channel`` as its CSI, same grants.
+    def trial(self, b: int) -> "InfoEnvironment":
+        """Trial ``b`` of a batch as a one-trial environment (a copy of a
+        one-trial environment)."""
 
-        The copy shares the state :func:`build_precoders` derives from
-        locations, grants and serving alone (the near-field matrix, the
-        assembly units, the pool layouts and the pools made from
-        locations), so the CSI variants of one trial derive it once.
-        """
-        env = replace(self, csi=ChannelAccess(self.geometry, channel, self.csi.granted))
-        object.__setattr__(env, "_derived", self._derived)
-        return env
+        def pick(x):
+            return x if x is None or x.ndim < 3 else x[b]
+
+        c = self.csi
+        csi = c and ChannelAccess(self.geometry, pick(c.channel), pick(c.granted))
+        serving = None if self.serving is None else pick(self._aps)
+        return replace(self, csi=csi, ue_positions=pick(self.ue_positions), serving=serving)
 
     def serving_aps(self, user: int) -> tuple[int, ...]:
-        if self.serving is None:
-            return tuple(range(self.geometry.num_aps))
-        return tuple(self.serving[user])
+        return tuple(self._aps[user].tolist())
 
 
 def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> InfoRequirements:
     req = spec.requirements()
     if (req.csi_intended or req.csi_unintended) and env.csi is None:
-        raise InformationError(
-            f"precoder {spec.name!r} requires CSI but none was granted"
-        )
+        raise InformationError(f"precoder {spec.name!r} requires CSI but none was granted")
     if (req.location_intended or req.location_unintended) and env.ue_positions is None:
         raise InformationError(
             f"precoder {spec.name!r} requires UE locations but none were granted"
@@ -473,40 +493,29 @@ def _check_requirements(spec: PrecoderSpec, env: InfoEnvironment) -> InfoRequire
     return req
 
 
-def _derive(env: InfoEnvironment, key, make):
-    """``make()``, computed once per environment and its CSI variants."""
-    state = env._derived
-    if key not in state:
-        state[key] = make()
-    return state[key]
-
-
-def _assembly(env: InfoEnvironment, scope: str):
-    """The assembly units of one build and the (unit, user) pairs they form.
-
-    Returns the units (AP tuples, first-use order); their antenna rows,
-    padded with M, the index of an appended zero row; their sizes; the
-    (AP, user) serving mask; and the pairs' unit and user indices,
-    user-major with each user's units in serving order, so the first
-    failing pair is the lowest failing user's first failing unit.
-    """
+def _assembly(env: InfoEnvironment, scope: str, batch: int):
+    """The assembly units of a build over ``batch`` trials and the (unit,
+    user) pairs they form: the units (AP lists, sorted); their antenna
+    rows, padded with M, the index of an appended zero row; their sizes;
+    the (B, AP, user) serving mask; and the pairs' unit indices per
+    trial, (B, P), and user indices, (P,), user-major with each user's
+    units in serving order, so the first failing pair is the lowest
+    failing user's first failing unit."""
     geo, k = env.geometry, env.num_users
-    serving = [env.serving_aps(user) for user in range(k)]
-    flat = [a for aps in serving for a in aps]
-    users = np.repeat(np.arange(k), [len(aps) for aps in serving])
-    served = np.zeros((geo.num_aps, k), dtype=bool)
-    served[flat, users] = True
-    if scope == "centralized":
-        unit_of, pair_user = serving, np.arange(k)
-    else:
-        unit_of, pair_user = [(a,) for a in flat], users
-    index = {unit: u for u, unit in enumerate(dict.fromkeys(unit_of))}
-    rows = [[i for a in unit for i in geo.ap_partition[a]] for unit in index]
+    aps = np.broadcast_to(env._aps, (batch, k, env._aps.shape[-1]))
+    served = np.zeros((batch, geo.num_aps, k), dtype=bool)
+    served[np.arange(batch)[:, None, None], aps, np.arange(k)[:, None]] = True
+    keys, pu = np.unique(
+        aps.reshape(-1, aps.shape[-1] if scope == "centralized" else 1),
+        axis=0, return_inverse=True,
+    )
+    units = keys.tolist()
+    rows = [geo.unit_indices(unit).tolist() for unit in units]
     width = max(map(len, rows))
     antennas = np.array([r + [geo.num_antennas] * (width - len(r)) for r in rows])
-    sizes = np.array([len(r) for r in rows])
-    pair_unit = np.array([index[unit] for unit in unit_of])
-    return list(index), antennas, sizes, served, pair_unit, pair_user
+    pu = pu.reshape(batch, -1)
+    pk = np.repeat(np.arange(k), pu.shape[1] // k)
+    return units, antennas, np.array(list(map(len, rows))), served, pu, pk
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:
@@ -542,43 +551,45 @@ _PAIR_FAILURES = {
 DOWNDATE_COND = 1e8
 
 #: Fewest pairs per unit, on average, and fewest pairs in all, for which
-#: a regularized build inverts its units; below either the downdate and
-#: its refinement step cost more than one solve per pair. Per-AP builds
-#: on eight APs break even at 5-6 users, on two to four APs at 6-7, and
-#: one-unit builds at 9-10. Unregularized builds, which solve each pair
-#: twice, always invert.
+#: a regularized trial inverts its units; below either it solves each pair
+#: on its own. In chunks the solves no longer save time, but they keep
+#: SINR within 1e-9 dB of the per-pair construction, which inverting
+#: misses by up to 4e-9 dB. Unregularized builds always invert.
 DOWNDATE_PAIRS, DOWNDATE_MIN_PAIRS = 6, 10
 
 
-def _rank_deficient(pool, present, sizes, pair_unit, mask, n):
-    """Per pool slice and pair: do its n columns under ``mask`` lack full rank?
+def _rank_deficient(pool, present, sizes, pu, mask, n, used):
+    """Per trial, pool slice and pair: do its n columns under ``mask`` lack
+    full rank? ``pool`` is (B, S, U, Ma, K); ``used`` (B, U) marks the
+    units each trial's pairs assemble on.
 
-    ``pool`` is (S, U, Ma, K). The threshold is :func:`numerical_rank`'s,
-    eps * sigma_max * max(Ma, n). By singular-value interlacing every
-    column subset of a full-rank pool is full rank, so one SVD per unit
-    pool clears all its pairs; only the pairs of a pool that fails, or
-    that has more columns than antennas, get an SVD of their own. Also
-    returns per slice and unit whether its pool is full rank with a Gram
-    condition number (sigma_max / sigma_min)^2 of at most ``DOWNDATE_COND``.
+    The threshold is :func:`numerical_rank`'s, eps * sigma_max * max(Ma,
+    n). By singular-value interlacing every column subset of a full-rank
+    pool is full rank, so one SVD per used unit pool clears all its
+    pairs; only the pairs of a pool that fails, or that has more columns
+    than antennas, get an SVD of their own. Also returns whether each
+    unit pool is full rank with a Gram condition number (sigma_max /
+    sigma_min)^2 of at most ``DOWNDATE_COND``.
     """
     eps = np.finfo(float).eps
-    ma = sizes[pair_unit]
-    deficient = np.repeat((n > ma)[None], len(pool), axis=0)
-    n_pool = present.sum(axis=1)
-    cleared = np.zeros((len(pool), sizes.size), dtype=bool)
-    conditioned = np.zeros((len(pool), sizes.size), dtype=bool)
-    check = np.flatnonzero((n_pool > 0) & (n_pool <= sizes))
-    if check.size:
-        s = np.linalg.svd(pool[:, check], compute_uv=False)
-        tol = eps * s[..., :1] * np.maximum(sizes[check], n_pool[check])[:, None]
-        cleared[:, check] = np.sum(s > tol, axis=-1) == n_pool[check]
-        well = np.sum(s * s * DOWNDATE_COND >= s[..., :1] ** 2, axis=-1) == n_pool[check]
-        conditioned[:, check] = cleared[:, check] & well
-    si, check = np.nonzero(~cleared[:, pair_unit] & ~deficient & (n > 0))
-    if check.size:
-        s = np.linalg.svd(pool[si, pair_unit[check]] * mask[check, None, :], compute_uv=False)
-        tol = eps * s[:, :1] * np.maximum(ma[check], n[check])[:, None]
-        deficient[si, check] = np.sum(s > tol, axis=1) < n[check]
+    ma = sizes[pu]
+    deficient = np.repeat((n > ma)[:, None], pool.shape[1], axis=1)
+    n_pool = present.sum(axis=-1)
+    cleared, conditioned = np.zeros((2,) + pool.shape[:3], dtype=bool)
+    cb, cu = np.nonzero(used & (n_pool > 0) & (n_pool <= sizes))
+    if cb.size:
+        s = np.linalg.svd(pool[cb, :, cu], compute_uv=False)
+        tol = eps * s[..., :1] * np.maximum(sizes[cu], n_pool[cb, cu])[:, None, None]
+        full = np.sum(s > tol, axis=-1) == n_pool[cb, cu][:, None]
+        well = np.sum(s * s * DOWNDATE_COND >= s[..., :1] ** 2, axis=-1) == n_pool[cb, cu][:, None]
+        cleared[cb, :, cu], conditioned[cb, :, cu] = full, full & well
+    pb, ps, pp = np.nonzero(
+        ~np.take_along_axis(cleared, pu[:, None], axis=2) & ~deficient & (n > 0)[:, None]
+    )
+    if pp.size:
+        s = np.linalg.svd(pool[pb, ps, pu[pb, pp]] * mask[pb, pp, None, :], compute_uv=False)
+        tol = eps * s[:, :1] * np.maximum(ma[pb, pp], n[pb, pp])[:, None]
+        deficient[pb, ps, pp] = np.sum(s > tol, axis=1) < n[pb, pp]
     return deficient, conditioned
 
 
@@ -623,86 +634,75 @@ def _failure(spec, units, sizes, n, pu, pk, total, code, failed) -> PrecodingErr
     return FullySuppressedError(f"{where}: all components suppressed")
 
 
-def _layout(env: InfoEnvironment, scope: str, suppression: str, nf):
-    """What a suppression pool holds, fixed by grants, locations and
-    serving: per unit, which users' columns are CSI (``is_csi``) and which
-    are present; per pair, the columns it projects off (``mask``), their
-    count and its unit as a one-hot row; and the units' unit-norm
-    near-field columns (or None)."""
-    geo, k = env.geometry, env.num_users
-    _, ant, sizes, _, pu, pk = _derive(env, ("assembly", scope), lambda: _assembly(env, scope))
-    is_csi = np.zeros((sizes.size, k), dtype=bool)
-    if suppression in ("csi", "csi+nf"):
-        # a unit holds a user's CSI when every one of its APs was granted it
-        is_csi = ~_pad(~env.csi.granted[geo.antenna_aps])[ant].any(axis=1)
-    present, cols = is_csi, None
-    if suppression in ("nf", "csi+nf"):
-        cols = _unit_columns(_pad(nf)[ant])
-        present = np.ones_like(is_csi)
-    mask = present[pu] & (np.arange(k) != pk[:, None])
-    return is_csi, present, mask, mask.sum(axis=1), pu[:, None] == np.arange(sizes.size), cols
+def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
+    """Every unit's suppression pool per trial and CSI estimate in
+    ``stack``, the checks that choose how each pair is solved, and the
+    unit Gram matrices the downdate inverts (see :func:`build_precoders`).
 
-
-def _pool(spec, env, alpha, stack, nf) -> tuple:
-    """Every unit's suppression pool for each CSI estimate in ``stack``,
-    the checks that choose how each pair is solved, and the inverse of
-    every unit Gram matrix the downdate uses (see :func:`build_precoders`).
-
-    Arrays lead with one slice per estimate, or a single slice for a
-    pool made from locations alone. Returns the pool, its conjugate
+    Arrays lead with the trial axis, then one slice per estimate, or one
+    for a pool made from locations alone. Returns the pool, its conjugate
     transpose and Gram matrices; the pairs' column masks, counts and
     scales; the pair failures known before projecting; the pairs
-    projected and those solved on their own; the (slice, unit) indices
-    of the unit Gram matrices ``a`` inverted whole, the inverses and
-    ``inv_cols`` (None without such units).
+    projected and those solved on their own; each (trial, slice, unit)'s
+    index into ``a``, -1 where not inverted whole; and those matrices
+    ``a``, their inverses and ``inv_cols`` (None without any).
     """
-    _, ant, sizes, _, pu, _ = _derive(
-        env, ("assembly", spec.scope), lambda: _assembly(env, spec.scope)
-    )
-    is_csi, present, mask, n, unit_of, cols = _derive(
-        env, ("layout", spec.scope, spec.suppression),
-        lambda: _layout(env, spec.scope, spec.suppression, nf),
-    )
-    if spec.suppression == "nf":
-        pool = cols[None]
-    else:
-        held = env.csi.gather(env.csi.granted, stack)
-        other = 0 if cols is None else cols
-        pool = np.where(is_csi[:, None, :], np.take(_pad(held), ant, axis=1), other)
+    geo, k = env.geometry, env.num_users
+    _, ant, sizes, _, pu, pk = asm
+    trial = np.arange(len(pu))[:, None]
+    is_csi = np.zeros((len(pu), sizes.size, k), dtype=bool)
+    if spec.suppression in ("csi", "csi+nf"):
+        # a unit holds a user's CSI when every one of its APs was granted it
+        granted = np.broadcast_to(env.csi.granted, (len(pu), geo.num_aps, k))
+        is_csi = ~_pad(~granted[:, geo.antenna_aps])[:, ant].any(axis=2)
+    present, other = is_csi, 0
+    if spec.suppression in ("nf", "csi+nf"):
+        other = _unit_columns(_pad(nf)[:, ant])[:, None]
+        present = np.ones_like(is_csi)
+    mask = present[trial, pu] & (np.arange(k) != pk[:, None])
+    n = mask.sum(axis=-1)
+    unit_of = pu[..., None] == np.arange(sizes.size)
+    used = unit_of.any(axis=1)
+    pool = other
+    if spec.suppression != "nf":
+        held = env.csi.gather(granted, stack)
+        pool = np.where(is_csi[:, None, :, None, :], _pad(held)[:, :, ant], other)
     ph = pool.conj().swapaxes(-1, -2)
     gram = ph @ pool
-    code = np.zeros((len(pool), pu.size), dtype=int)
-    scale = mask[None].astype(float)  # one slice until mixed pairs rescale per pool slice
+    code = np.zeros(pool.shape[:2] + pu.shape[1:], dtype=int)
+    scale = mask[:, None].astype(float)
     if alpha is None:
-        deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n)
+        deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n, used)
         code[deficient] = _RANK
-        solve = ~deficient & (n > 0)
-        direct = solve & conditioned[:, pu]
+        solve = ~deficient & (n > 0)[:, None]
+        direct = solve & np.take_along_axis(conditioned, pu[:, None], axis=2)
     else:
         # alpha acts on one scale: a pair whose columns mix CSI and
         # near-field sources gets every column normalized to unit norm
         # and is solved on its own
-        mixed = (mask & is_csi[pu]).any(axis=1) & (mask & ~is_csi[pu]).any(axis=1)
+        from_csi = is_csi[trial, pu]
+        mixed = (mask & from_csi).any(axis=-1) & (mask & ~from_csi).any(axis=-1)
         if mixed.any():
-            norms = _norms(pool, -2)[:, pu[mixed]]
-            code[:, mixed] = np.where((mask[mixed] & (norms == 0)).any(axis=-1), _DEGENERATE, 0)
-            scale = np.repeat(scale, len(pool), axis=0)
-            scale[:, mixed] /= np.where(norms > 0, norms, 1.0)
-        solve = np.repeat((n > 0)[None], len(pool), axis=0)
-        direct = np.zeros_like(solve)
-        if pu.size >= max(DOWNDATE_PAIRS * sizes.size, DOWNDATE_MIN_PAIRS):
-            # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
-            trace = np.trace(gram, axis1=-2, axis2=-1).real
-            direct = solve & ~mixed & (trace <= (DOWNDATE_COND - 1) * alpha)[:, pu]
-    inverted = np.nonzero(direct @ unit_of)  # (slice, unit) holding a directly solved pair
+            norms = np.take_along_axis(_norms(pool, -2), pu[:, None, :, None], axis=2)
+            code = np.where(mixed[:, None] & (mask[:, None] & (norms == 0)).any(-1), _DEGENERATE, 0)
+            scale = np.where(mixed[:, None, :, None], scale / np.where(norms > 0, norms, 1), scale)
+        solve = np.broadcast_to((n > 0)[:, None], code.shape)
+        # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
+        bound = np.trace(gram, axis1=-2, axis2=-1).real <= (DOWNDATE_COND - 1) * alpha
+        few = pu.shape[1] < np.maximum(DOWNDATE_PAIRS * used.sum(axis=1), DOWNDATE_MIN_PAIRS)
+        direct = solve & np.take_along_axis(bound, pu[:, None], axis=2)
+        direct &= ~(mixed | few[:, None])[:, None]
+    inverted = np.nonzero(direct @ unit_of)  # (trial, slice, unit) holding a directly solved pair
+    slot = np.full(gram.shape[:3], -1)
+    slot[inverted] = np.arange(inverted[0].size)
     a = inv = inv_cols = None
-    if inverted[1].size:
+    if inverted[0].size:
         a = gram[inverted]
-        _diagonal(a)[...] += alpha if alpha is not None else ~present[inverted[1]]
+        _diagonal(a)[...] += alpha if alpha is not None else ~present[inverted[0], inverted[2]]
         inv = np.linalg.inv(a)
         inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
         _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
-    return pool, ph, gram, mask, n, scale, code, solve, solve & ~direct, inverted, a, inv, inv_cols
+    return pool, ph, gram, mask, n, scale, code, solve, solve & ~direct, slot, a, inv, inv_cols
 
 
 def build_precoders(
@@ -710,19 +710,17 @@ def build_precoders(
     env: InfoEnvironment,
     channels=None,
     noise_var: float | None = None,
-) -> tuple[np.ndarray, tuple[PrecodingError | None, ...]]:
-    """Build one spec for a stack of S channel estimates in one pass.
+) -> tuple[np.ndarray, tuple]:
+    """Build one spec for every trial of ``env`` and channel estimate.
 
-    ``channels`` is an (S, M, K) stack that stands in for the channel
-    ``env`` holds, under the same grants; None builds from that channel
-    alone (S = 1). Returns ``(W, failures)``: W is (S, M, K), slice s the
-    precoder :func:`build_precoder` returns for
-    ``env.with_channel(channels[s])`` and NaN where that build fails, and
-    ``failures[s]`` is the PrecodingError that build raises, or None. A
-    spec that reads no CSI does not depend on the estimates: it is built
-    once and W has one slice. Slices are independent builds that share
-    what they derive from locations and serving, so a batch may hold
-    any estimates of one environment's channel.
+    ``channels``, (S, M, K) or for a batch (B, S, M, K), stacks S
+    estimates that stand in for the channel ``env`` holds, under the
+    same grants; None builds from that channel alone (S = 1). Returns
+    ``(W, failures)`` of the same leading axes: slice (b, s) of W is the
+    precoder :func:`build_precoder` returns for trial b holding
+    ``channels[b, s]``, NaN where that build fails, and ``failures[b][s]``
+    the PrecodingError it raises, or None. A spec that reads no CSI is
+    built once per trial: W has one slice per trial.
 
     Column k of a slice is user k's base vector (MRT from CSI, or a
     steering vector from the UE location) orthogonalized against the
@@ -753,131 +751,139 @@ def build_precoders(
     their unit's pool is rank deficient, when the unit's Gram condition
     number may exceed ``DOWNDATE_COND``, or, regularized, when their
     columns mix CSI and near-field sources: alpha then acts on unit-norm
-    columns, a scale the unit's other pairs do not share. A regularized
-    build whose units average fewer than ``DOWNDATE_PAIRS`` pairs, or
-    that has fewer than ``DOWNDATE_MIN_PAIRS`` pairs in all, solves every
-    pair that way, since there one solve per pair is cheaper. Units
-    are padded to the widest with zero rows, which change no Gram
+    columns, a scale the unit's other pairs do not share. So does every
+    pair of a regularized trial with too few pairs (``DOWNDATE_PAIRS``).
+    Units are padded to the widest with zero rows, which change no Gram
     matrix, projection or norm. Specs without suppression skip all of
-    this. Each of these choices is made per slice.
+    this. Each choice is made per (trial, estimate) slice.
 
-    Only the arrays read from CSI carry the S axis: the MRT bases, CSI
-    pools, their Gram matrices, inverses and rank SVDs. Products with a
-    shared operand broadcast it over the slices and take one slice at a
-    time, so each slice's arithmetic is that of a build of its own. What
-    depends only on locations, grants and serving is derived once per
-    environment and shared with its :meth:`InfoEnvironment.with_channel`
-    copies: the near-field matrix, the assembly units, which columns each
-    unit's pool holds, and a pool made from locations alone (``nf_nf``,
-    ``mrt_nf``, ``rmrt_nf``) with its rank SVD and unit inverses, once
-    per regularization weight for every spec and slice that uses it.
+    Arrays derived from locations, grants and serving are (B, ...): the
+    near-field matrix, the assembly pairs, each unit's pool columns and
+    a pool made from locations alone (``nf_nf``, ``mrt_nf``) with its
+    rank SVD and inverses. Arrays read from CSI are (B, S, ...). Products
+    broadcast the first over the estimates; each slice's arithmetic is
+    that of a build of its own, whatever batch it is built in.
 
     ``noise_var`` supplies the default regularization weight when the
     spec is regularized with ``alpha=None``. A singular Gram matrix, in
     a unit inverse or a pair's solve, fails its slice with a
     RankDeficiencyError naming the spec. Missing information or weight
-    raises for the whole stack.
+    raises for the whole batch.
     """
+    w, failures = _build(spec, env, channels, noise_var)
+    return (w, failures) if env.batch is not None else (w[0], failures[0])
+
+
+def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
+    """:func:`build_precoders` with the trial axis kept for one trial."""
     req = _check_requirements(spec, env)
     alpha = None
     if spec.regularized:
         alpha = spec.alpha if spec.alpha is not None else noise_var
         if alpha is None or not alpha > 0:
-            raise ConfigError(
-                f"regularized precoder {spec.name!r} needs alpha or noise_var > 0"
-            )
-    geo, k = env.geometry, env.num_users
+            raise ConfigError(f"regularized precoder {spec.name!r} needs alpha or noise_var > 0")
+    geo, k, batch = env.geometry, env.num_users, env.batch or 1
     stack = None
     if req.csi_intended or req.csi_unintended:
-        stack = env.csi.channel[None] if channels is None else np.asarray(channels, complex)
-        if stack.ndim != 3 or stack.shape[1:] != env.csi.channel.shape:
-            raise ValueError(f"channels must be (S, {geo.num_antennas}, {k}), got {stack.shape}")
-    units, ant, sizes, served, pu, pk = _derive(
-        env, ("assembly", spec.scope), lambda: _assembly(env, spec.scope)
-    )
+        h = env.csi.channel
+        stack = h[..., None, :, :] if channels is None else np.asarray(channels, complex)
+        if stack.shape[:-3] + stack.shape[-2:] != h.shape or stack.ndim != h.ndim + 1:
+            shape = f"({'B, ' if env.batch else ''}S, {geo.num_antennas}, {k})"
+            raise ValueError(f"channels must be {shape}, got {stack.shape}")
+        stack = stack.reshape((batch,) + stack.shape[-3:])
+    asm = units, ant, sizes, served, pu, pk = _assembly(env, spec.scope, batch)
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
-        nf = _derive(env, "nf", lambda: distance_phasors(
-            geo.antenna_positions, env.ue_positions, geo.wavelength)[1])
+        points = env.ue_positions.reshape(-1, 3)
+        nf = distance_phasors(geo.antenna_positions, points, geo.wavelength)[1]
+        nf = nf.reshape(-1, batch, k).transpose(1, 0, 2)
     if spec.base == "mrt":
         w = env.csi.gather(served, stack)
     elif spec.base == "nf":
-        w = np.where(served[geo.antenna_aps], nf, 0)[None]
+        w = np.where(served[:, geo.antenna_aps], nf, 0)[:, None]
     else:
-        w = np.zeros((1, geo.num_antennas, k), dtype=complex)
-        for u, user in zip(pu, pk):
+        w = np.zeros((batch, 1, geo.num_antennas, k), dtype=complex)
+        points = env.ue_positions.reshape(batch, k, 3)
+        for (b, p), u in np.ndenumerate(pu):
             idx = ant[u, : sizes[u]]
-            theta, ref = steering_angle(geo, env.ue_positions[user], idx)
-            w[0, idx, user] = far_field_weights(geo, theta, ref)[idx]
-    if stack is not None and len(w) < len(stack):  # a location base under CSI suppression
-        w = np.repeat(w, len(stack), axis=0)
-    total = _norms(w, 1)
-    w /= np.where(total > 0, total, 1.0)[:, None, :]
+            theta, ref = steering_angle(geo, points[b, pk[p]], idx)
+            w[b, 0, idx, pk[p]] = far_field_weights(geo, theta, ref)[idx]
+    if stack is not None and w.shape[1] < stack.shape[1]:  # a location base under CSI suppression
+        w = np.repeat(w, stack.shape[1], axis=1)
+    total = _norms(w, -2)
+    w /= np.where(total > 0, total, 1.0)[..., None, :]
 
-    n = None
-    code = np.zeros((len(w), pu.size), dtype=int)
+    n = np.zeros_like(pu)  # the columns each pair projects off
+    code = np.zeros(w.shape[:2] + pk.shape, dtype=int)
     if spec.suppression != "none":
         try:
-            if spec.suppression == "nf":  # made from locations: once per environment
-                state = _derive(env, ("pool", spec.scope, alpha),
-                                lambda: _pool(spec, env, alpha, None, nf))
-            else:
-                state = _pool(spec, env, alpha, stack, nf)
-            pool, ph, gram, mask, n, scale, pool_code, solve, slow, inverted, a, inv, inv_cols = state
-            code[...] = pool_code  # slices that share one pool share its codes
+            pool, ph, gram, mask, n, scale, pool_code, solve, slow, slot, a, inv, inv_cols = _pool(
+                spec, env, alpha, asm, stack, nf
+            )
+            code[...] = pool_code  # a location pool's codes hold for every estimate
             if solve.any():
                 # every user's base on every unit; columns outside a pair never move
-                b = np.take(_pad(w), ant, axis=1)
-                step = np.zeros(b.shape[:2] + (k, k), dtype=complex)
-                sel = inverted if len(pool) == len(b) else (slice(None), inverted[1])
+                b = _pad(w)[:, :, ant]
+                step = np.zeros(b.shape[:3] + (k, k), dtype=complex)
+                # units inverted whole, per slice of the build
+                slot = np.broadcast_to(slot, step.shape[:3])
+                ib, is_, iu = np.nonzero(slot >= 0)
+                if ib.size:
+                    j = slot[ib, is_, iu]
+                    a, inv, inv_cols = a[j], inv[j], inv_cols[j]
                 # pairs solved one by one, per slice of the build
-                sl_s, sl_p = np.nonzero(np.repeat(slow, len(b) // len(slow), axis=0))
-                if sl_p.size:
-                    su, sk, ss = pu[sl_p], pk[sl_p], scale[sl_s % len(scale), sl_p]
-                    g = gram[sl_s % len(pool), su] * (ss[:, :, None] * ss[:, None, :])
-                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[sl_p]
+                sb, ss, sp = np.nonzero(np.broadcast_to(slow, code.shape))
+                if sp.size:
+                    su, sk = pu[sb, sp], pk[sp]
+                    sc = np.broadcast_to(scale, code.shape + (k,))[sb, ss, sp]
+                    g = np.broadcast_to(gram, b.shape[:2] + gram.shape[2:])[sb, ss, su]
+                    g = g * (sc[:, :, None] * sc[:, None, :])
+                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[sb, sp]
                 for _ in range(1 if alpha is not None else 2):
                     r = ph @ b
-                    if inv is not None:
-                        rs = r[sel]
+                    if ib.size:
+                        rs = r[ib, is_, iu]
                         x = _leave_one_out(inv, inv_cols, rs)
                         if alpha is not None:
                             x += _leave_one_out(inv, inv_cols, rs - a @ x)
-                        step[sel] = x
-                    if sl_p.size:
-                        rhs = (r[sl_s, su, :, sk] * ss)[:, :, None]
-                        step[sl_s, su, :, sk] = ss * np.linalg.solve(g, rhs)[:, :, 0]
+                        step[ib, is_, iu] = x
+                    if sp.size:
+                        rhs = (r[sb, ss, su, :, sk] * sc)[:, :, None]
+                        step[sb, ss, su, :, sk] = sc * np.linalg.solve(g, rhs)[:, :, 0]
                     b -= pool @ step
                 if alpha is None:
-                    ts, tp = np.nonzero(np.repeat(solve, len(b) // len(solve), axis=0))
-                    tiny = _norms(b[ts, pu[tp], :, pk[tp]], 1) < FULL_SUPPRESSION_TOL
-                    code[ts[tiny], tp[tiny]] = _SUPPRESSED
-                w = np.zeros((len(b), geo.num_antennas + 1, k), dtype=complex)
-                w[:, ant[pu], pk[:, None]] = b.swapaxes(-1, -2)[:, pu, pk]
-                w = w[:, :-1]
+                    tb, ts, tp = np.nonzero(np.broadcast_to(solve, code.shape))
+                    tiny = _norms(b[tb, ts, pu[tb, tp], :, pk[tp]], 1) < FULL_SUPPRESSION_TOL
+                    code[tb[tiny], ts[tiny], tp[tiny]] = _SUPPRESSED
+                w = np.zeros(b.shape[:2] + (geo.num_antennas + 1, k), dtype=complex)
+                bi = np.arange(batch)[:, None]
+                w[bi[..., None], :, ant[pu], pk[:, None]] = b[bi, :, pu, :, pk].swapaxes(-1, -2)
+                w = w[:, :, :-1]
         except np.linalg.LinAlgError as exc:
-            if len(w) > 1:  # find the singular slices: build each on its own
-                builds = [build_precoders(spec, env, h[None], noise_var) for h in stack]
-                return np.concatenate([b[0] for b in builds]), sum((b[1] for b in builds), ())
+            if w.shape[0] * w.shape[1] > 1:  # find the singular slices: build each on its own
+                one = [[_build(spec, env.trial(b), None if stack is None else stack[b, s][None],
+                               noise_var) for s in range(w.shape[1])] for b in range(w.shape[0])]
+                return (np.array([[x[0][0, 0] for x in row] for row in one]),
+                        tuple(tuple(x[1][0][0] for x in row) for row in one))
             error = RankDeficiencyError(
                 f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
             )
             error.__cause__ = exc
-            return np.full(w.shape, np.nan, dtype=complex), (error,)
+            return np.full(w.shape, np.nan, dtype=complex), ((error,),)
 
-    norms = _norms(w, 1)
+    norms = _norms(w, -2)
     failed = (total == 0) | (norms < FULL_SUPPRESSION_TOL)
-    fs, fp = np.nonzero(code)
-    failed[fs, pk[fp]] = True
-    if not failed.any():
-        return w / norms[:, None, :], (None,) * len(w)
-    bad = failed.any(axis=1)
-    w = w / np.where(failed, 1.0, norms)[:, None, :]
+    fb, fs, fp = np.nonzero(code)
+    failed[fb, fs, pk[fp]] = True
+    bad = failed.any(axis=-1)
+    w = w / np.where(failed, 1.0, norms)[..., None, :]
     w[bad] = np.nan
-    return w, tuple(
-        _failure(spec, units, sizes, n, pu, pk, total[s], code[s], failed[s]) if bad[s] else None
-        for s in range(len(w))
-    )
+    errors = np.full(bad.shape, None, dtype=object)
+    for b, s in zip(*np.nonzero(bad)):
+        errors[b, s] = _failure(
+            spec, units, sizes, n[b], pu[b], pk, total[b, s], code[b, s], failed[b, s]
+        )
+    return w, tuple(map(tuple, errors))
 
 
 def build_precoder(
@@ -885,7 +891,8 @@ def build_precoder(
     env: InfoEnvironment,
     noise_var: float | None = None,
 ) -> np.ndarray:
-    """Assemble the (M, K) precoding matrix, one unit-norm column per user.
+    """Assemble the (M, K) precoding matrix of one trial, one unit-norm
+    column per user.
 
     :func:`build_precoders` for the one channel ``env`` holds, which
     describes the construction. A precoding failure is raised for the

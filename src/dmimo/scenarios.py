@@ -8,16 +8,24 @@ channel-estimation-error sweeps, and network-centric clustering where
 each AP pair serves the users with the best average channel gain and
 suppresses inter-cluster interference from location information.
 
+Trials run in chunks (:func:`run_chunk`): one channel draw, information
+environment, build per precoder and SINR call for B trials, with
+chunks as the tasks of a process pool when ``workers`` > 1.
+
 Determinism: every random draw derives from
 ``numpy.random.default_rng([rng_seed, trial_index, stream])`` with
-stream 0 for UE placement and stream 1 for channel-estimation noise, so
-results are independent of trial execution order and worker count.
+stream 0 for UE placement and stream 1 for channel-estimation noise,
+and a trial's arithmetic does not depend on the chunk it runs in, so
+results are byte-identical for any chunking, execution order and
+worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -234,18 +242,16 @@ def _validate_far_field(config: ScenarioConfig) -> None:
 def cluster_users(gains, pairs, geometry: ArrayGeometry) -> ClusterAssignment:
     """Assign each user to the AP pair with the highest mean channel gain.
 
-    ``gains`` is (K, M) per-antenna channel power |h|^2. Ties resolve to
-    the lowest pair index.
+    ``gains`` is (K, M) per-antenna channel power |h|^2, or (B, K, M)
+    for B trials. Ties resolve to the lowest pair index.
     """
     g = np.asarray(gains, dtype=float)
-    if g.ndim != 2 or g.shape[1] != geometry.num_antennas:
+    if g.ndim not in (2, 3) or g.shape[-1] != geometry.num_antennas:
         raise ValueError(f"gains must be (K, {geometry.num_antennas}), got {g.shape}")
     mean_gains = np.stack(
-        [g[:, geometry.unit_indices(pair)].mean(axis=1) for pair in pairs], axis=1
+        [g[..., geometry.unit_indices(pair)].mean(axis=-1) for pair in pairs], axis=-1
     )
-    return ClusterAssignment(
-        ue_to_pair=np.argmax(mean_gains, axis=1), mean_gains=mean_gains
-    )
+    return ClusterAssignment(ue_to_pair=np.argmax(mean_gains, axis=-1), mean_gains=mean_gains)
 
 
 class _SyntheticSampler:
@@ -255,8 +261,13 @@ class _SyntheticSampler:
         self.geometry = config.geometry
         self.params = config.los_params()
 
-    def sample(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return los_channel(self.geometry, positions, self.params), positions
+    def snap(self, positions: np.ndarray) -> np.ndarray:
+        return positions
+
+    def channels(self, positions: np.ndarray) -> np.ndarray:
+        """(B, M, K) channels at (B, K, 3) positions, in one synthesis."""
+        h = los_channel(self.geometry, positions.reshape(-1, 3), self.params)
+        return np.ascontiguousarray(h.reshape(len(h), *positions.shape[:2]).transpose(1, 0, 2))
 
 
 class _DatasetSampler:
@@ -288,84 +299,112 @@ class _DatasetSampler:
         self.cells = (np.argmax(full[:, m, n], axis=0), m, n)  # lowest full tx
         self.cell_positions = grid.positions[m, n]
 
-    def sample(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Channels and snapped positions; None when two UEs share a cell."""
-        d = np.linalg.norm(
-            positions[:, None, :] - self.cell_positions[None, :, :], axis=2
-        )
-        idx = np.argmin(d, axis=1)
-        if np.unique(idx).size != idx.size:
-            return None
-        t, m, n = (c[idx] for c in self.cells)
-        h = np.ascontiguousarray(self.grid.csi[t, :, m, n].T)  # (M, K) in C order
-        return h, self.cell_positions[idx]
+    def _nearest(self, positions: np.ndarray) -> np.ndarray:
+        d = np.linalg.norm(positions[..., None, :] - self.cell_positions, axis=-1)
+        return np.argmin(d, axis=-1)
+
+    def snap(self, positions: np.ndarray) -> np.ndarray | None:
+        """The (K, 3) positions moved to their cells; None when two share one."""
+        idx = self._nearest(positions)
+        return None if np.unique(idx).size != idx.size else self.cell_positions[idx]
+
+    def channels(self, positions: np.ndarray) -> np.ndarray:
+        """(B, M, K) CSI at (B, K, 3) snapped positions."""
+        t, m, n = (c[self._nearest(positions)] for c in self.cells)
+        return np.ascontiguousarray(self.grid.csi[t, :, m, n].transpose(0, 2, 1))
 
 
 def _make_sampler(config: ScenarioConfig):
-    if config.channel_source == "dataset":
-        return _DatasetSampler(config)
-    return _SyntheticSampler(config)
+    return (_DatasetSampler if config.channel_source == "dataset" else _SyntheticSampler)(config)
 
 
-def draw_trial_channels(
-    config: ScenarioConfig, trial_index: int, sampler=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """UE positions and true channel matrix for one trial, (K, 3) and (M, K).
-
-    Dataset mode snaps placements to grid cells and re-places (budgeted)
-    until all users occupy distinct cells.
-    """
-    if sampler is None:
-        sampler = _make_sampler(config)
-    rng = np.random.default_rng(
-        [config.rng_seed, trial_index, _STREAM_PLACEMENT]
-    )
+def _place(config: ScenarioConfig, trial_index: int, sampler) -> np.ndarray:
+    """One trial's UE positions from its placement stream; dataset mode
+    re-places (budgeted) until all users occupy distinct cells."""
+    rng = np.random.default_rng([config.rng_seed, trial_index, _STREAM_PLACEMENT])
     for _ in range(_SNAP_ATTEMPTS):
-        placement = place_ues(
-            config.roi, config.k_users, config.min_spacing_m, rng
+        snapped = sampler.snap(
+            place_ues(config.roi, config.k_users, config.min_spacing_m, rng).positions
         )
-        drawn = sampler.sample(placement.positions)
-        if drawn is not None:
-            h, positions = drawn
-            return positions, h
+        if snapped is not None:
+            return snapped
     raise PlacementError(
         f"could not place {config.k_users} users on distinct dataset cells "
         f"after {_SNAP_ATTEMPTS} attempts (trial {trial_index})"
     )
 
 
-def _trial_environment(
-    config: ScenarioConfig, h_true: np.ndarray, positions: np.ndarray
-) -> InfoEnvironment:
-    """Information environment for one trial, holding the true channel.
+def draw_channels(config: ScenarioConfig, trials, sampler=None) -> tuple[np.ndarray, np.ndarray]:
+    """UE positions and true channels of the trials ``trials``, (B, K, 3)
+    and (B, M, K): each trial placed from its own stream, all channels
+    drawn in one call."""
+    sampler = sampler or _make_sampler(config)
+    positions = np.stack([_place(config, t, sampler) for t in trials])
+    return positions, sampler.channels(positions)
 
-    With clustering, users are assigned to pairs by true-channel mean
-    gain; each AP is granted CSI only toward the users its pair serves,
-    and each user is served by its pair's antennas only. Estimated CSI
-    enters through :meth:`InfoEnvironment.with_channel`.
-    """
-    geo = config.geometry
-    k = config.k_users
+
+def draw_trial_channels(
+    config: ScenarioConfig, trial_index: int, sampler=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """UE positions and true channel matrix for one trial, (K, 3) and (M, K)."""
+    positions, h = draw_channels(config, [trial_index], sampler)
+    return positions[0], h[0]
+
+
+def _chunk_environment(config: ScenarioConfig, h_true, positions) -> InfoEnvironment:
+    """Information environment of a chunk of trials, holding their true
+    channels. With clustering, users are assigned to pairs by
+    true-channel mean gain; each AP is granted CSI only toward the users
+    its pair serves, and each user is served by its pair's antennas."""
+    geo, k = config.geometry, config.k_users
     if config.clustering is None:
-        access = ChannelAccess.full(geo, h_true)
-        serving = None
-    else:
-        assignment = cluster_users(np.abs(h_true.T) ** 2, config.clustering, geo)
-        granted = np.zeros((geo.num_aps, k), dtype=bool)
-        for user in range(k):
-            for a in config.clustering[assignment.ue_to_pair[user]]:
-                granted[a, user] = True
-        access = ChannelAccess(geo, h_true, granted)
-        serving = tuple(
-            tuple(config.clustering[assignment.ue_to_pair[user]]) for user in range(k)
-        )
-    return InfoEnvironment(
-        geometry=geo,
-        num_users=k,
-        csi=access,
-        ue_positions=positions,
-        serving=serving,
-    )
+        return InfoEnvironment(geo, k, ChannelAccess.full(geo, h_true), positions)
+    gains = np.abs(h_true.swapaxes(-1, -2)) ** 2
+    serving = np.array(config.clustering)[cluster_users(gains, config.clustering, geo).ue_to_pair]
+    granted = np.zeros((len(h_true), geo.num_aps, k), dtype=bool)
+    granted[np.arange(len(h_true))[:, None, None], serving, np.arange(k)[:, None]] = True
+    return InfoEnvironment(geo, k, ChannelAccess(geo, h_true, granted), positions, serving)
+
+
+def run_chunk(
+    config: ScenarioConfig,
+    trials,
+    noise_var: float,
+    sigma_points: tuple[float | None, ...] = (None,),
+    sampler=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place UEs, build every configured precoder and evaluate SINR for
+    the B trials ``trials`` (indices) as one unit of work.
+
+    ``sigma_points`` lists per-entry channel-error variances (None means
+    perfect CSI); a trial's estimates at all S points come from one
+    unit-noise draw of its own stream. Each precoder is built once for
+    the whole chunk and grid (:func:`build_precoders`) and evaluated by
+    one SINR call against the true channels; a failure fails only its
+    own trial and sigma point, and a precoder that reads no CSI repeats
+    its outcome at every sigma point. Returns ``(sinr_db, failures,
+    nmse)``: per-user SINR in dB, (B, S, P, K), NaN where the build
+    failed; the failure as ``"ClassName: message"`` or None, (B, S, P);
+    the realized NMSE, (B, S), NaN under perfect CSI. A trial's results
+    do not depend on the chunk it runs in.
+    """
+    positions, h_true = draw_channels(config, trials, sampler)
+    shape = (len(trials), len(sigma_points), len(config.precoders))
+    sinr_db = np.full(shape + (config.k_users,), np.nan)
+    failures = np.full(shape, None, dtype=object)
+    nmse = np.full(shape[:2], np.nan)
+    channels = np.repeat(h_true[:, None], shape[1], axis=1)
+    known = [s for s, sigma in enumerate(sigma_points) if sigma is not None]
+    sigmas = [sigma_points[s] for s in known]
+    for b, t in enumerate(trials if known else ()):
+        model = ChannelErrorModel(sigmas, [config.rng_seed, t, _STREAM_CHANNEL_ERROR])
+        channels[b, known], nmse[b, known] = inject_channel_error(h_true[b], model)
+    env = _chunk_environment(config, h_true, positions)
+    for p, spec in enumerate(config.precoders):
+        w, errors = build_precoders(spec, env, channels, noise_var)
+        sinr_db[:, :, p] = sinr_all(LinkRealization(h_true[:, None], w, noise_var))[1]
+        failures[:, :, p] = [[e and f"{type(e).__name__}: {e}" for e in row] for row in errors]
+    return sinr_db, failures, nmse
 
 
 def run_trial(
@@ -375,64 +414,43 @@ def run_trial(
     sigma_points: tuple[float | None, ...] = (None,),
     sampler=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Place UEs, build every configured precoder, evaluate SINR.
-
-    ``sigma_points`` lists per-entry channel-error variances (None means
-    perfect CSI). The estimates at all S points come from one unit-noise
-    draw, and each precoder is built once for the whole stack
-    (:func:`build_precoders`) and evaluated by one SINR call, always
-    against the true channel; a failure fails only its own sigma point.
-    A precoder that reads no CSI is built and evaluated once and its
-    outcome repeated at every sigma point.
-
-    Returns ``(sinr_db, failures, nmse)`` for S sigma points, P
-    precoders and K users: per-user SINR in dB, (S, P, K), NaN where the
-    construction failed (rank deficiency, full suppression); the failure
-    as ``"ClassName: message"`` or None, (S, P); and the realized NMSE,
-    (S,), NaN under perfect CSI.
-
-    ``noise_var`` defaults to the config's noise floor applied to the
-    mean received power over all of the config's trials (the same value
-    :func:`run_scenario` uses); pass it explicitly to avoid that pre-pass
-    when calling in a loop.
-    """
-    if sampler is None:
-        sampler = _make_sampler(config)
+    """:func:`run_chunk` for one trial: arrays (S, P, K), (S, P) and (S,).
+    ``noise_var`` defaults to the one :func:`run_scenario` uses."""
     if noise_var is None:
-        noise_var = noise_variance_from_floor(
-            config.noise_floor_db, mean_channel_gain(config, sampler)
-        )
-    positions, h_true = draw_trial_channels(config, trial_index, sampler)
-    shape = (len(sigma_points), len(config.precoders))
-    sinr_db = np.full(shape + (config.k_users,), np.nan)
-    failures = np.full(shape, None, dtype=object)
-    nmse = np.full(shape[0], np.nan)
-    channels = np.repeat(h_true[None], shape[0], axis=0)
-    known = [s for s, sigma in enumerate(sigma_points) if sigma is not None]
-    if known:
-        channels[known], nmse[known] = inject_channel_error(h_true, ChannelErrorModel(
-            [sigma_points[s] for s in known], [config.rng_seed, trial_index, _STREAM_CHANNEL_ERROR]
-        ))
-    # one environment per trial: its builds share what they derive from
-    # locations and serving alone
-    env = _trial_environment(config, h_true, positions)
-    for p, spec in enumerate(config.precoders):
-        w, errors = build_precoders(spec, env, channels, noise_var)
-        if not all(errors):  # some sigma point built
-            sinr_db[:, p] = sinr_all(LinkRealization(h_true, w, noise_var))[1]
-        if any(errors):
-            failures[:, p] = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
-    return sinr_db, failures, nmse
+        gain = mean_channel_gain(config, sampler)
+        noise_var = noise_variance_from_floor(config.noise_floor_db, gain)
+    return tuple(a[0] for a in run_chunk(config, [trial_index], noise_var, sigma_points, sampler))
 
 
-def mean_channel_gain(config: ScenarioConfig, sampler=None) -> float:
-    """Mean ||h_k||^2 over all users and trials (the noise-floor reference)."""
-    if sampler is None:
-        sampler = _make_sampler(config)
+#: Most trials per chunk, the unit of work: one draw, environment, build
+#: per precoder and SINR call for all of them.
+CHUNK_TRIALS = 32
+
+
+def _chunks(trials: int, workers: int) -> list[range]:
+    """The chunks of a run, a function of ``trials`` and ``workers`` alone:
+    at most ``CHUNK_TRIALS`` trials each, about four per pool worker."""
+    size = max(1, min(CHUNK_TRIALS, -(-trials // (4 * workers)) if workers > 1 else trials))
+    return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+
+
+def _chunk_gains(config: ScenarioConfig, sampler, trials) -> list[float]:
+    """Sum of |h|^2 over each trial's channel matrix."""
+    _, h = draw_channels(config, trials, sampler)
+    return np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
+
+
+def mean_channel_gain(config: ScenarioConfig, sampler=None, each=map) -> float:
+    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
+    drawn chunk by chunk through ``each`` (``map`` or a process pool's)
+    and summed in trial order."""
+    sampler = sampler or _make_sampler(config)
     total = 0.0
-    for t in range(config.trials):
-        _, h = draw_trial_channels(config, t, sampler)
-        total += float(np.sum(np.abs(h) ** 2))
+    for gains in each(
+        partial(_chunk_gains, config, sampler), _chunks(config.trials, config.workers)
+    ):
+        for gain in gains:
+            total += gain
     return total / (config.trials * config.k_users)
 
 
@@ -480,61 +498,34 @@ def _aggregate(
     return tuple(stats)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(config, noise_var, sigma_points, sampler):
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["noise_var"] = noise_var
-    _WORKER_STATE["sigma_points"] = sigma_points
-    _WORKER_STATE["sampler"] = sampler
-
-
-def _worker_trial(trial_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = _WORKER_STATE
-    return run_trial(
-        s["config"], trial_index, s["noise_var"], s["sigma_points"], s["sampler"]
-    )
-
-
 def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
     """Execute all trials and aggregate per-precoder statistics.
 
     The noise variance is fixed once per configuration: the configured
     floor (dB) relative to the mean MRT received power over the same
-    trial channels. Results are bit-identical for a given seed
-    regardless of ``workers``.
+    trial channels. Trials run in chunks (:func:`run_chunk`), with
+    ``workers`` > 1 on a process pool that also draws the noise
+    pre-pass. Results are bit-identical for a given seed regardless of
+    ``workers`` and chunking.
     """
     validate_config(config)
     sampler = _make_sampler(config)
-    mean_user_gain = mean_channel_gain(config, sampler)
-    noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
-    mean_entry_gain = mean_user_gain / config.geometry.num_antennas
-
-    if config.nmse_grid is None:
-        sigma_points: tuple[float | None, ...] = (None,)
-        sigma_grid = None
-    else:
-        scale = mean_entry_gain if config.nmse_relative else 1.0
-        sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
-        sigma_points = sigma_grid
-
-    if config.workers == 1:
-        trials = [
-            run_trial(config, t, noise_var, sigma_points, sampler)
-            for t in range(config.trials)
-        ]
-    else:
-        chunk = max(1, config.trials // (config.workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_init_worker,
-            initargs=(config, noise_var, sigma_points, sampler),
-        ) as pool:
-            trials = list(
-                pool.map(_worker_trial, range(config.trials), chunksize=chunk)
-            )
-    sinr_db, failures, nmse = (np.stack(a) for a in zip(*trials))
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        each = map if pool is None else pool.map
+        mean_user_gain = mean_channel_gain(config, sampler, each)
+        noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
+        mean_entry_gain = mean_user_gain / config.geometry.num_antennas
+        if config.nmse_grid is None:
+            sigma_points: tuple[float | None, ...] = (None,)
+            sigma_grid = None
+        else:
+            scale = mean_entry_gain if config.nmse_relative else 1.0
+            sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
+            sigma_points = sigma_grid
+        run = partial(run_chunk, config, noise_var=noise_var,
+                      sigma_points=sigma_points, sampler=sampler)
+        chunks = list(each(run, _chunks(config.trials, config.workers)))
+    sinr_db, failures, nmse = (np.concatenate(a) for a in zip(*chunks))
 
     return ScenarioSummary(
         config=config,

@@ -261,9 +261,12 @@ class TestPlaceUesStream:
         class Sampler:
             calls = 0
 
-            def sample(self, positions):
+            def snap(self, positions):
                 self.calls += 1
-                return None if self.calls <= rejected else (None, positions)
+                return None if self.calls <= rejected else positions
+
+            def channels(self, positions):
+                return np.zeros((len(positions), cfg.geometry.num_antennas, cfg.k_users))
 
         positions, _ = draw_trial_channels(cfg, 4, Sampler())
         rng = np.random.default_rng([cfg.rng_seed, 4, _STREAM_PLACEMENT])

@@ -559,21 +559,27 @@ class TestBuildPrecoder:
             v = near_field_weights(geometry, positions[l], antenna_subset=pair_idx)
             assert abs(np.vdot(v, w[pair_idx])) < 1e-9
 
-    def test_with_channel_swaps_csi_and_shares_derived_state(self, scenario_env):
+    def test_trial_of_a_batch_is_that_trial(self, scenario_env):
         geometry, h, positions = scenario_env
-        env = make_env(geometry, h, positions)
-        spec = parse_precoder_name("rzf_nf")
-        build_precoder(spec, env, noise_var=1e-6)
-        other = env.with_channel(2 * h)
-        assert other.csi.channel is not env.csi.channel
-        np.testing.assert_array_equal(other.csi.channel, 2 * h)
-        assert other.csi.granted is env.csi.granted
-        assert other._derived is env._derived and env._derived
-        fresh = make_env(geometry, 2 * h, positions)
-        np.testing.assert_array_equal(
-            build_precoder(spec, other, noise_var=1e-6),
-            build_precoder(spec, fresh, noise_var=1e-6),
+        serving = np.array([[(0, 1)] * 5, [(2, 3)] * 5])
+        granted = np.zeros((2, 8, 5), dtype=bool)
+        granted[0, :2] = granted[1, 2:4] = True
+        batch = InfoEnvironment(
+            geometry, 5, ChannelAccess(geometry, np.stack([h, 2 * h]), granted),
+            np.stack([positions, positions + 0.1]), serving,
         )
+        assert batch.batch == 2
+        one = batch.trial(1)
+        assert one.batch is None and one.trial(0).csi.channel is one.csi.channel
+        np.testing.assert_array_equal(one.csi.channel, 2 * h)
+        np.testing.assert_array_equal(one.csi.granted, granted[1])
+        np.testing.assert_array_equal(one.ue_positions, positions + 0.1)
+        assert [one.serving_aps(k) for k in range(5)] == [(2, 3)] * 5
+
+    def test_batch_axes_must_agree(self, scenario_env):
+        geometry, h, positions = scenario_env
+        with pytest.raises(ConfigError, match="trial axis"):
+            InfoEnvironment(geometry, 5, ChannelAccess.full(geometry, np.stack([h, h])), positions)
 
     def test_ff_base_on_linear_array(self):
         lam = 0.115
@@ -927,6 +933,11 @@ def error_stack(env, s, seed):
     return inject_channel_error(h, ChannelErrorModel(tuple(sigma), seed))[0]
 
 
+def with_channel(env, h):
+    """``env`` holding the channel ``h`` under the same grants."""
+    return make_env(env.geometry, h, env.ue_positions, granted=env.csi.granted, serving=env.serving)
+
+
 def assert_slices_match_builds(spec, env, channels, noise_var):
     """Every slice of the batched build equals the single build on that
     slice's channel: its columns within 1e-9, or the same exception class
@@ -937,7 +948,7 @@ def assert_slices_match_builds(spec, env, channels, noise_var):
     assert len(failures) == len(w)
     for s, failure in enumerate(failures):
         try:
-            expected = build_precoder(spec, env.with_channel(channels[s]), noise_var)
+            expected = build_precoder(spec, with_channel(env, channels[s]), noise_var)
         except PrecodingError as exc:
             assert type(failure) is type(exc) and str(failure) == str(exc), (s, failure)
             assert np.isnan(w[s]).all()
@@ -994,7 +1005,7 @@ class TestBuildPrecodersBatch:
         assert isinstance(failures[1], RankDeficiencyError)
         assert np.isnan(w[1]).all()
         for s in (0, 2):
-            expected = build_precoder(spec, env.with_channel(channels[s]), noise_var)
+            expected = build_precoder(spec, with_channel(env, channels[s]), noise_var)
             assert np.abs(w[s] - expected).max() < 1e-9
 
     def test_location_spec_has_one_slice(self):

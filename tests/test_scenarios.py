@@ -1,6 +1,9 @@
 import collections
 import dataclasses
+import functools
 import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmimo import (
+    ChannelErrorModel,
     GridSpec,
     LinkRealization,
     LosChannelParams,
@@ -16,6 +20,7 @@ from dmimo import (
     cluster_users,
     default_roi,
     generate_synthetic_dataset,
+    inject_channel_error,
     los_channel,
     noise_variance_from_floor,
     parse_precoder_name,
@@ -27,8 +32,9 @@ from dmimo import (
     write_dataset,
 )
 from dmimo import precoders, scenarios
+from dmimo.cli import main as cli_main
 from dmimo.cli import summary_document
-from dmimo.errors import ConfigError
+from dmimo.errors import ConfigError, RankDeficiencyError
 from dmimo.scenarios import draw_trial_channels, validate_config
 
 
@@ -316,10 +322,10 @@ class TestNmseSweep:
             "dis_rzf": [(40, 10, 10)],
         }
 
-    def test_location_pool_shared_across_specs(self, monkeypatch):
+    def test_location_pool_once_per_spec_and_chunk(self, monkeypatch):
         # nf_nf and mrt_nf suppress by the same unregularized near-field
-        # pool: it is rank-checked and inverted once per trial for both;
-        # rmrt_nf's pool carries alpha and is inverted on its own
+        # pool, rmrt_nf by one carrying alpha: each spec rank-checks and
+        # inverts its pool once for the whole chunk and sigma grid
         calls = collections.Counter()
         for name in ("inv", "svd"):
             def counting(*args, name=name, inner=getattr(np.linalg, name), **kwargs):
@@ -329,13 +335,14 @@ class TestNmseSweep:
             monkeypatch.setattr(np.linalg, name, counting)
         names = ["nf_nf", "mrt_nf", "rmrt_nf"]
         cfg = make_config(k_users=10, precoders=tuple(parse_precoder_name(n) for n in names))
-        _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=(0.0, 1e-7, 2e-7))
+        points = (0.0, 1e-7, 2e-7)
+        _, failures, _ = scenarios.run_chunk(cfg, range(2, 5), 1e-6, points)
         assert np.equal(failures, None).all()
-        assert calls == {"inv": 2, "svd": 1}
+        assert calls == {"inv": 3, "svd": 2}
 
-    def test_location_state_derived_once_per_trial(self, monkeypatch):
-        # the near-field matrix and each scope's assembly units are
-        # computed once per trial, shared by every spec and sigma point
+    def test_location_state_derived_once_per_chunk(self, monkeypatch):
+        # each spec derives the near-field matrix and its assembly units
+        # once for every trial of the chunk and every sigma point
         calls = collections.Counter()
         for name in ("distance_phasors", "_assembly"):
             def counting(*args, name=name, inner=getattr(precoders, name)):
@@ -346,9 +353,9 @@ class TestNmseSweep:
         names = ["mrt", "nf_nf", "mrt_nf", "rzf", "dis_rzf", "dis_rmrt_nf"]
         cfg = make_config(k_users=4, precoders=tuple(parse_precoder_name(n) for n in names))
         points = (0.0, 1e-7, 2e-7)
-        _, failures, _ = run_trial(cfg, 2, noise_var=1e-6, sigma_points=points)
+        _, failures, _ = scenarios.run_chunk(cfg, range(2, 6), 1e-6, points)
         assert np.equal(failures, None).all()
-        assert calls == {"distance_phasors": 1, "_assembly": 2}
+        assert calls == {"distance_phasors": 3, "_assembly": 6}
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
         # one build per (trial, spec); only the specs that read CSI get a
@@ -358,7 +365,7 @@ class TestNmseSweep:
         def counting(spec, env, channels=None, noise_var=None, build=scenarios.build_precoders):
             calls[spec.name] += 1
             w, errors = build(spec, env, channels, noise_var)
-            slices[spec.name] = len(w)
+            slices[spec.name] = w.shape[1]
             return w, errors
 
         monkeypatch.setattr(scenarios, "build_precoders", counting)
@@ -439,11 +446,11 @@ class TestClusteringScenario:
         ]
         for t in range(cfg.trials):
             positions, h = draw_trial_channels(cfg, t)
-            env = scenarios._trial_environment(cfg, h, positions)
+            env = scenarios._chunk_environment(cfg, h[None], positions[None]).trial(0)
             gains = np.abs(h.T) ** 2
             for k in range(cfg.k_users):
                 best = np.argmax([gains[k, idx].mean() for idx in pair_antennas])
-                assert env.serving[k] == pairs[best]
+                assert env.serving_aps(k) == pairs[best]
             # rebuild the precoders to check the support pattern
             for p, spec in enumerate(cfg.precoders):
                 w = build_precoder(spec, env, noise_var=summary.noise_var)
@@ -453,7 +460,7 @@ class TestClusteringScenario:
                 )
                 for k in range(cfg.k_users):
                     outside = np.ones(geo.num_antennas, dtype=bool)
-                    outside[pair_antennas[pairs.index(env.serving[k])]] = False
+                    outside[pair_antennas[pairs.index(env.serving_aps(k))]] = False
                     assert np.all(w[outside, k] == 0)
 
     def test_cluster_stats_complete(self):
@@ -563,7 +570,9 @@ class TestDatasetMode:
         np.testing.assert_array_equal(parallel.sinr_db, serial.sinr_db)
         np.testing.assert_array_equal(parallel.failures, serial.failures)
 
-    def test_init_worker_keeps_given_sampler(self, dataset_dir, monkeypatch):
+    def test_chunk_task_keeps_given_sampler(self, dataset_dir, monkeypatch):
+        # a pool task is run_chunk with the run's sampler bound in; the
+        # sampler travels with the pickled task and is never re-read
         cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir))
         sampler = scenarios._make_sampler(cfg)
 
@@ -571,13 +580,13 @@ class TestDatasetMode:
             raise AssertionError("worker re-read the dataset")
 
         monkeypatch.setattr(scenarios, "read_dataset", no_read)
-        monkeypatch.setattr(scenarios, "_WORKER_STATE", {})
-        scenarios._init_worker(cfg, 1e-3, (None,), sampler)
-        assert scenarios._WORKER_STATE["sampler"] is sampler
-        trial = scenarios._worker_trial(2)
-        expected = run_trial(cfg, 2, 1e-3, (None,), sampler)
-        for a, b in zip(trial, expected, strict=True):
-            np.testing.assert_array_equal(a, b)
+        task = pickle.loads(pickle.dumps(functools.partial(
+            scenarios.run_chunk, cfg, noise_var=1e-3, sigma_points=(None,), sampler=sampler
+        )))
+        chunk = task(range(1, 4))
+        for b, t in enumerate(range(1, 4)):
+            for a, e in zip(chunk, run_trial(cfg, t, 1e-3, (None,), sampler), strict=True):
+                np.testing.assert_array_equal(a[b], e)
 
     def test_geometry_mismatch_rejected(self, dataset_dir):
         cfg = make_config(
@@ -607,3 +616,117 @@ class TestOrderingProperty:
         assert med["zf"] >= med["mrt_nf"] >= med["mrt"]
         assert med["rzf"] >= med["mrt"]
         assert med["nf_nf"] >= med["mrt"]
+
+
+BUNDLED = sorted(
+    p.stem for p in (Path(__file__).resolve().parent.parent / "configs").glob("*.yaml")
+    if p.stem != "generate_dataset"
+)
+
+
+class TestChunks:
+    """Trials run in chunks; chunking and worker count cannot change a byte."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_outputs_identical_across_chunking_and_workers(self, name, tmp_path, monkeypatch):
+        config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
+        outputs = {}
+        for chunk in (1, 3, 13):
+            monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
+            for workers in (1, 2):
+                out = tmp_path / f"{chunk}-{workers}"
+                argv = ["simulate", "--config", str(config), "--out", str(out),
+                        "--trials", "13", "--workers", str(workers)]
+                assert cli_main(argv) == 0
+                summary = (out / "summary.json").read_bytes()
+                assert summary.count(f'"workers": {workers}'.encode()) == 1
+                outputs[chunk, workers] = (
+                    (out / "results.csv").read_bytes(),
+                    summary.replace(f'"workers": {workers}'.encode(), b'"workers": 1'),
+                )
+        assert len(set(outputs.values())) == 1
+
+    def test_chunk_boundaries(self):
+        assert scenarios._chunks(10, 1) == [range(0, 10)]
+        assert scenarios._chunks(200, 2) == [range(t, t + 25) for t in range(0, 200, 25)]
+        assert scenarios._chunks(2000, 2)[-1] == range(1984, 2000)
+        assert scenarios._chunks(3, 4) == [range(0, 1), range(1, 2), range(2, 3)]
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_chunk_slice_equals_its_own_build(self, clustered):
+        names = ["nf", "mrt", "zf", "rzf", "nf_nf", "mrt_nf", "rmrt_nf", "zf_nf", "rzf_nf",
+                 "dis_zf", "dis_rzf", "dis_mrt_nf", "dis_rmrt_nf", "dis_zf_nf"]
+        cfg = make_config(
+            k_users=6, clustering=((0, 1), (2, 3), (4, 5), (6, 7)) if clustered else None
+        )
+        positions, h = scenarios.draw_channels(cfg, range(5))
+        env = scenarios._chunk_environment(cfg, h, positions)
+        channels = np.stack([
+            inject_channel_error(h[b], ChannelErrorModel((0.0, 1e-7, 1e-6), b))[0]
+            for b in range(5)
+        ])
+        for spec in map(parse_precoder_name, names):
+            w, failures = precoders.build_precoders(spec, env, channels, 1e-6)
+            for b in range(5):
+                one_w, one_failures = precoders.build_precoders(spec, env.trial(b), channels[b], 1e-6)
+                np.testing.assert_array_equal(w[b], one_w)
+                assert list(map(repr, failures[b])) == list(map(repr, one_failures))
+
+    def test_dis_zf_fails_every_trial_of_a_chunk(self):
+        cfg = make_config(k_users=10, precoders=(parse_precoder_name("dis_zf"),))
+        sinr_db, failures, _ = scenarios.run_chunk(cfg, range(6), 1e-6)
+        assert sinr_db.shape == (6, 1, 1, 10) and np.isnan(sinr_db).all()
+        assert all(f.startswith("RankDeficiencyError: precoder 'dis_zf', user 0, AP 0: ")
+                   for f in failures.ravel())
+
+    def test_singular_slice_fails_only_its_trial_and_sigma(self, monkeypatch):
+        # slice (1, 2) is scaled by 1e3: the patched inverse treats a
+        # Gram matrix that large as singular
+        cfg = make_config(k_users=4)
+        positions, h = scenarios.draw_channels(cfg, range(3))
+        env = scenarios._chunk_environment(cfg, h, positions)
+        channels = np.repeat(h[:, None], 3, axis=1)
+        channels[1, 2] *= 1e3
+        inv = np.linalg.inv
+
+        def singular_on_marker(a):
+            if np.abs(a).max() > 1e3 * np.abs(h).max() ** 2 * 64:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_on_marker)
+        spec = parse_precoder_name("zf")
+        w, failures = precoders.build_precoders(spec, env, channels, 1e-6)
+        assert [[f is None for f in row] for row in failures] == [
+            [True] * 3, [True, True, False], [True] * 3
+        ]
+        assert str(failures[1][2]) == (
+            "precoder 'zf': singular suppression Gram matrix (Singular matrix)"
+        )
+        assert isinstance(failures[1][2], RankDeficiencyError)
+        assert np.isnan(w[1, 2]).all() and not np.isnan(np.delete(w.reshape(9, -1), 5, 0)).any()
+        for b, s in [(0, 0), (1, 1), (2, 2)]:
+            one = precoders.build_precoders(spec, env.trial(b), channels[b, s][None], 1e-6)[0]
+            np.testing.assert_array_equal(w[b, s], one[0])
+
+    def test_dataset_replacement_inside_a_chunk(self, tmp_path):
+        # ten users on a 12x12 grid without spacing often snap to one
+        # cell: a chunk re-places those trials from their own streams,
+        # as drawing each trial alone does
+        geometry = perimeter_geometry()
+        params = LosChannelParams(wavelength=geometry.wavelength)
+        spec = GridSpec(nx=12, ny=12, x_min=1.25, x_max=4.75, y_min=1.25, y_max=4.75)
+        grid, manifest, _ = generate_synthetic_dataset(geometry, spec, params, tx_count=2)
+        write_dataset(grid, manifest, tmp_path / "ds")
+        cfg = make_config(k_users=10, min_spacing_m=0.0, channel_source="dataset",
+                          dataset_path=str(tmp_path / "ds"))
+        sampler = scenarios._make_sampler(cfg)
+        snaps = []
+        snap = sampler.snap
+        sampler.snap = lambda positions: snaps.append(1) or snap(positions)
+        positions, h = scenarios.draw_channels(cfg, range(12), sampler)
+        assert len(snaps) > 12  # some trial collided and was re-placed
+        for t in range(12):
+            p, one = draw_trial_channels(cfg, t)
+            np.testing.assert_array_equal(positions[t], p)
+            np.testing.assert_array_equal(h[t], one)
