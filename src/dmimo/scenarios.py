@@ -310,7 +310,8 @@ class _DatasetSampler:
 
     def channels(self, positions: np.ndarray) -> np.ndarray:
         """(B, M, K) CSI at (B, K, 3) snapped positions."""
-        t, m, n = (c[self._nearest(positions)] for c in self.cells)
+        idx = self._nearest(positions)
+        t, m, n = (c[idx] for c in self.cells)
         return np.ascontiguousarray(self.grid.csi[t, :, m, n].transpose(0, 2, 1))
 
 
@@ -422,15 +423,23 @@ def run_trial(
     return tuple(a[0] for a in run_chunk(config, [trial_index], noise_var, sigma_points, sampler))
 
 
-#: Most trials per chunk, the unit of work: one draw, environment, build
-#: per precoder and SINR call for all of them.
-CHUNK_TRIALS = 32
+#: Most trials per chunk, the unit of work (one draw, environment, build
+#: per precoder and SINR call for all of them), and most entries of the
+#: pool and Gram stacks its builds hold, sigma points x K x (M + APs x K)
+#: per trial: a build's memory grows with them.
+CHUNK_TRIALS, CHUNK_ENTRIES = 32, 25_000
 
 
-def _chunks(trials: int, workers: int) -> list[range]:
-    """The chunks of a run, a function of ``trials`` and ``workers`` alone:
-    at most ``CHUNK_TRIALS`` trials each, about four per pool worker."""
-    size = max(1, min(CHUNK_TRIALS, -(-trials // (4 * workers)) if workers > 1 else trials))
+def _chunks(config: ScenarioConfig) -> list[range]:
+    """The chunks of a run, a function of its config alone: at most
+    ``CHUNK_TRIALS`` trials and ``CHUNK_ENTRIES`` stack entries each,
+    and about four per pool worker."""
+    geo, k, trials = config.geometry, config.k_users, config.trials
+    entries = len(config.nmse_grid or [0]) * k * (geo.num_antennas + geo.num_aps * k)
+    size = min(CHUNK_TRIALS, CHUNK_ENTRIES // entries)
+    if config.workers > 1:
+        size = min(size, -(-trials // (4 * config.workers)))
+    size = max(size, 1)
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
@@ -447,7 +456,7 @@ def mean_channel_gain(config: ScenarioConfig, sampler=None, each=map) -> float:
     sampler = sampler or _make_sampler(config)
     total = 0.0
     for gains in each(
-        partial(_chunk_gains, config, sampler), _chunks(config.trials, config.workers)
+        partial(_chunk_gains, config, sampler), _chunks(config)
     ):
         for gain in gains:
             total += gain
@@ -524,7 +533,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             sigma_points = sigma_grid
         run = partial(run_chunk, config, noise_var=noise_var,
                       sigma_points=sigma_points, sampler=sampler)
-        chunks = list(each(run, _chunks(config.trials, config.workers)))
+        chunks = list(each(run, _chunks(config)))
     sinr_db, failures, nmse = (np.concatenate(a) for a in zip(*chunks))
 
     return ScenarioSummary(

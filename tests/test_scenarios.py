@@ -631,6 +631,7 @@ class TestChunks:
     def test_outputs_identical_across_chunking_and_workers(self, name, tmp_path, monkeypatch):
         config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
         outputs = {}
+        monkeypatch.setattr(scenarios, "CHUNK_ENTRIES", 10**9)
         for chunk in (1, 3, 13):
             monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
             for workers in (1, 2):
@@ -647,10 +648,21 @@ class TestChunks:
         assert len(set(outputs.values())) == 1
 
     def test_chunk_boundaries(self):
-        assert scenarios._chunks(10, 1) == [range(0, 10)]
-        assert scenarios._chunks(200, 2) == [range(t, t + 25) for t in range(0, 200, 25)]
-        assert scenarios._chunks(2000, 2)[-1] == range(1984, 2000)
-        assert scenarios._chunks(3, 4) == [range(0, 1), range(1, 2), range(2, 3)]
+        # at most CHUNK_TRIALS trials, CHUNK_ENTRIES stack entries (here
+        # 5 x 3 x (64 + 8 x 3) = 1320 per trial) and a quarter of a
+        # worker's share each
+        cfg = make_config(trials=10, nmse_grid=(0.0, 0.1, 0.2, 0.3, 0.4))
+        assert scenarios._chunks(cfg) == [range(0, 10)]
+        assert scenarios._chunks(dataclasses.replace(cfg, trials=50))[-1] == range(36, 50)
+        pool = dataclasses.replace(cfg, trials=200, workers=2)
+        assert scenarios._chunks(pool) == [range(t, t + 18) for t in range(0, 198, 18)] + [
+            range(198, 200)
+        ]
+        assert scenarios._chunks(dataclasses.replace(cfg, trials=3, workers=4)) == [
+            range(0, 1), range(1, 2), range(2, 3)
+        ]
+        wide = dataclasses.replace(cfg, k_users=40, trials=3)  # past the entry budget
+        assert scenarios._chunks(wide) == [range(0, 1), range(1, 2), range(2, 3)]
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_chunk_slice_equals_its_own_build(self, clustered):
