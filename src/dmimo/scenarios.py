@@ -324,9 +324,8 @@ def _place(config: ScenarioConfig, trial_index: int, sampler) -> np.ndarray:
     re-places (budgeted) until all users occupy distinct cells."""
     rng = np.random.default_rng([config.rng_seed, trial_index, _STREAM_PLACEMENT])
     for _ in range(_SNAP_ATTEMPTS):
-        snapped = sampler.snap(
-            place_ues(config.roi, config.k_users, config.min_spacing_m, rng).positions
-        )
+        placed = place_ues(config.roi, config.k_users, config.min_spacing_m, rng)
+        snapped = sampler.snap(placed.positions)
         if snapped is not None:
             return snapped
     raise PlacementError(
@@ -436,10 +435,8 @@ def _chunks(config: ScenarioConfig) -> list[range]:
     and about four per pool worker."""
     geo, k, trials = config.geometry, config.k_users, config.trials
     entries = len(config.nmse_grid or [0]) * k * (geo.num_antennas + geo.num_aps * k)
-    size = min(CHUNK_TRIALS, CHUNK_ENTRIES // entries)
-    if config.workers > 1:
-        size = min(size, -(-trials // (4 * config.workers)))
-    size = max(size, 1)
+    pool_share = -(-trials // (4 * config.workers)) if config.workers > 1 else trials
+    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries, pool_share))
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
@@ -455,9 +452,7 @@ def mean_channel_gain(config: ScenarioConfig, sampler=None, each=map) -> float:
     and summed in trial order."""
     sampler = sampler or _make_sampler(config)
     total = 0.0
-    for gains in each(
-        partial(_chunk_gains, config, sampler), _chunks(config)
-    ):
+    for gains in each(partial(_chunk_gains, config, sampler), _chunks(config)):
         for gain in gains:
             total += gain
     return total / (config.trials * config.k_users)
