@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Check the six bundled experiments at full size against goldens/.
 
-    python scripts/check_goldens.py [--workers N] [--write]
+    python scripts/check_goldens.py [--write]
 
 Runs every bundled simulate config at its own trial count (2000) and
 compares the result with ``goldens/<config>.json``: per config the noise
 variance (within ``REL_TOL`` relative), per (precoder, sigma) the failed
 trial and sample counts (exactly), median and 90%-guaranteed SINR
 (within ``SINR_TOL_DB``) and the mean realized NMSE (within ``REL_TOL``
-relative). It also asserts what the config headers claim. Results do
-not depend on ``--workers``. ``--write`` regenerates the goldens instead
+relative). It also asserts what the config headers claim. Each config
+runs at its own ``workers``. ``--write`` regenerates the goldens instead
 of checking them; a golden is regenerated only for a stated cause,
 never to absorb unexplained drift. Exits 1 on any mismatch.
 """
@@ -17,7 +17,6 @@ never to absorb unexplained drift. Exits 1 on any mismatch.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -47,9 +46,9 @@ REL_TOL = 1e-9
 STAT_FIELDS = ("n_failed_trials", "n_samples", "median_db", "guaranteed_90_db", "mean_nmse")
 
 
-def golden(name: str, workers: int) -> dict:
+def golden(name: str) -> dict:
     config = parse_simulate_config(ROOT / "configs" / f"{name}.yaml")
-    summary = run_scenario(dataclasses.replace(config, workers=workers))
+    summary = run_scenario(config)
     return {
         "config": name,
         "trials": config.trials,
@@ -113,13 +112,12 @@ def header_claims(results: dict) -> list[str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--write", action="store_true", help="regenerate the goldens")
     args = parser.parse_args()
 
     results, errors = {}, []
     for name in CONFIGS:
-        results[name] = got = golden(name, args.workers)
+        results[name] = got = golden(name)
         path = GOLDENS / f"{name}.json"
         if args.write:
             GOLDENS.mkdir(exist_ok=True)

@@ -62,7 +62,6 @@ from .scenarios import (
     cluster_users,
     run_chunk,
     run_scenario,
-    run_trial,
 )
 
 __version__ = "0.1.0"

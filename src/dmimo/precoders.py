@@ -549,14 +549,6 @@ _PAIR_FAILURES = {
 #: pair by pair.
 DOWNDATE_COND = 1e8
 
-#: Fewest pairs per unit, on average, and fewest pairs in all, for which
-#: a regularized trial inverts its units; below either it solves each
-#: pair on its own. In chunks those solves are no faster, but inverting
-#: instead moves k5-sweep SINR by up to 3.9e-9 dB (2000 trials).
-#: Unregularized builds always invert.
-DOWNDATE_PAIRS, DOWNDATE_MIN_PAIRS = 6, 10
-
-
 def _rank_deficient(pool, present, sizes, pu, mask, n, used):
     """Per trial, pool slice and pair: do its n columns under ``mask`` lack
     full rank? ``pool`` is (B, S, U, Ma, K); ``used`` (B, U) marks the
@@ -688,9 +680,7 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
         solve = np.broadcast_to((n > 0)[:, None], code.shape)
         # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
         bound = np.trace(gram, axis1=-2, axis2=-1).real <= (DOWNDATE_COND - 1) * alpha
-        few = pu.shape[1] < np.maximum(DOWNDATE_PAIRS * used.sum(axis=1), DOWNDATE_MIN_PAIRS)
-        direct = solve & np.take_along_axis(bound, pu[:, None], axis=2)
-        direct &= ~(mixed | few[:, None])[:, None]
+        direct = solve & np.take_along_axis(bound, pu[:, None], axis=2) & ~mixed[:, None]
     inverted = np.nonzero(direct @ unit_of)  # (trial, slice, unit) holding a directly solved pair
     slot = np.full(gram.shape[:3], -1)
     slot[inverted] = np.arange(inverted[0].size)
@@ -750,8 +740,7 @@ def build_precoders(
     their unit's pool is rank deficient, when the unit's Gram condition
     number may exceed ``DOWNDATE_COND``, or, regularized, when their
     columns mix CSI and near-field sources: alpha then acts on unit-norm
-    columns, a scale the unit's other pairs do not share. So does every
-    pair of a regularized trial with too few pairs (``DOWNDATE_PAIRS``).
+    columns, a scale the unit's other pairs do not share.
     Units are padded to the widest with zero rows, which change no Gram
     matrix, projection or norm. Specs without suppression skip all of
     this. Each choice is made per (trial, estimate) slice.

@@ -407,21 +407,6 @@ def run_chunk(
     return sinr_db, failures, nmse
 
 
-def run_trial(
-    config: ScenarioConfig,
-    trial_index: int,
-    noise_var: float | None = None,
-    sigma_points: tuple[float | None, ...] = (None,),
-    sampler=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`run_chunk` for one trial: arrays (S, P, K), (S, P) and (S,).
-    ``noise_var`` defaults to the one :func:`run_scenario` uses."""
-    if noise_var is None:
-        gain = mean_channel_gain(config, sampler)
-        noise_var = noise_variance_from_floor(config.noise_floor_db, gain)
-    return tuple(a[0] for a in run_chunk(config, [trial_index], noise_var, sigma_points, sampler))
-
-
 #: Most trials per chunk, the unit of work (one draw, environment, build
 #: per precoder and SINR call for all of them), and most entries of the
 #: pool and Gram stacks its builds hold, sigma points x K x (M + APs x K)
@@ -432,27 +417,48 @@ CHUNK_TRIALS, CHUNK_ENTRIES = 32, 25_000
 def _chunks(config: ScenarioConfig) -> list[range]:
     """The chunks of a run, a function of its config alone: at most
     ``CHUNK_TRIALS`` trials and ``CHUNK_ENTRIES`` stack entries each,
-    and about four per pool worker."""
+    and about eight per pool worker."""
     geo, k, trials = config.geometry, config.k_users, config.trials
     entries = len(config.nmse_grid or [0]) * k * (geo.num_antennas + geo.num_aps * k)
-    pool_share = -(-trials // (4 * config.workers)) if config.workers > 1 else trials
+    pool_share = -(-trials // (8 * config.workers)) if config.workers > 1 else trials
     size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries, pool_share))
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
-def _chunk_gains(config: ScenarioConfig, sampler, trials) -> list[float]:
+#: The (config, sampler) of the run a pool worker serves, given once per
+#: worker by the pool's initializer: tasks carry only their trials.
+_worker_run: tuple = ()
+
+
+def _init_pool_worker(*run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _pool_task(task, trials):
+    return task(_worker_run[0], trials, sampler=_worker_run[1])
+
+
+def _each_chunk(task, config: ScenarioConfig, sampler, pool=None):
+    """``task(config, trials, sampler=sampler)`` for each chunk in order, in
+    process or on ``pool``, whose workers hold config and sampler."""
+    if pool is None:
+        return (task(config, c, sampler=sampler) for c in _chunks(config))
+    return pool.map(partial(_pool_task, task), _chunks(config))
+
+
+def _chunk_gains(config: ScenarioConfig, trials, sampler) -> list[float]:
     """Sum of |h|^2 over each trial's channel matrix."""
     _, h = draw_channels(config, trials, sampler)
     return np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
 
 
-def mean_channel_gain(config: ScenarioConfig, sampler=None, each=map) -> float:
+def mean_channel_gain(config: ScenarioConfig, sampler=None, pool=None) -> float:
     """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
-    drawn chunk by chunk through ``each`` (``map`` or a process pool's)
-    and summed in trial order."""
-    sampler = sampler or _make_sampler(config)
+    drawn chunk by chunk and summed in trial order; on ``pool`` if given,
+    whose workers hold config and sampler (:func:`_init_pool_worker`)."""
     total = 0.0
-    for gains in each(partial(_chunk_gains, config, sampler), _chunks(config)):
+    for gains in _each_chunk(_chunk_gains, config, sampler or _make_sampler(config), pool):
         for gain in gains:
             total += gain
     return total / (config.trials * config.k_users)
@@ -509,14 +515,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
     floor (dB) relative to the mean MRT received power over the same
     trial channels. Trials run in chunks (:func:`run_chunk`), with
     ``workers`` > 1 on a process pool that also draws the noise
-    pre-pass. Results are bit-identical for a given seed regardless of
+    pre-pass; each worker is sent the sampler once, and each task only
+    its trials. Results are bit-identical for a given seed regardless of
     ``workers`` and chunking.
     """
     validate_config(config)
     sampler = _make_sampler(config)
-    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
-        each = map if pool is None else pool.map
-        mean_user_gain = mean_channel_gain(config, sampler, each)
+    pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,
+                               initargs=(config, sampler)) if config.workers > 1 else None
+    with pool or nullcontext():
+        mean_user_gain = mean_channel_gain(config, sampler, pool)
         noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
         mean_entry_gain = mean_user_gain / config.geometry.num_antennas
         if config.nmse_grid is None:
@@ -526,9 +534,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             scale = mean_entry_gain if config.nmse_relative else 1.0
             sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
             sigma_points = sigma_grid
-        run = partial(run_chunk, config, noise_var=noise_var,
-                      sigma_points=sigma_points, sampler=sampler)
-        chunks = list(each(run, _chunks(config)))
+        run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_points)
+        chunks = list(_each_chunk(run, config, sampler, pool))
     sinr_db, failures, nmse = (np.concatenate(a) for a in zip(*chunks))
 
     return ScenarioSummary(

@@ -861,34 +861,6 @@ class TestDowndateConditioning:
             assert (x[:, j, j] == 0).all()
 
 
-class TestDowndatePairCount:
-    """Regularized builds invert their units only with at least
-    DOWNDATE_PAIRS pairs per unit and DOWNDATE_MIN_PAIRS in all; with
-    fewer, one solve per pair is cheaper."""
-
-    def inverts(self, monkeypatch, spec, env, noise_var):
-        calls = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
-        assert_matches_reference(spec, env, noise_var)
-        return bool(calls)
-
-    @pytest.mark.parametrize("name", ["rzf", "dis_rzf"])
-    @pytest.mark.parametrize("k,expected", [(9, False), (10, True)])
-    def test_one_unit_needs_min_pairs(self, monkeypatch, name, k, expected):
-        h = crandn(np.random.default_rng(k), 8, k)
-        env = make_env(ula(8), h, np.zeros((k, 3)), locations=False)
-        spec = parse_precoder_name(name)
-        assert self.inverts(monkeypatch, spec, env, 1e-2) is expected
-
-    @pytest.mark.parametrize("name", ["dis_rzf", "dis_rmrt_nf"])
-    @pytest.mark.parametrize("k,expected", [(5, False), (6, True)])
-    def test_units_need_pairs_each(self, monkeypatch, name, k, expected):
-        env, noise_var = oracle_env(k, 1, "dis")
-        spec = parse_precoder_name(name)
-        assert self.inverts(monkeypatch, spec, env, noise_var) is expected
-
-
 class TestRankThreshold:
     # zf on a 4-antenna array whose channel is diagonal: the last user's
     # entry s sets the smallest singular value of every pool it is in,

@@ -26,8 +26,8 @@ from dmimo import (
     parse_precoder_name,
     perimeter_geometry,
     read_dataset,
+    run_chunk,
     run_scenario,
-    run_trial,
     sinr_all,
     write_dataset,
 )
@@ -49,6 +49,12 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def run_trial(config, t, noise_var, sigma_points=(None,), sampler=None):
+    """Trial t on its own: ``run_chunk`` of one trial, arrays (S, P, K),
+    (S, P) and (S,)."""
+    return tuple(a[0] for a in run_chunk(config, [t], noise_var, sigma_points, sampler))
 
 
 class TestValidation:
@@ -203,14 +209,15 @@ class TestRunTrial:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        # zf inverts its unit's Gram matrix; rzf, with three users on one
-        # unit, solves pair by pair
+        # zf inverts its unit's Gram matrix; rzf, whose weight (the noise
+        # variance, 1e-12) is too small for the inverse's trace bound on
+        # these channels (Gram trace ~1.5e-3), solves pair by pair
         names = ("mrt", "zf", "rzf")
         cfg = make_config(precoders=tuple(parse_precoder_name(n) for n in names))
         for routine, p in (("inv", 1), ("solve", 2)):
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, routine, singular)
-                sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-6)
+                sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-12)
             assert np.isnan(sinr_db[0, p]).all()
             assert failures[0, p] == (
                 f"RankDeficiencyError: precoder '{names[p]}': singular suppression "
@@ -551,6 +558,14 @@ class TestDatasetMode:
             return read(path)
 
         monkeypatch.setattr(scenarios, "read_dataset", counting_read)
+        sent = []
+
+        class RecordingPool(scenarios.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sent.append(pickle.dumps((fn, args, kwargs)))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
         cfg = make_config(
             k_users=3,
             trials=6,
@@ -562,6 +577,8 @@ class TestDatasetMode:
         log.unlink()
         parallel = run_scenario(dataclasses.replace(cfg, workers=2))
         assert log.read_text() == f"{os.getpid()}\n"
+        # the sampler goes to each worker once, not with every task
+        assert sent and not any(b"Sampler" in task for task in sent)
         assert (
             summary_document(parallel)["precoders"]
             == summary_document(serial)["precoders"]
@@ -571,8 +588,9 @@ class TestDatasetMode:
         np.testing.assert_array_equal(parallel.failures, serial.failures)
 
     def test_chunk_task_keeps_given_sampler(self, dataset_dir, monkeypatch):
-        # a pool task is run_chunk with the run's sampler bound in; the
-        # sampler travels with the pickled task and is never re-read
+        # the pool initializer gives a worker the run's sampler once; a
+        # pickled chunk task carries its trials and the noise level only,
+        # and runs on that sampler without re-reading the dataset
         cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir))
         sampler = scenarios._make_sampler(cfg)
 
@@ -580,10 +598,12 @@ class TestDatasetMode:
             raise AssertionError("worker re-read the dataset")
 
         monkeypatch.setattr(scenarios, "read_dataset", no_read)
-        task = pickle.loads(pickle.dumps(functools.partial(
-            scenarios.run_chunk, cfg, noise_var=1e-3, sigma_points=(None,), sampler=sampler
-        )))
-        chunk = task(range(1, 4))
+        monkeypatch.setattr(scenarios, "_worker_run", ())
+        scenarios._init_pool_worker(cfg, sampler)
+        run = functools.partial(scenarios.run_chunk, noise_var=1e-3, sigma_points=(None,))
+        payload = pickle.dumps(functools.partial(scenarios._pool_task, run))
+        assert b"Sampler" not in payload and b"ScenarioConfig" not in payload
+        chunk = pickle.loads(payload)(range(1, 4))
         for b, t in enumerate(range(1, 4)):
             for a, e in zip(chunk, run_trial(cfg, t, 1e-3, (None,), sampler), strict=True):
                 np.testing.assert_array_equal(a[b], e)
@@ -649,14 +669,14 @@ class TestChunks:
 
     def test_chunk_boundaries(self):
         # at most CHUNK_TRIALS trials, CHUNK_ENTRIES stack entries (here
-        # 5 x 3 x (64 + 8 x 3) = 1320 per trial) and a quarter of a
+        # 5 x 3 x (64 + 8 x 3) = 1320 per trial) and an eighth of a
         # worker's share each
         cfg = make_config(trials=10, nmse_grid=(0.0, 0.1, 0.2, 0.3, 0.4))
         assert scenarios._chunks(cfg) == [range(0, 10)]
         assert scenarios._chunks(dataclasses.replace(cfg, trials=50))[-1] == range(36, 50)
         pool = dataclasses.replace(cfg, trials=200, workers=2)
-        assert scenarios._chunks(pool) == [range(t, t + 18) for t in range(0, 198, 18)] + [
-            range(198, 200)
+        assert scenarios._chunks(pool) == [range(t, t + 13) for t in range(0, 195, 13)] + [
+            range(195, 200)
         ]
         assert scenarios._chunks(dataclasses.replace(cfg, trials=3, workers=4)) == [
             range(0, 1), range(1, 2), range(2, 3)
