@@ -126,7 +126,30 @@ def guaranteed_sinr(samples, coverage: float) -> float:
         raise NoDataError("guaranteed_sinr needs at least one sample")
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    return float(np.quantile(x, 1.0 - coverage, method="linear"))
+    return sorted_quantile(np.sort(x, axis=None), 1.0 - coverage)
+
+
+def sorted_quantile(values: np.ndarray, q: float | None = None) -> float:
+    """``np.quantile(x, q, method="linear")``, q in [0, 1], of the samples
+    x that ``values`` holds in ascending order, as :func:`empirical_cdf`
+    returns them, or ``np.median(x)`` for q None; NaN if any sample is NaN.
+
+    numpy's own arithmetic on the order statistics, bit for bit, without
+    its partition: the median is the mean of the middle one or two
+    values; the quantile interpolates at (n - 1) q as numpy's ``_lerp``
+    does, from the right end when the weight is at least 1/2.
+    """
+    n = values.size
+    if n == 0:
+        raise NoDataError("sorted_quantile needs at least one sample")
+    if np.isnan(values[-1]):  # a sort puts NaNs last
+        return float(values[-1])
+    if q is None:
+        return float(np.mean(values[(n - 1) // 2 : n // 2 + 1]))
+    v = (n - 1) * q
+    lo, t = (n - 1, v + 1) if v >= n - 1 else (int(v), v - int(v))  # numpy's indexes and weight
+    a, b = float(values[lo]), float(values[min(lo + 1, n - 1)])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -418,6 +419,11 @@ class InfoEnvironment:
     serve everyone). A batch carries a leading trial axis on the
     channel, (B, M, K), and the positions, (B, K, 3), and on the grants
     and serving where its trials differ: (B, num_aps, K) and (B, K, n).
+
+    State fixed by the positions and serving is derived on first use and
+    kept, as read-only arrays every build on the environment shares: the
+    near-field matrix (:attr:`near_field`) and each scope's assembly
+    units (:meth:`assembly`).
     """
 
     geometry: ArrayGeometry
@@ -464,10 +470,28 @@ class InfoEnvironment:
         lead = leads.pop() if leads else ()
         object.__setattr__(self, "_aps", aps)
         object.__setattr__(self, "batch", lead[0] if lead else None)
+        object.__setattr__(self, "_assemblies", {})
+
+    @cached_property
+    def near_field(self) -> np.ndarray:
+        """The unit-modulus near-field phasors of every antenna toward
+        every UE position, (B, M, K) with B = 1 for one trial."""
+        geo, batch = self.geometry, self.batch or 1
+        nf = distance_phasors(geo.antenna_positions, self.ue_positions.reshape(-1, 3),
+                              geo.wavelength)[1]
+        return _read_only(nf.reshape(-1, batch, self.num_users).transpose(1, 0, 2))
+
+    def assembly(self, scope: str) -> tuple:
+        """The assembly units of ``scope`` and their pairs (:func:`_assembly`)."""
+        if scope not in self._assemblies:
+            self._assemblies[scope] = tuple(
+                map(_read_only, _assembly(self, scope, self.batch or 1))
+            )
+        return self._assemblies[scope]
 
     def trial(self, b: int) -> "InfoEnvironment":
         """Trial ``b`` of a batch as a one-trial environment (a copy of a
-        one-trial environment)."""
+        one-trial environment), deriving its own location state."""
 
         def pick(x):
             return x if x is None or x.ndim < 3 else x[b]
@@ -515,6 +539,13 @@ def _assembly(env: InfoEnvironment, scope: str, batch: int):
     pu = pu.reshape(batch, -1)
     pk = np.repeat(np.arange(k), pu.shape[1] // k)
     return units, antennas, np.array(list(map(len, rows))), served, pu, pk
+
+
+def _read_only(x):
+    """``x``, locked against writes when it is an array."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    return x
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:
@@ -748,9 +779,13 @@ def build_precoders(
     Arrays derived from locations, grants and serving are (B, ...): the
     near-field matrix, the assembly pairs, each unit's pool columns and
     a pool made from locations alone (``nf_nf``, ``mrt_nf``) with its
-    rank SVD and inverses. Arrays read from CSI are (B, S, ...). Products
-    broadcast the first over the estimates; each slice's arithmetic is
-    that of a build of its own, whatever batch it is built in.
+    rank SVD and inverses. The first two are ``env``'s: computed from the
+    UE positions (never from a channel) and the serving APs on first
+    use, and read by every later build on ``env``
+    (:attr:`InfoEnvironment.near_field`, :meth:`InfoEnvironment.assembly`).
+    Arrays read from CSI are (B, S, ...). Products broadcast the first
+    over the estimates; each slice's arithmetic is that of a build of its
+    own, whatever batch it is built in.
 
     ``noise_var`` supplies the default regularization weight when the
     spec is regularized with ``alpha=None``. A singular Gram matrix, in
@@ -779,12 +814,10 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
             shape = f"({'B, ' if env.batch else ''}S, {geo.num_antennas}, {k})"
             raise ValueError(f"channels must be {shape}, got {stack.shape}")
         stack = stack.reshape((batch,) + stack.shape[-3:])
-    asm = units, ant, sizes, served, pu, pk = _assembly(env, spec.scope, batch)
+    asm = units, ant, sizes, served, pu, pk = env.assembly(spec.scope)
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
-        points = env.ue_positions.reshape(-1, 3)
-        nf = distance_phasors(geo.antenna_positions, points, geo.wavelength)[1]
-        nf = nf.reshape(-1, batch, k).transpose(1, 0, 2)
+        nf = env.near_field
     if spec.base == "mrt":
         w = env.csi.gather(served, stack)
     elif spec.base == "nf":

@@ -10,7 +10,13 @@ suppresses inter-cluster interference from location information.
 
 Trials run in chunks (:func:`run_chunk`): one channel draw, information
 environment, build per precoder and SINR call for B trials, with
-chunks as the tasks of a process pool when ``workers`` > 1.
+chunks as the tasks of a process pool when ``workers`` > 1. The noise
+pre-pass places every trial once and hands each chunk its trials'
+placement: the UE positions, or in dataset mode their cells, which give
+both positions and CSI. A chunk synthesizes its channels from it, and
+its information environment derives the near-field matrix and each
+scope's assembly units from the positions once, read-only arrays that
+every precoder of the chunk shares.
 
 Determinism: every random draw derives from
 ``numpy.random.default_rng([rng_seed, trial_index, stream])`` with
@@ -43,10 +49,10 @@ from .metrics import (
     ChannelErrorModel,
     LinkRealization,
     empirical_cdf,
-    guaranteed_sinr,
     inject_channel_error,
     noise_variance_from_floor,
     sinr_all,
+    sorted_quantile,
 )
 from .precoders import (
     ChannelAccess,
@@ -255,7 +261,12 @@ def cluster_users(gains, pairs, geometry: ArrayGeometry) -> ClusterAssignment:
 
 
 class _SyntheticSampler:
-    """Draws exact LoS channels from the scenario geometry."""
+    """Draws exact LoS channels from the scenario geometry.
+
+    A sampler turns a trial's placed UEs into a placement (:meth:`snap`),
+    from which it reads the UE positions and the channels; here the
+    placement is the positions themselves.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.geometry = config.geometry
@@ -263,6 +274,9 @@ class _SyntheticSampler:
 
     def snap(self, positions: np.ndarray) -> np.ndarray:
         return positions
+
+    def positions(self, placement: np.ndarray) -> np.ndarray:
+        return placement
 
     def channels(self, positions: np.ndarray) -> np.ndarray:
         """(B, M, K) channels at (B, K, 3) positions, in one synthesis."""
@@ -276,7 +290,8 @@ class _DatasetSampler:
     A valid cell is a grid position with a tx antenna whose CSI is
     present at every rx antenna; the lowest such tx index is used. The
     snapped grid position becomes the UE's location so measured CSI and
-    location information agree.
+    location information agree. A placement is each UE's cell index, found
+    once, from which both its position and its CSI are read.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -299,19 +314,20 @@ class _DatasetSampler:
         self.cells = (np.argmax(full[:, m, n], axis=0), m, n)  # lowest full tx
         self.cell_positions = grid.positions[m, n]
 
-    def _nearest(self, positions: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(positions[..., None, :] - self.cell_positions, axis=-1)
-        return np.argmin(d, axis=-1)
-
     def snap(self, positions: np.ndarray) -> np.ndarray | None:
-        """The (K, 3) positions moved to their cells; None when two share one."""
-        idx = self._nearest(positions)
-        return None if np.unique(idx).size != idx.size else self.cell_positions[idx]
+        """The cells nearest the (K, 3) positions, (K,); None when two share one."""
+        d = np.linalg.norm(positions[:, None] - self.cell_positions, axis=-1)
+        idx = np.argmin(d, axis=-1)
+        ordered = np.sort(idx)
+        return None if (ordered[1:] == ordered[:-1]).any() else idx
 
-    def channels(self, positions: np.ndarray) -> np.ndarray:
-        """(B, M, K) CSI at (B, K, 3) snapped positions."""
-        idx = self._nearest(positions)
-        t, m, n = (c[idx] for c in self.cells)
+    def positions(self, cells: np.ndarray) -> np.ndarray:
+        """(B, K, 3) positions of (B, K) cells."""
+        return self.cell_positions[cells]
+
+    def channels(self, cells: np.ndarray) -> np.ndarray:
+        """(B, M, K) CSI at (B, K) cells."""
+        t, m, n = (c[cells] for c in self.cells)
         return np.ascontiguousarray(self.grid.csi[t, :, m, n].transpose(0, 2, 1))
 
 
@@ -320,8 +336,9 @@ def _make_sampler(config: ScenarioConfig):
 
 
 def _place(config: ScenarioConfig, trial_index: int, sampler) -> np.ndarray:
-    """One trial's UE positions from its placement stream; dataset mode
-    re-places (budgeted) until all users occupy distinct cells."""
+    """One trial's placement (``sampler.snap``) from its placement stream;
+    dataset mode re-places (budgeted) until all users occupy distinct
+    cells."""
     rng = np.random.default_rng([config.rng_seed, trial_index, _STREAM_PLACEMENT])
     for _ in range(_SNAP_ATTEMPTS):
         placed = place_ues(config.roi, config.k_users, config.min_spacing_m, rng)
@@ -334,13 +351,22 @@ def _place(config: ScenarioConfig, trial_index: int, sampler) -> np.ndarray:
     )
 
 
-def draw_channels(config: ScenarioConfig, trials, sampler=None) -> tuple[np.ndarray, np.ndarray]:
+def _place_chunk(config: ScenarioConfig, trials, sampler) -> np.ndarray:
+    """The placements of the trials ``trials``, stacked."""
+    return np.stack([_place(config, t, sampler) for t in trials])
+
+
+def draw_channels(
+    config: ScenarioConfig, trials, sampler=None, placement=None
+) -> tuple[np.ndarray, np.ndarray]:
     """UE positions and true channels of the trials ``trials``, (B, K, 3)
-    and (B, M, K): each trial placed from its own stream, all channels
-    drawn in one call."""
+    and (B, M, K): each trial placed from its own stream, or read from
+    ``placement``, their stacked placement as the noise pre-pass made it,
+    and all channels drawn in one call."""
     sampler = sampler or _make_sampler(config)
-    positions = np.stack([_place(config, t, sampler) for t in trials])
-    return positions, sampler.channels(positions)
+    if placement is None:
+        placement = _place_chunk(config, trials, sampler)
+    return sampler.positions(placement), sampler.channels(placement)
 
 
 def draw_trial_channels(
@@ -372,9 +398,13 @@ def run_chunk(
     noise_var: float,
     sigma_points: tuple[float | None, ...] = (None,),
     sampler=None,
+    *,
+    placement=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place UEs, build every configured precoder and evaluate SINR for
-    the B trials ``trials`` (indices) as one unit of work.
+    the B trials ``trials`` (indices) as one unit of work. Given
+    ``placement``, the trials' stacked placement as the noise pre-pass
+    made it, the chunk reads its UEs from it instead of placing them.
 
     ``sigma_points`` lists per-entry channel-error variances (None means
     perfect CSI); a trial's estimates at all S points come from one
@@ -388,7 +418,7 @@ def run_chunk(
     the realized NMSE, (B, S), NaN under perfect CSI. A trial's results
     do not depend on the chunk it runs in.
     """
-    positions, h_true = draw_channels(config, trials, sampler)
+    positions, h_true = draw_channels(config, trials, sampler, placement)
     shape = (len(trials), len(sigma_points), len(config.precoders))
     sinr_db = np.full(shape + (config.k_users,), np.nan)
     failures = np.full(shape, None, dtype=object)
@@ -426,7 +456,8 @@ def _chunks(config: ScenarioConfig) -> list[range]:
 
 
 #: The (config, sampler) of the run a pool worker serves, given once per
-#: worker by the pool's initializer: tasks carry only their trials.
+#: worker by the pool's initializer: tasks carry only their trials and
+#: placements.
 _worker_run: tuple = ()
 
 
@@ -435,39 +466,52 @@ def _init_pool_worker(*run) -> None:
     _worker_run = run
 
 
-def _pool_task(task, trials):
-    return task(_worker_run[0], trials, sampler=_worker_run[1])
+def _pool_task(task, trials, keywords=None):
+    return task(_worker_run[0], trials, sampler=_worker_run[1], **(keywords or {}))
 
 
-def _each_chunk(task, config: ScenarioConfig, sampler, pool=None):
-    """``task(config, trials, sampler=sampler)`` for each chunk in order, in
-    process or on ``pool``, whose workers hold config and sampler."""
+def _each_chunk(task, config: ScenarioConfig, sampler, pool=None, placements=None):
+    """``task(config, trials, sampler=sampler)`` for each chunk in order,
+    given ``placement=`` its entry of ``placements`` if any, in process or
+    on ``pool``, whose workers hold config and sampler."""
+    chunks = _chunks(config)
+    keywords = [{}] * len(chunks) if placements is None else [{"placement": p} for p in placements]
     if pool is None:
-        return (task(config, c, sampler=sampler) for c in _chunks(config))
-    return pool.map(partial(_pool_task, task), _chunks(config))
+        return (task(config, c, sampler=sampler, **kw) for c, kw in zip(chunks, keywords))
+    return pool.map(partial(_pool_task, task), chunks, keywords)
 
 
-def _chunk_gains(config: ScenarioConfig, trials, sampler) -> list[float]:
-    """Sum of |h|^2 over each trial's channel matrix."""
-    _, h = draw_channels(config, trials, sampler)
-    return np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
+def _chunk_gains(config: ScenarioConfig, trials, sampler) -> tuple[np.ndarray, list[float]]:
+    """The trials' stacked placement and the sum of |h|^2 over each
+    trial's channel matrix."""
+    placement = _place_chunk(config, trials, sampler)
+    h = sampler.channels(placement)
+    return placement, np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
+
+
+def _noise_prepass(config: ScenarioConfig, sampler, pool=None) -> tuple[float, list[np.ndarray]]:
+    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
+    drawn chunk by chunk and summed in trial order, and each chunk's
+    placement; on ``pool`` if given, whose workers hold config and sampler
+    (:func:`_init_pool_worker`)."""
+    total, placements = 0.0, []
+    for placement, gains in _each_chunk(_chunk_gains, config, sampler, pool):
+        placements.append(placement)
+        for gain in gains:
+            total += gain
+    return total / (config.trials * config.k_users), placements
 
 
 def mean_channel_gain(config: ScenarioConfig, sampler=None, pool=None) -> float:
-    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
-    drawn chunk by chunk and summed in trial order; on ``pool`` if given,
-    whose workers hold config and sampler (:func:`_init_pool_worker`)."""
-    total = 0.0
-    for gains in _each_chunk(_chunk_gains, config, sampler or _make_sampler(config), pool):
-        for gain in gains:
-            total += gain
-    return total / (config.trials * config.k_users)
+    """The noise-floor reference of :func:`_noise_prepass`."""
+    return _noise_prepass(config, sampler or _make_sampler(config), pool)[0]
 
 
 def _decimate_cdf(values: np.ndarray, probs: np.ndarray, max_points: int = CDF_MAX_POINTS):
     if values.size <= max_points:
         return values, probs
-    idx = np.unique(np.round(np.linspace(0, values.size - 1, max_points)).astype(int))
+    idx = np.round(np.linspace(0, values.size - 1, max_points)).astype(int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]  # distinct, as they rise
     return values[idx], probs[idx]
 
 
@@ -485,9 +529,9 @@ def _aggregate(
         for p, spec in enumerate(config.precoders):
             flat = sinr_db[~failed[:, s, p], s, p].ravel()
             if flat.size:
-                values, probs = _decimate_cdf(*empirical_cdf(flat))
-                median = float(np.median(flat))
-                p10 = guaranteed_sinr(flat, 0.9)
+                values, probs = empirical_cdf(flat)
+                median, p10 = sorted_quantile(values), sorted_quantile(values, 1.0 - 0.9)
+                values, probs = _decimate_cdf(values, probs)
             else:
                 values = probs = None
                 median = p10 = None
@@ -515,16 +559,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
     floor (dB) relative to the mean MRT received power over the same
     trial channels. Trials run in chunks (:func:`run_chunk`), with
     ``workers`` > 1 on a process pool that also draws the noise
-    pre-pass; each worker is sent the sampler once, and each task only
-    its trials. Results are bit-identical for a given seed regardless of
-    ``workers`` and chunking.
+    pre-pass. The pre-pass places every trial once and hands each chunk
+    its placement; each worker is sent the sampler once, and each task
+    only its trials and placement. Results are bit-identical for a given
+    seed regardless of ``workers`` and chunking.
     """
     validate_config(config)
     sampler = _make_sampler(config)
     pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,
                                initargs=(config, sampler)) if config.workers > 1 else None
     with pool or nullcontext():
-        mean_user_gain = mean_channel_gain(config, sampler, pool)
+        mean_user_gain, placements = _noise_prepass(config, sampler, pool)
         noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
         mean_entry_gain = mean_user_gain / config.geometry.num_antennas
         if config.nmse_grid is None:
@@ -535,7 +580,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
             sigma_points = sigma_grid
         run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_points)
-        chunks = list(_each_chunk(run, config, sampler, pool))
+        chunks = list(_each_chunk(run, config, sampler, pool, placements))
     sinr_db, failures, nmse = (np.concatenate(a) for a in zip(*chunks))
 
     return ScenarioSummary(

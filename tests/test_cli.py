@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -287,6 +290,37 @@ class TestSimulate:
         assert main(["simulate", "--config", str(a / "summary.json"), "--out", str(b)]) == 0
         for name in ("results.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _python(*argv) -> str:
+    """stdout of ``python argv...`` run on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestSimulateImports:
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path, dataset):
+        # numpy 2 imports numpy.ma lazily, on the first np.median,
+        # np.quantile or plain np.unique (~20 ms); a simulate run, CDF
+        # decimation and dataset snapping included, needs none of them
+        loaded = "import sys; print('numpy.ma' in sys.modules)"
+        if _python("-c", "import numpy; " + loaded).strip() == "True":
+            pytest.skip("importing numpy already imports numpy.ma")
+        text = SIMULATE_CFG
+        if dataset:
+            gen = write(tmp_path / "gen.yaml", GENERATE_CFG)
+            assert main(["generate", "--config", gen, "--out", str(tmp_path / "ds")]) == 0
+            text = _in_geometry(text, "n_aps: 2\n  antennas_per_ap: 4")
+            text += f"channel:\n  source: dataset\n  path: {tmp_path / 'ds'}\n"
+        cfg = write(tmp_path / "sim.yaml", text)
+        run = "import sys; from dmimo.cli import main; assert main(sys.argv[1:]) == 0; "
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--trials", "200"]
+        assert _python("-c", run + loaded, *argv).splitlines()[-1] == "False"
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["precoders"][0]["cdf"]["sinr_db"]) == 512  # 600 samples decimated
 
 
 def _in_geometry(text, line):

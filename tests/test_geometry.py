@@ -265,6 +265,9 @@ class TestPlaceUesStream:
                 self.calls += 1
                 return None if self.calls <= rejected else positions
 
+            def positions(self, placement):
+                return placement
+
             def channels(self, positions):
                 return np.zeros((len(positions), cfg.geometry.num_antennas, cfg.k_users))
 

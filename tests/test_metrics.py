@@ -17,6 +17,7 @@ from dmimo import (
     zf,
 )
 from dmimo.errors import NoDataError
+from dmimo.metrics import sorted_quantile
 
 
 def sinr_loop_oracle(h, w, noise_var, k):
@@ -229,6 +230,67 @@ class TestEmpiricalCdf:
         assert np.all(np.diff(values) >= 0)
         assert np.all(np.diff(probs) > 0)
         assert probs[-1] == 1.0
+
+
+def same_float(a: float, b) -> bool:
+    """Bitwise equal, or both NaN (numpy returns a sample's own NaN)."""
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+class TestSortedQuantile:
+    """The median and the 10th percentile read off sorted samples, as
+    np.median and np.quantile(method="linear") compute them."""
+
+    CASES = [
+        [4.2],
+        [1.0, 2.0],
+        [3.0, 1.0, 2.0],
+        [0.1, 0.7, 0.2, 0.3],
+        [1.0, 1.0, 1.0, 2.0, 2.0],
+        [5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+        [-np.inf, 1.0, 2.0, np.inf],
+        [-np.inf, -np.inf, 3.0],
+        [np.inf, np.inf],
+        [np.inf],
+        [-np.inf, np.inf],
+        [1.0, np.nan, 2.0],
+        [np.nan],
+        [np.nan, np.inf, -np.inf, 0.0],
+        [1e308, 1e308],
+        [-0.0, 0.0, -0.0],
+        list(np.linspace(-30.0, 40.0, 101) ** 3),
+        list(np.arange(1000.0) / 7.0),
+    ]
+
+    @staticmethod
+    def check(samples):
+        x = np.asarray(samples, dtype=float)
+        values = np.sort(x)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as numpy warns
+            median, p10 = np.median(x), np.quantile(x, 1.0 - 0.9, method="linear")
+            assert same_float(sorted_quantile(values), median)
+            assert same_float(sorted_quantile(values, 1.0 - 0.9), p10)
+            assert same_float(guaranteed_sinr(x, 0.9), p10)
+
+    @pytest.mark.parametrize("samples", CASES, ids=range(len(CASES)))
+    def test_fixed_cases(self, samples):
+        self.check(samples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40)
+           | st.lists(st.sampled_from([-np.inf, -3.0, -0.0, 0.0, 0.5, 2.0, np.inf]),
+                      min_size=1, max_size=40))
+    def test_equals_numpy(self, samples):
+        self.check(samples)
+
+    def test_nan_wins(self):
+        assert np.isnan(sorted_quantile(np.sort([1.0, 2.0, np.nan]), 0.5))
+        assert np.isnan(sorted_quantile(np.sort([np.nan, -np.inf])))
+
+    def test_empty_raises(self):
+        with pytest.raises(NoDataError):
+            sorted_quantile(np.array([]))
 
 
 class TestNoiseFloor:

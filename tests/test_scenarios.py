@@ -348,8 +348,9 @@ class TestNmseSweep:
         assert calls == {"inv": 3, "svd": 2}
 
     def test_location_state_derived_once_per_chunk(self, monkeypatch):
-        # each spec derives the near-field matrix and its assembly units
-        # once for every trial of the chunk and every sigma point
+        # the chunk's environment derives the near-field matrix once and
+        # its assembly units once per scope, for every spec, trial and
+        # sigma point of the chunk
         calls = collections.Counter()
         for name in ("distance_phasors", "_assembly"):
             def counting(*args, name=name, inner=getattr(precoders, name)):
@@ -362,7 +363,7 @@ class TestNmseSweep:
         points = (0.0, 1e-7, 2e-7)
         _, failures, _ = scenarios.run_chunk(cfg, range(2, 6), 1e-6, points)
         assert np.equal(failures, None).all()
-        assert calls == {"distance_phasors": 3, "_assembly": 6}
+        assert calls == {"distance_phasors": 1, "_assembly": 2}
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
         # one build per (trial, spec); only the specs that read CSI get a
@@ -703,6 +704,82 @@ class TestChunks:
                 one_w, one_failures = precoders.build_precoders(spec, env.trial(b), channels[b], 1e-6)
                 np.testing.assert_array_equal(w[b], one_w)
                 assert list(map(repr, failures[b])) == list(map(repr, one_failures))
+
+    @pytest.mark.parametrize("source", ["synthetic", "clustered", "dataset"])
+    def test_each_trial_placed_once(self, source, tmp_path, monkeypatch):
+        # the noise pre-pass places every trial and hands each chunk its
+        # placement: the trials run on it without placing again
+        placed = []
+
+        def counting(config, trial_index, sampler, place=scenarios._place):
+            placed.append(trial_index)
+            return place(config, trial_index, sampler)
+
+        monkeypatch.setattr(scenarios, "_place", counting)
+        monkeypatch.setattr(scenarios, "CHUNK_TRIALS", 3)
+        cfg = make_config(trials=7, precoders=(parse_precoder_name("nf_nf"),))
+        if source == "clustered":
+            cfg = dataclasses.replace(cfg, clustering=((0, 1), (2, 3), (4, 5), (6, 7)))
+        if source == "dataset":
+            geometry = perimeter_geometry()
+            spec = GridSpec(nx=12, ny=12, x_min=1.25, x_max=4.75, y_min=1.25, y_max=4.75)
+            grid, manifest, _ = generate_synthetic_dataset(
+                geometry, spec, LosChannelParams(wavelength=geometry.wavelength), tx_count=2
+            )
+            write_dataset(grid, manifest, tmp_path / "ds")
+            cfg = dataclasses.replace(cfg, channel_source="dataset",
+                                      dataset_path=str(tmp_path / "ds"))
+        summary = run_scenario(cfg)
+        assert placed == list(range(7))
+        for t in range(7):
+            one = run_trial(cfg, t, summary.noise_var)
+            np.testing.assert_array_equal(summary.sinr_db[t], one[0])
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_spec_order_does_not_change_builds(self, clustered):
+        # every spec reads the environment's shared location state; a
+        # chunk's specs built in reverse order give the same arrays
+        names = ["nf", "mrt", "rzf", "nf_nf", "mrt_nf", "rmrt_nf", "zf_nf",
+                 "dis_zf", "dis_rzf", "dis_mrt_nf", "dis_rmrt_nf"]
+        cfg = make_config(
+            k_users=6, clustering=((0, 1), (2, 3), (4, 5), (6, 7)) if clustered else None
+        )
+        positions, h = scenarios.draw_channels(cfg, range(4))
+        channels = np.stack([
+            inject_channel_error(h[b], ChannelErrorModel((0.0, 1e-7), b))[0] for b in range(4)
+        ])
+        specs = list(map(parse_precoder_name, names))
+
+        def builds(order):
+            env = scenarios._chunk_environment(cfg, h, positions)
+            return {spec.name: precoders.build_precoders(spec, env, channels, 1e-6)
+                    for spec in order}
+
+        forward, backward = builds(specs), builds(specs[::-1])
+        for name, (w, failures) in forward.items():
+            assert w.tobytes() == backward[name][0].tobytes()
+            assert repr(failures) == repr(backward[name][1])
+
+    def test_shared_location_state_is_read_only(self):
+        # the near-field matrix and assembly units are derived once per
+        # environment and shared by its builds, so none may be written;
+        # a one-trial copy derives its own
+        cfg = make_config(k_users=4, clustering=((0, 1), (2, 3), (4, 5), (6, 7)))
+        positions, h = scenarios.draw_channels(cfg, range(3))
+        env = scenarios._chunk_environment(cfg, h, positions)
+        shared = [env.near_field] + [
+            x for scope in precoders.SCOPES for x in env.assembly(scope)
+            if isinstance(x, np.ndarray)
+        ]
+        assert len(shared) == 11
+        for x in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = x.flat[0]
+        assert env.near_field is env.near_field
+        assert env.assembly("per-ap") is env.assembly("per-ap")
+        one = env.trial(1)
+        assert "near_field" not in vars(one) and not one._assemblies
+        np.testing.assert_array_equal(one.near_field[0], env.near_field[1])
 
     def test_dis_zf_fails_every_trial_of_a_chunk(self):
         cfg = make_config(k_users=10, precoders=(parse_precoder_name("dis_zf"),))
