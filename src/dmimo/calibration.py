@@ -51,6 +51,12 @@ class PhaseOffsetTable:
     def rx_count(self) -> int:
         return self.offsets.shape[1]
 
+    def rotate(self, csi: np.ndarray) -> np.ndarray:
+        """``csi`` times exp(j*offset[t, r]) for each (tx, rx) pair, as a new
+        (T, R, GM, GN) array; ``csi`` is (T, R, GM, GN), or (R, GM, GN) for
+        one channel shared by every tx."""
+        return csi * np.exp(1j * self.offsets)[:, :, None, None]
+
     def negated(self) -> "PhaseOffsetTable":
         return PhaseOffsetTable(wrap_phase(-self.offsets))
 
@@ -180,12 +186,17 @@ def apply_calibration(grid: CsiGrid, table: PhaseOffsetTable) -> CsiGrid:
             f"offset table shape {table.offsets.shape} does not cover "
             f"grid pairs ({grid.tx_count}, {grid.rx_count})"
         )
-    factor = np.exp(1j * table.offsets)[:, :, None, None]
     return CsiGrid(
-        csi=grid.csi * factor,
+        csi=table.rotate(grid.csi),
         present=grid.present,
         positions=grid.positions,
     )
+
+
+def random_phase_offsets(rng_seed, tx_count: int, rx_count: int) -> PhaseOffsetTable:
+    """One phase per (tx, rx) pair, uniform on (-pi, pi], deterministic per seed."""
+    rng = np.random.default_rng(rng_seed)
+    return PhaseOffsetTable(np.pi - rng.uniform(0.0, 2.0 * np.pi, size=(tx_count, rx_count)))
 
 
 def inject_hardware_offsets(grid: CsiGrid, rng_seed) -> tuple[CsiGrid, PhaseOffsetTable]:
@@ -194,17 +205,26 @@ def inject_hardware_offsets(grid: CsiGrid, rng_seed) -> tuple[CsiGrid, PhaseOffs
     Offsets are uniform on (-pi, pi], deterministic per seed; CSI
     magnitudes are unchanged.
     """
-    rng = np.random.default_rng(rng_seed)
-    offsets = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=(grid.tx_count, grid.rx_count))
-    table = PhaseOffsetTable(offsets)
+    table = random_phase_offsets(rng_seed, grid.tx_count, grid.rx_count)
     return apply_calibration(grid, table), table
 
 
 def mean_phase_residual(grid: CsiGrid, rx_positions, wavelength: float) -> float:
-    """Mean |wrapped phase error| of the grid against the theoretical LoS."""
+    """Mean |wrapped phase error| of the grid's present values against the
+    theoretical LoS.
+
+    The errors are computed one tx antenna at a time into one vector, in
+    the order of the whole grid's present values, so the temporaries
+    stay a tx block's size and the mean is that of the whole-grid
+    expression, bit for bit.
+    """
     los = theoretical_los_phases(rx_positions, grid.positions, wavelength)
-    diff = np.angle(grid.csi) - los[None, :, :, :]
-    wrapped = np.abs(wrap_phase(diff)[grid.present])
+    wrapped = np.empty(np.count_nonzero(grid.present))
     if wrapped.size == 0:
         raise NoDataError("grid has no present CSI values")
+    end = 0
+    for csi, present in zip(grid.csi, grid.present):
+        block = np.abs(wrap_phase(np.angle(csi) - los)[present])
+        wrapped[end : end + block.size] = block
+        end += block.size
     return float(wrapped.mean())

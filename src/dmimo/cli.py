@@ -111,12 +111,13 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
         rx_positions = geometry.antenna_positions
         wavelength = geometry.wavelength
     table = calibration.estimate_phase_offsets(grid, rx_positions, wavelength)
-    calibrated = calibration.apply_calibration(grid, table)
+    # Rebinding frees the measured grid: only the calibrated one is kept.
+    grid = calibration.apply_calibration(grid, table)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "offsets.csv")
-    csidata.write_dataset(calibrated, manifest, out)
-    residual = calibration.mean_phase_residual(calibrated, rx_positions, wavelength)
+    csidata.write_dataset(grid, manifest, out)
+    residual = calibration.mean_phase_residual(grid, rx_positions, wavelength)
     print(f"wrote offset table to {out / 'offsets.csv'} and calibrated dataset to {out}")
     print(f"mean residual phase error vs LoS: {residual:.3e} rad")
     return EXIT_OK

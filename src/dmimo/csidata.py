@@ -77,7 +77,7 @@ class CsiGrid:
             )
         if not np.all(np.isfinite(positions)):
             raise DatasetFormatError("grid positions must be finite")
-        if not np.all(np.isfinite(csi[present])):
+        if not np.isfinite(csi).all(where=present):
             raise DatasetFormatError("present CSI values must be finite")
         object.__setattr__(self, "csi", csi)
         object.__setattr__(self, "present", present)
@@ -380,7 +380,10 @@ def generate_synthetic_dataset(
     Every tx antenna carries the same ideal LoS channel between the grid
     position and each rx (base-station) antenna; when ``offsets_seed`` is
     given, one phase offset per (tx, rx) pair is injected and the
-    ground-truth table returned for closed-loop validation.
+    ground-truth table returned for closed-loop validation. The offsets
+    are drawn as :func:`~dmimo.calibration.inject_hardware_offsets` draws
+    them and multiply the ideal channel directly, so the returned CSI is
+    the only array of the grid's full size that is built.
 
     Returns (CsiGrid, DatasetManifest, PhaseOffsetTable or None).
     """
@@ -389,7 +392,14 @@ def generate_synthetic_dataset(
     # a grid position on an antenna raises GeometryError
     ideal = los_channel(geometry, positions.reshape(-1, 3), params)
     ideal = ideal.reshape(rx_positions.shape[0], *positions.shape[:2])
-    csi = np.broadcast_to(ideal, (tx_count, *ideal.shape)).copy()
+    table = None
+    if offsets_seed is None:
+        csi = np.broadcast_to(ideal, (tx_count, *ideal.shape)).copy()
+    else:
+        from .calibration import random_phase_offsets
+
+        table = random_phase_offsets(offsets_seed, tx_count, rx_positions.shape[0])
+        csi = table.rotate(ideal)
     grid = CsiGrid(
         csi=csi,
         present=np.ones(csi.shape, dtype=bool),
@@ -402,9 +412,4 @@ def generate_synthetic_dataset(
         rx_positions=rx_positions,
         grid_positions=positions,
     )
-    table = None
-    if offsets_seed is not None:
-        from .calibration import inject_hardware_offsets
-
-        grid, table = inject_hardware_offsets(grid, offsets_seed)
     return grid, manifest, table

@@ -137,7 +137,10 @@ def sorted_quantile(values: np.ndarray, q: float | None = None) -> float:
     numpy's own arithmetic on the order statistics, bit for bit, without
     its partition: the median is the mean of the middle one or two
     values; the quantile interpolates at (n - 1) q as numpy's ``_lerp``
-    does, from the right end when the weight is at least 1/2.
+    does, from the right end when the weight is at least 1/2. The sign
+    of a zero result is the exception: numpy's sort and partition need
+    not keep each zero's sign in its slot, so either may differ from
+    numpy's there.
     """
     n = values.size
     if n == 0:

@@ -292,6 +292,10 @@ class _DatasetSampler:
     snapped grid position becomes the UE's location so measured CSI and
     location information agree. A placement is each UE's cell index, found
     once, from which both its position and its CSI are read.
+
+    The sampler keeps only each valid cell's position and its CSI at that
+    tx, (cells, 3) and (cells, M), not the dataset's grid: the read grid
+    is freed once they are taken, and pool workers receive only them.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -306,12 +310,12 @@ class _DatasetSampler:
             raise ConfigError(
                 "dataset rx antenna positions differ from the configured geometry"
             )
-        self.grid = grid
         full = grid.present.all(axis=1)  # (T, GM, GN): every rx present
         m, n = np.nonzero(full.any(axis=0))
         if not m.size:
             raise ConfigError("dataset has no grid cell with complete rx coverage")
-        self.cells = (np.argmax(full[:, m, n], axis=0), m, n)  # lowest full tx
+        t = np.argmax(full[:, m, n], axis=0)  # lowest full tx
+        self.cell_csi = grid.csi[t, :, m, n]
         self.cell_positions = grid.positions[m, n]
 
     def snap(self, positions: np.ndarray) -> np.ndarray | None:
@@ -327,8 +331,7 @@ class _DatasetSampler:
 
     def channels(self, cells: np.ndarray) -> np.ndarray:
         """(B, M, K) CSI at (B, K) cells."""
-        t, m, n = (c[cells] for c in self.cells)
-        return np.ascontiguousarray(self.grid.csi[t, :, m, n].transpose(0, 2, 1))
+        return np.ascontiguousarray(self.cell_csi[cells].transpose(0, 2, 1))
 
 
 def _make_sampler(config: ScenarioConfig):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,19 @@ class TestCalibrationPipeline:
         )
         diff = wrap_phase(np.angle(calibrated.csi) - los[None, :, :, :])
         assert np.abs(diff).max() < 1e-9
+
+    def test_residual_equals_whole_grid_expression(self, offset_dataset, rng):
+        # computed one tx block at a time; the reference is the
+        # whole-grid expression it replaced, and must match bit for bit
+        _, grid, manifest, _ = offset_dataset
+        grid = dataclasses.replace(grid, present=rng.uniform(size=grid.csi.shape) < 0.7)
+        los = theoretical_los_phases(
+            manifest.rx_positions, grid.positions, manifest.wavelength
+        )
+        diff = np.angle(grid.csi) - los[None, :, :, :]
+        reference = float(np.abs(wrap_phase(diff)[grid.present]).mean())
+        residual = mean_phase_residual(grid, manifest.rx_positions, manifest.wavelength)
+        assert residual == reference > 0.1
 
     def test_apply_involution(self, offset_dataset):
         _, grid, _, table = offset_dataset

@@ -233,9 +233,11 @@ class TestEmpiricalCdf:
 
 
 def same_float(a: float, b) -> bool:
-    """Bitwise equal, or both NaN (numpy returns a sample's own NaN)."""
+    """Bitwise equal, both NaN (numpy returns a sample's own NaN), or both
+    zero: the sign of a zero result is unspecified, as numpy's sort and
+    partition need not keep each zero's sign in its slot."""
     a, b = np.float64(a), np.float64(b)
-    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+    return bool(np.isnan(a) and np.isnan(b) or a == b == 0) or a.tobytes() == b.tobytes()
 
 
 class TestSortedQuantile:
@@ -259,6 +261,8 @@ class TestSortedQuantile:
         [np.nan, np.inf, -np.inf, 0.0],
         [1e308, 1e308],
         [-0.0, 0.0, -0.0],
+        # np.quantile gives 0.0 at q = 0.1, the sorted samples -0.0
+        [-0.0, 0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
         list(np.linspace(-30.0, 40.0, 101) ** 3),
         list(np.arange(1000.0) / 7.0),
     ]

@@ -510,21 +510,27 @@ class TestDatasetMode:
             assert np.min(np.abs(xs - p[1])) < 1e-9
         assert len({tuple(np.round(p, 9)) for p in positions}) == 4
 
-    def test_distinct_cells_sample_lowest_full_tx(self, dataset_dir, tmp_path):
-        # ten users on a 12x12 grid without spacing often snap to one cell
-        # and must be re-placed; tx 0 lacks one rx on grid rows m < 6, so
-        # there each column is the (distinct) tx-1 CSI
+    @pytest.fixture
+    def partial_dataset(self, dataset_dir, tmp_path):
+        """The grid with tx 0 lacking one rx on grid rows m < 6 and the
+        tx-1 CSI made distinct, and the directory it is written to."""
         grid, manifest = read_dataset(dataset_dir)
         csi, present = grid.csi.copy(), grid.present.copy()
         csi[1] *= 2j
         present[0, 0, :6] = False
         grid = dataclasses.replace(grid, csi=csi, present=present)
         write_dataset(grid, manifest, tmp_path / "partial")
+        return grid, tmp_path / "partial"
+
+    def test_distinct_cells_sample_lowest_full_tx(self, partial_dataset):
+        # ten users on a 12x12 grid without spacing often snap to one cell
+        # and must be re-placed; on rows m < 6 each column is tx-1 CSI
+        grid, path = partial_dataset
         cfg = make_config(
             k_users=10,
             min_spacing_m=0.0,
             channel_source="dataset",
-            dataset_path=str(tmp_path / "partial"),
+            dataset_path=str(path),
         )
         cells = grid.positions.reshape(-1, 3)
         for t in range(20):
@@ -533,6 +539,18 @@ class TestDatasetMode:
             assert len(set(flat)) == 10
             m, n = np.unravel_index(flat, grid.grid_shape)
             np.testing.assert_array_equal(h, grid.csi[(m < 6).astype(int), :, m, n].T)
+
+    def test_sampler_keeps_each_cells_lowest_full_tx(self, partial_dataset):
+        # every cell's channel is the grid's CSI at its lowest full tx,
+        # bit for bit, though the sampler keeps only that tx
+        grid, path = partial_dataset
+        sampler = scenarios._make_sampler(
+            make_config(channel_source="dataset", dataset_path=str(path))
+        )
+        m, n = np.unravel_index(np.arange(grid.csi[0, 0].size), grid.grid_shape)
+        h = sampler.channels(np.arange(m.size)[None])[0]
+        np.testing.assert_array_equal(h, grid.csi[(m < 6).astype(int), :, m, n].T)
+        np.testing.assert_array_equal(sampler.positions(np.arange(m.size)), grid.positions[m, n])
 
     def test_scenario_runs_on_dataset(self, dataset_dir):
         cfg = make_config(
