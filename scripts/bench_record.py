@@ -29,13 +29,18 @@ The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
 config over that config's error grid (perfect CSI when it has none),
 alternating parent and change: ``REPS`` repetitions of the config's
-first ``TRIALS`` trials, run as one ``scenarios.run_chunk`` call (one
-``run_trial`` call per trial in a tree without chunks), summarized per
-side by median and quartiles of ms per trial. Each side runs on its own
-parsed config, sampler and noise variance. A ``verdict``, here and in
-the configs and suite rows, is "faster" or "slower" where the two
-sides' quartile ranges are disjoint, else "overlap". The output is a
-record, not a gate.
+first ``TRIALS`` trials, run as a simulate run of them runs: one
+``scenarios.run_chunk`` call per chunk of ``scenarios._chunks``, each
+given its placement from the noise pre-pass (``scenarios._noise_prepass``,
+which also gives the noise variance). Each side runs on its own parsed
+config, sampler, noise variance and placements, and is summarized by
+median and quartiles of ms per trial. A one-spec copy builds nothing
+but its spec, so the table cannot show a saving shared across a
+config's specs (such as the location state a chunk's environment
+derives once for all of them); the configs table and the workloads do.
+A ``verdict``, here and in the configs and suite rows, is "faster" or
+"slower" where the two sides' quartile ranges are disjoint, else
+"overlap". The output is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ PAIRS = {"dist_sweep_k10": 10, "cluster_k10_pool": 10, "dataset_pipeline": 10}
 #: Runs per side and trials per run of the configs table.
 CONFIG_REPS, CONFIG_TRIALS = 5, 200
 
-#: Repetitions and trials per repetition (one chunk) of the per-trial table.
+#: Repetitions and trials per repetition of the per-trial table.
 REPS, TRIALS = 10, 32
 
 #: Alternating parent/change pairs of the suite row.
@@ -200,17 +205,19 @@ def load_tree(src: Path, name: str):
 
 
 def trial_setup(mod, path: Path) -> tuple:
-    """A side's config (``TRIALS`` trials), sampler, noise variance and error grid."""
+    """A side's config (``TRIALS`` trials), sampler, noise variance, error
+    grid and chunks with their placements, as ``run_scenario`` makes them."""
     configio, scenarios = (importlib.import_module(f"{mod}.{m}") for m in ("configio", "scenarios"))
     cfg = configio.override(configio.parse_simulate_config(path), trials=TRIALS)
     sampler = scenarios._make_sampler(cfg)
-    gain = scenarios.mean_channel_gain(cfg, sampler)
+    gain, placements = scenarios._noise_prepass(cfg, sampler)
     noise_var = scenarios.noise_variance_from_floor(cfg.noise_floor_db, gain)
     sigma_points = (None,)
     if cfg.nmse_grid is not None:  # as run_scenario scales it
         scale = gain / cfg.geometry.num_antennas if cfg.nmse_relative else 1.0
         sigma_points = tuple(float(v) * scale for v in cfg.nmse_grid)
-    return scenarios, cfg, sampler, noise_var, sigma_points
+    chunks = list(zip(scenarios._chunks(cfg), placements))
+    return scenarios, cfg, sampler, noise_var, sigma_points, chunks
 
 
 def pertrial(parent: Path) -> list[dict]:
@@ -222,14 +229,12 @@ def pertrial(parent: Path) -> list[dict]:
             ms = {"parent": [], "change": []}
             for rep in range(REPS):
                 for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                    scenarios, cfg, sampler, noise_var, sigma_points = sides[side]
+                    scenarios, cfg, sampler, noise_var, sigma_points, chunks = sides[side]
                     one = dataclasses.replace(cfg, precoders=cfg.precoders[p : p + 1])
                     t0 = time.perf_counter()
-                    if hasattr(scenarios, "run_chunk"):
-                        scenarios.run_chunk(one, range(TRIALS), noise_var, sigma_points, sampler)
-                    else:
-                        for t in range(TRIALS):
-                            scenarios.run_trial(one, t, noise_var, sigma_points, sampler)
+                    for trials, placement in chunks:
+                        scenarios.run_chunk(one, trials, noise_var, sigma_points, sampler,
+                                            placement=placement)
                     ms[side].append((time.perf_counter() - t0) / TRIALS * 1e3)
             summary = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in ms.items()}
             row = {"config": path.stem, "spec": name, "sigma_points": len(sides["change"][4]),

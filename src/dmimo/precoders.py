@@ -566,10 +566,10 @@ def _pad(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros_like(x[..., :1, :])], axis=-2)
 
 
-#: Exception class and message of each (unit, user) pair failure code.
-_DEGENERATE, _RANK, _SUPPRESSED = 1, 2, 3
+#: Exception class and message of each (unit, user) pair failure code;
+#: only unregularized pairs fail, before or after projecting.
+_RANK, _SUPPRESSED = 1, 2
 _PAIR_FAILURES = {
-    _DEGENERATE: (DegenerateChannelError, "cannot normalize a zero column"),
     _RANK: (RankDeficiencyError,
             "suppression matrix ({ma}x{n}) is rank deficient; use the regularized projection"),
     _SUPPRESSED: (FullySuppressedError, "base vector lies in the suppression subspace"),
@@ -663,11 +663,11 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
 
     Arrays lead with the trial axis, then one slice per estimate, or one
     for a pool made from locations alone. Returns the pool, its conjugate
-    transpose and Gram matrices; the pairs' column masks, counts and
-    scales; the pair failures known before projecting; the pairs
-    projected and those solved on their own; each (trial, slice, unit)'s
-    index into ``a``, -1 where not inverted whole; and those matrices
-    ``a``, their inverses and ``inv_cols`` (None without any).
+    transpose and Gram matrices; the pairs' column masks and counts; the
+    pair failures known before projecting; the pairs projected and those
+    solved on their own; each (trial, slice, unit)'s index into ``a``, -1
+    where not inverted whole; and those matrices ``a``, their inverses
+    and ``inv_cols`` (None without any).
     """
     geo, k = env.geometry, env.num_users
     _, ant, sizes, _, pu, pk = asm
@@ -689,29 +689,25 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
     if spec.suppression != "nf":
         held = env.csi.gather(granted, stack)
         pool = np.where(is_csi[:, None, :, None, :], _pad(held)[:, :, ant], other)
+        if alpha is not None and spec.suppression == "csi+nf":
+            # alpha acts on one scale: a unit pool that mixes CSI and
+            # near-field columns has every nonzero column scaled to unit norm
+            mixed = (is_csi.any(axis=-1) & ~is_csi.all(axis=-1))[:, None, :, None, None]
+            norms = _norms(pool, -2)[..., None, :]
+            pool /= np.where(mixed & (norms > 0), norms, 1)
     ph = pool.conj().swapaxes(-1, -2)
     gram = ph @ pool
     code = np.zeros(pool.shape[:2] + pu.shape[1:], dtype=int)
-    scale = mask[:, None].astype(float)
     if alpha is None:
         deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n, used)
         code[deficient] = _RANK
         solve = ~deficient & (n > 0)[:, None]
         direct = solve & np.take_along_axis(conditioned, pu[:, None], axis=2)
     else:
-        # alpha acts on one scale: a pair whose columns mix CSI and
-        # near-field sources gets every column normalized to unit norm
-        # and is solved on its own
-        from_csi = is_csi[trial, pu]
-        mixed = (mask & from_csi).any(axis=-1) & (mask & ~from_csi).any(axis=-1)
-        if mixed.any():
-            norms = np.take_along_axis(_norms(pool, -2), pu[:, None, :, None], axis=2)
-            code = np.where(mixed[:, None] & (mask[:, None] & (norms == 0)).any(-1), _DEGENERATE, 0)
-            scale = np.where(mixed[:, None, :, None], scale / np.where(norms > 0, norms, 1), scale)
         solve = np.broadcast_to((n > 0)[:, None], code.shape)
         # A >= alpha*I, and no eigenvalue of A exceeds alpha + trace(V^H V)
         bound = np.trace(gram, axis1=-2, axis2=-1).real <= (DOWNDATE_COND - 1) * alpha
-        direct = solve & np.take_along_axis(bound, pu[:, None], axis=2) & ~mixed[:, None]
+        direct = solve & np.take_along_axis(bound, pu[:, None], axis=2)
     inverted = np.nonzero(direct @ unit_of)  # (trial, slice, unit) holding a directly solved pair
     slot = np.full(gram.shape[:3], -1)
     slot[inverted] = np.arange(inverted[0].size)
@@ -722,7 +718,7 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
         inv = np.linalg.inv(a)
         inv_cols = inv / np.diagonal(inv, axis1=1, axis2=2)[:, None, :]
         _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
-    return pool, ph, gram, mask, n, scale, code, solve, solve & ~direct, slot, a, inv, inv_cols
+    return pool, ph, gram, mask, n, code, solve, solve & ~direct, slot, a, inv, inv_cols
 
 
 def build_precoders(
@@ -755,7 +751,10 @@ def build_precoders(
     Every user l has one pool column per assembly unit: its CSI where
     the unit holds it on every AP (natural channel scale), else its
     unit-norm near-field vector when the spec suppresses by location,
-    else none. Pair (unit, u) projects off the pool without column u.
+    else none. A regularized unit pool that holds both kinds has every
+    nonzero column scaled to unit norm, so alpha acts on one scale; a
+    zero column stays zero and suppresses nothing. Pair (unit, u)
+    projects off the pool without column u.
     Each unit's Gram matrix A = V^H V + D (D is alpha*I when regularized,
     else 1 on the diagonal of absent columns) is inverted once, and every
     user's leave-one-out coefficients follow from that inverse by a Schur
@@ -768,10 +767,8 @@ def build_precoders(
     :func:`_rank_deficient`).
 
     Pairs fall back to a solve of their own masked Gram matrix when
-    their unit's pool is rank deficient, when the unit's Gram condition
-    number may exceed ``DOWNDATE_COND``, or, regularized, when their
-    columns mix CSI and near-field sources: alpha then acts on unit-norm
-    columns, a scale the unit's other pairs do not share.
+    their unit's pool is rank deficient or when the unit's Gram condition
+    number may exceed ``DOWNDATE_COND``.
     Units are padded to the widest with zero rows, which change no Gram
     matrix, projection or norm. Specs without suppression skip all of
     this. Each choice is made per (trial, estimate) slice.
@@ -838,7 +835,7 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
     code = np.zeros(w.shape[:2] + pk.shape, dtype=int)
     if spec.suppression != "none":
         try:
-            pool, ph, gram, mask, n, scale, pool_code, solve, slow, slot, a, inv, inv_cols = _pool(
+            pool, ph, gram, mask, n, pool_code, solve, slow, slot, a, inv, inv_cols = _pool(
                 spec, env, alpha, asm, stack, nf
             )
             code[...] = pool_code  # a location pool's codes hold for every estimate
@@ -855,11 +852,10 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
                 # pairs solved one by one, per slice of the build
                 sb, ss, sp = np.nonzero(np.broadcast_to(slow, code.shape))
                 if sp.size:
-                    su, sk = pu[sb, sp], pk[sp]
-                    sc = np.broadcast_to(scale, code.shape + (k,))[sb, ss, sp]
+                    su, sk, sm = pu[sb, sp], pk[sp], mask[sb, sp]
                     g = np.broadcast_to(gram, b.shape[:2] + gram.shape[2:])[sb, ss, su]
-                    g = g * (sc[:, :, None] * sc[:, None, :])
-                    _diagonal(g)[...] += alpha if alpha is not None else ~mask[sb, sp]
+                    g = g * (sm[:, :, None] & sm[:, None, :])
+                    _diagonal(g)[...] += alpha if alpha is not None else ~sm
                 for _ in range(1 if alpha is not None else 2):
                     r = ph @ b
                     if ib.size:
@@ -869,8 +865,8 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
                             x += _leave_one_out(inv, inv_cols, rs - a @ x)
                         step[ib, is_, iu] = x
                     if sp.size:
-                        rhs = (r[sb, ss, su, :, sk] * sc)[:, :, None]
-                        step[sb, ss, su, :, sk] = sc * np.linalg.solve(g, rhs)[:, :, 0]
+                        rhs = (r[sb, ss, su, :, sk] * sm)[:, :, None]
+                        step[sb, ss, su, :, sk] = sm * np.linalg.solve(g, rhs)[:, :, 0]
                     b -= pool @ step
                 if alpha is None:
                     tb, ts, tp = np.nonzero(np.broadcast_to(solve, code.shape))

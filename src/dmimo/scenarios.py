@@ -505,11 +505,6 @@ def _noise_prepass(config: ScenarioConfig, sampler, pool=None) -> tuple[float, l
     return total / (config.trials * config.k_users), placements
 
 
-def mean_channel_gain(config: ScenarioConfig, sampler=None, pool=None) -> float:
-    """The noise-floor reference of :func:`_noise_prepass`."""
-    return _noise_prepass(config, sampler or _make_sampler(config), pool)[0]
-
-
 def _decimate_cdf(values: np.ndarray, probs: np.ndarray, max_points: int = CDF_MAX_POINTS):
     if values.size <= max_points:
         return values, probs

@@ -783,8 +783,7 @@ class TestBuildPrecoderOracleUnevenAps(TestBuildPrecoderOracle):
 
 class TestBuildPrecoderOracleManyUsers:
     """Clustered builds with enough users that each unit has the pairs
-    to be inverted whole, while the regularized pairs whose columns mix
-    held CSI and near-field vectors are solved on their own."""
+    to be inverted whole."""
 
     @pytest.mark.parametrize("name", ["zf", "rzf", "nf_nf", "rmrt_nf", "zf_nf", "rzf_nf"])
     @pytest.mark.parametrize("prefix", ["", "dis_"])
@@ -792,6 +791,50 @@ class TestBuildPrecoderOracleManyUsers:
     def test_matches_per_vector_construction(self, name, prefix, k):
         env, noise_var = oracle_env(k, 3, "clustered")
         assert_matches_reference(parse_precoder_name(prefix + name), env, noise_var)
+
+
+class TestMixedUnitScale:
+    """A regularized csi+nf unit pool that holds both CSI and near-field
+    columns has every nonzero column scaled to unit norm, then takes the
+    unit inverse and downdate like every other unit."""
+
+    @pytest.mark.parametrize("prefix", ["", "dis_"])
+    @pytest.mark.parametrize("k", [5, 10, 16])
+    def test_mixed_units_need_no_pair_solve(self, monkeypatch, prefix, k):
+        env, noise_var = oracle_env(k, 3, "clustered")
+        spec = parse_precoder_name(prefix + "rzf_nf")
+
+        def no_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("a pair was solved on its own")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", no_solve)
+            w = build_precoder(spec, env, noise_var=noise_var)
+        for user in range(k):
+            col = reference_column(spec, user, env, noise_var)
+            assert np.abs(w[:, user] - col).max() < 1e-8, user
+
+    def test_zero_csi_column_suppresses_nothing(self):
+        env, noise_var = oracle_env(10, 3, "clustered")
+        geo, user = env.geometry, 0
+        ap = env.serving_aps(user)[0]
+        rows = geo.ap_indices(ap)
+        h = env.csi.channel.copy()
+        h[rows, user] = 0
+        env = with_channel(env, h)
+        w = build_precoder(parse_precoder_name("dis_rzf_nf"), env, noise_var=noise_var)
+        assert not w[rows, user].any()
+        co_served = [u for u in range(10) if u != user and ap in env.serving_aps(u)]
+        assert co_served and not env.csi.granted[ap].all()
+        for u in co_served:
+            columns = [
+                h[rows, l] if env.csi.granted[ap, l]
+                else near_field_weights(geo, env.ue_positions[l], rows)
+                for l in range(10) if l != u
+            ]
+            v = np.stack([c / np.linalg.norm(c) for c in columns if c.any()], axis=1)
+            expected = orthogonalize_regularized(h[rows, u], v, noise_var)
+            assert_same_direction(w[rows, u], expected, 1e-8)
 
 
 class TestDowndateRefinement:
