@@ -25,6 +25,20 @@ defaults with one worker, ``SUITE_PAIRS`` alternating parent/change
 pairs, each timed as a whole process, and records whether the two
 sides' last runs wrote byte-identical payload files.
 
+The dataset_io row imports both trees' ``dmimo`` in one process and
+times, alternating parent and change, ``DATASET_REPS`` runs per side of:
+the ``generate`` and ``calibrate`` commands (``cli.cmd_generate`` and
+``cli.cmd_calibrate``) on perfbench's 24x24 generate config;
+``read_dataset`` of the generated dataset with its ``csi.cache`` (a tree
+that writes none has no such row) and with it deleted, which parses
+``csi.csv``; and ``write_dataset`` of the parsed grid. The work that
+writing ``csi.cache`` adds to ``write_dataset`` (SHA-256 of the
+``csi.csv`` bytes and ``np.save`` of both arrays), a few percent of the
+call and below its spread, is timed on its own as ``cache_work_s``. It
+records per side the median and quartiles of seconds, their verdict, and
+whether the two sides' last runs wrote byte-identical ``csi.csv``,
+``manifest.json`` and ``offsets.csv`` files.
+
 The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
 config over that config's error grid (perfect CSI when it has none),
@@ -46,10 +60,12 @@ A ``verdict``, here and in the configs and suite rows, is "faster" or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import io
 import os
 import statistics
 import subprocess
@@ -60,6 +76,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT))
+
+from perfbench.workloads import GENERATE_24  # noqa: E402
 
 #: Alternating parent/change pairs of benchmark runs per workload: ten,
 #: so a claimed gain can meet the nine-in-ten rule from the record.
@@ -73,6 +92,11 @@ REPS, TRIALS = 10, 32
 
 #: Alternating parent/change pairs of the suite row.
 SUITE_PAIRS = 3
+
+#: Runs per side of the dataset_io row, and the generate config it runs
+#: (its offsets seed is the record's seed).
+DATASET_REPS = 10
+GENERATE = GENERATE_24
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -193,6 +217,64 @@ def suite(parent: Path) -> dict:
         sides, verdict=verdict(sides["parent"], sides["change"])), "payload_identical": identical}
 
 
+def cache_work(csv_path: Path, grid, dest: Path) -> None:
+    """What writing csi.cache adds to write_dataset: the digest of the
+    csi.csv bytes and the two arrays saved."""
+    import numpy as np
+
+    digest = hashlib.sha256(csv_path.read_bytes()).digest()
+    with open(dest, "wb") as fh:
+        fh.write(digest)
+        np.save(fh, grid.csi, allow_pickle=False)
+        np.save(fh, grid.present, allow_pickle=False)
+
+
+def dataset_io(parent: Path, seed: int) -> dict:
+    """Seconds per dataset command and read/write call, per side."""
+    load_tree(parent / "src", "dmimo_parent")
+    times = {key: {"parent": [], "change": []}
+             for key in ("generate_s", "calibrate_s", "read_cache_s", "read_parse_s", "write_s",
+                         "cache_work_s")}
+
+    def timed(key, side, fn, *args):
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = fn(*args)
+        times[key][side].append(time.perf_counter() - t0)
+        return result
+
+    files = ("gen/csi.csv", "gen/manifest.json", "cal/csi.csv", "cal/offsets.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "gen.yaml"
+        config.write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})) + "\n")
+        for rep in range(DATASET_REPS):
+            for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                mod = "dmimo_parent" if side == "parent" else "dmimo"
+                cli, csidata = (importlib.import_module(f"{mod}.{m}") for m in ("cli", "csidata"))
+                out = Path(tmp) / side
+                gen, cache = out / "gen", out / "gen" / "csi.cache"
+                timed("generate_s", side, cli.cmd_generate, str(config), str(gen))
+                timed("calibrate_s", side, cli.cmd_calibrate, str(gen), str(out / "cal"))
+                if cache.exists():
+                    timed("read_cache_s", side, csidata.read_dataset, gen)
+                    cache.unlink()
+                grid, manifest = timed("read_parse_s", side, csidata.read_dataset, gen)
+                timed("write_s", side, csidata.write_dataset, grid, manifest, out / "write")
+                if side == "change":
+                    timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
+        identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
+                        for f in files)
+    row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}
+    for key, sides in times.items():
+        sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in sides.items() if v}
+        if len(sides) == 2:
+            sides["verdict"] = verdict(sides["parent"], sides["change"])
+        row[key] = sides
+    row["payload_identical"] = identical
+    print(json.dumps(row), flush=True)
+    return row
+
+
 def load_tree(src: Path, name: str):
     """The ``dmimo`` package under ``src`` imported as ``name``."""
     spec = importlib.util.spec_from_file_location(
@@ -275,6 +357,7 @@ def main(argv=None) -> int:
         record.update({k: v for k, v in env.items() if k != "git_sha"})
     record["configs"] = configs(parent, nproc)
     record["suite"] = suite(parent)
+    record["dataset_io"] = dataset_io(parent, args.seed)
     record["pertrial_ms"] = pertrial(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

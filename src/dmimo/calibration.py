@@ -51,11 +51,12 @@ class PhaseOffsetTable:
     def rx_count(self) -> int:
         return self.offsets.shape[1]
 
-    def rotate(self, csi: np.ndarray) -> np.ndarray:
-        """``csi`` times exp(j*offset[t, r]) for each (tx, rx) pair, as a new
-        (T, R, GM, GN) array; ``csi`` is (T, R, GM, GN), or (R, GM, GN) for
-        one channel shared by every tx."""
-        return csi * np.exp(1j * self.offsets)[:, :, None, None]
+    def rotate(self, csi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``csi`` times exp(j*offset[t, r]) for each (tx, rx) pair, as a
+        (T, R, GM, GN) array: a new one, or ``out`` when given (``csi``
+        itself to rotate in place). ``csi`` is (T, R, GM, GN), or
+        (R, GM, GN) for one channel shared by every tx."""
+        return np.multiply(csi, np.exp(1j * self.offsets)[:, :, None, None], out=out)
 
     def negated(self) -> "PhaseOffsetTable":
         return PhaseOffsetTable(wrap_phase(-self.offsets))
@@ -213,9 +214,9 @@ def mean_phase_residual(grid: CsiGrid, rx_positions, wavelength: float) -> float
     """Mean |wrapped phase error| of the grid's present values against the
     theoretical LoS.
 
-    The errors are computed one tx antenna at a time into one vector, in
-    the order of the whole grid's present values, so the temporaries
-    stay a tx block's size and the mean is that of the whole-grid
+    The errors are computed one (tx, rx) pair at a time into one vector,
+    in the order of the whole grid's present values, so the temporaries
+    stay a pair's size and the mean is that of the whole-grid
     expression, bit for bit.
     """
     los = theoretical_los_phases(rx_positions, grid.positions, wavelength)
@@ -223,8 +224,9 @@ def mean_phase_residual(grid: CsiGrid, rx_positions, wavelength: float) -> float
     if wrapped.size == 0:
         raise NoDataError("grid has no present CSI values")
     end = 0
-    for csi, present in zip(grid.csi, grid.present):
-        block = np.abs(wrap_phase(np.angle(csi) - los)[present])
-        wrapped[end : end + block.size] = block
-        end += block.size
+    for csi_t, present_t in zip(grid.csi, grid.present):
+        for csi, present, los_r in zip(csi_t, present_t, los):
+            block = np.abs(wrap_phase(np.angle(csi) - los_r)[present])
+            wrapped[end : end + block.size] = block
+            end += block.size
     return float(wrapped.mean())

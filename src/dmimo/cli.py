@@ -111,8 +111,9 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
         rx_positions = geometry.antenna_positions
         wavelength = geometry.wavelength
     table = calibration.estimate_phase_offsets(grid, rx_positions, wavelength)
-    # Rebinding frees the measured grid: only the calibrated one is kept.
-    grid = calibration.apply_calibration(grid, table)
+    # Nothing else holds the measured grid, so it is calibrated in place:
+    # the measured and calibrated CSI never both exist.
+    table.rotate(grid.csi, out=grid.csi)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "offsets.csv")

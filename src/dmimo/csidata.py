@@ -1,6 +1,7 @@
 """CSI-grid dataset format: read/write and synthetic generation.
 
-A dataset is a directory with two files:
+A dataset is a directory with two files and, when dmimo wrote it, a
+third derived from them:
 
 ``manifest.json``
     format_version, wavelength (m), tx_count, rx_count, rx_positions
@@ -13,6 +14,13 @@ A dataset is a directory with two files:
     integers; real/imag are written as Python ``repr``, the shortest
     string that reads back to the same double. Missing (tx, rx, m, n)
     triples are simply omitted and flagged missing on read.
+
+``csi.cache`` (derived, optional)
+    the SHA-256 digest of the ``csi.csv`` bytes, then the ``csi`` and
+    ``present`` arrays as ``.npy`` payloads. Only :func:`write_dataset`
+    creates it. :func:`read_dataset` uses it in place of parsing
+    ``csi.csv`` when the digest matches that file and both payloads have
+    the manifest's shape; otherwise it parses. Deleting it is always safe.
 
 The tx index plays the role of a UE-side antenna measured over the grid;
 the rx index is a base-station antenna. All tx antennas of a synthetic
@@ -37,12 +45,15 @@ from .geometry import ArrayGeometry, LosChannelParams, los_channel
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 CSI_NAME = "csi.csv"
+CACHE_NAME = "csi.cache"
 CSV_HEADER = "tx,rx,m,n,re,im"
 #: UE-side antennas per grid position when a generation config gives none.
 DEFAULT_TX_COUNT = 4
 #: Data lines parsed per ``np.loadtxt`` call by ``read_dataset``. Larger
 #: chunks barely read faster but hold more lines in memory at once.
 CHUNK = 1024
+#: Bytes of ``csi.csv`` hashed per read when checking ``csi.cache``.
+DIGEST_BLOCK = 1 << 16
 _ROW_DTYPE = np.dtype(
     [("t", np.int64), ("r", np.int64), ("m", np.int64), ("n", np.int64),
      ("re", np.float64), ("im", np.float64)]
@@ -155,7 +166,14 @@ class GridSpec:
 
 
 def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
-    """Write manifest.json and csi.csv into the directory ``path``."""
+    """Write manifest.json, csi.csv and csi.cache into the directory ``path``.
+
+    csi.cache holds the digest of the csi.csv bytes written here and the
+    grid's ``csi`` and ``present`` arrays, which :func:`read_dataset`
+    returns in place of parsing csi.csv while the two still match.
+    """
+    import hashlib
+
     if manifest.tx_count != grid.tx_count or manifest.rx_count != grid.rx_count:
         raise DatasetFormatError("manifest and grid disagree on antenna counts")
     if manifest.grid_positions.shape != grid.positions.shape or not np.array_equal(
@@ -181,19 +199,30 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
         with open(out / MANIFEST_NAME, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        with open(out / CSI_NAME, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
+        digest = hashlib.sha256()
+        with open(out / CSI_NAME, "wb") as fh:
+
+            def emit(text: str) -> None:
+                data = text.encode()
+                fh.write(data)
+                digest.update(data)
+
+            emit(CSV_HEADER + "\n")
             # One (tx, rx) block per write keeps the formatted text small.
             for t in range(grid.tx_count):
                 for r in range(grid.rx_count):
                     m, n = np.nonzero(grid.present[t, r])
                     z = grid.csi[t, r, m, n]
-                    fh.write("".join([
+                    emit("".join([
                         f"{t},{r},{mi},{ni},{re!r},{im!r}\n"
                         for mi, ni, re, im in zip(
                             m.tolist(), n.tolist(), z.real.tolist(), z.imag.tolist()
                         )
                     ]))
+        with open(out / CACHE_NAME, "wb") as fh:
+            fh.write(digest.digest())
+            np.save(fh, grid.csi, allow_pickle=False)
+            np.save(fh, grid.present, allow_pickle=False)
     except OSError as exc:
         raise DatasetFormatError(f"cannot write dataset at {out}: {exc}") from exc
 
@@ -321,16 +350,47 @@ def _raise_first_bad_line(csv_path, lines, first_lineno, present) -> NoReturn:
     )
 
 
-def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
-    """Read a dataset directory; validates dimensions and consistency."""
-    base = Path(path)
-    manifest = _read_manifest(base / MANIFEST_NAME)
-    gm, gn = manifest.grid_positions.shape[:2]
-    t_count, r_count = manifest.tx_count, manifest.rx_count
-    csi = np.zeros((t_count, r_count, gm, gn), dtype=complex)
-    present = np.zeros((t_count, r_count, gm, gn), dtype=bool)
+def _read_payload(fh, shape: tuple, dtype: np.dtype) -> np.ndarray | None:
+    """The next ``.npy`` array in ``fh`` if it is a C-order array of this
+    shape and dtype, else None. Raises ValueError on a malformed header
+    or a short payload."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        return None
+    if np.lib.format.read_array_header_1_0(fh) != (shape, False, dtype):
+        return None
+    return np.fromfile(fh, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
+
+
+def _read_cache(base: Path, shape: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """(csi, present) as parsing ``csi.csv`` into ``shape`` would give
+    them, from ``csi.cache``; None unless the cache holds the digest of
+    the current ``csi.csv`` and two payloads of that shape."""
+    import hashlib
+
+    try:
+        with open(base / CACHE_NAME, "rb") as cache:
+            digest = hashlib.sha256()
+            expected = cache.read(digest.digest_size)
+            with open(base / CSI_NAME, "rb") as fh:
+                while block := fh.read(DIGEST_BLOCK):
+                    digest.update(block)
+            if digest.digest() != expected:
+                return None
+            csi = _read_payload(cache, shape, np.dtype(complex))
+            present = None if csi is None else _read_payload(cache, shape, np.dtype(bool))
+    except (OSError, ValueError):
+        return None
+    if present is None:
+        return None
+    csi[~present] = 0
+    return csi, present
+
+
+def _parse_csv(csv_path: Path, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(csi, present) of ``shape`` from the rows of ``csi.csv``."""
+    csi = np.zeros(shape, dtype=complex)
+    present = np.zeros(shape, dtype=bool)
     csi_flat, present_flat = csi.reshape(-1), present.reshape(-1)
-    csv_path = base / CSI_NAME
     try:
         fh = open(csv_path)
     except OSError as exc:
@@ -354,6 +414,24 @@ def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
             csi_flat.imag[flat] = rows["im"]
             present_flat[flat] = True
             lineno += len(lines)
+    return csi, present
+
+
+def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
+    """Read a dataset directory; validates dimensions and consistency.
+
+    The manifest is always read and validated. The CSI comes from
+    ``csi.cache`` when that file holds the digest of the current
+    ``csi.csv`` and arrays of the manifest's shape, and is parsed from
+    ``csi.csv`` otherwise; both give the same arrays bit for bit, and
+    both pass the same checks. Nothing is written.
+    """
+    base = Path(path)
+    manifest = _read_manifest(base / MANIFEST_NAME)
+    gm, gn = manifest.grid_positions.shape[:2]
+    t_count, r_count = manifest.tx_count, manifest.rx_count
+    shape = (t_count, r_count, gm, gn)
+    csi, present = _read_cache(base, shape) or _parse_csv(base / CSI_NAME, shape)
     distinct_rx = int(np.any(present, axis=(0, 2, 3)).sum())
     if distinct_rx != r_count:
         raise DatasetFormatError(

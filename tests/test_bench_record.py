@@ -46,3 +46,17 @@ def test_pertrial_runs_the_chunks_of_a_run(bench_record, monkeypatch):
         times = row["ms_per_trial"]
         assert times["parent"]["median"] > 0 and times["change"]["median"] > 0
         assert times["verdict"] in ("faster", "slower", "overlap")
+
+
+def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
+    grid = dict(bench_record.GENERATE["grid"], nx=6, ny=5)
+    monkeypatch.setattr(bench_record, "GENERATE", dict(bench_record.GENERATE, grid=grid))
+    monkeypatch.setattr(bench_record, "DATASET_REPS", 2)
+    row = bench_record.dataset_io(ROOT, seed=3)
+    assert row["grid"] == [6, 5] and row["payload_identical"]
+    for key in ("generate_s", "calibrate_s", "read_parse_s", "write_s"):
+        assert set(row[key]) == {"parent", "change", "verdict"}
+        assert row[key]["parent"]["median"] > 0 and row[key]["change"]["median"] > 0
+    # this tree is both sides, so both write and read the cache
+    assert set(row["read_cache_s"]) == {"parent", "change", "verdict"}
+    assert set(row["cache_work_s"]) == {"change"}

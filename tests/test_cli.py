@@ -323,6 +323,16 @@ class TestSimulateImports:
         assert len(summary["precoders"][0]["cdf"]["sinr_db"]) == 512  # 600 samples decimated
 
 
+class TestImports:
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL (~3 MB resident); only reading and writing
+        # csi.cache need it, so csidata imports it there
+        loaded = "import sys; print('hashlib' in sys.modules)"
+        if _python("-c", "import numpy; " + loaded).strip() == "True":
+            pytest.skip("importing numpy already imports hashlib")
+        assert _python("-c", "import dmimo.cli; " + loaded).strip() == "False"
+
+
 def _in_geometry(text, line):
     return text.replace("kind: perimeter", f"kind: perimeter\n  {line}")
 

@@ -108,27 +108,178 @@ def reference_csv(grid) -> bytes:
     return "".join(out).encode()
 
 
+def special_dataset(seed):
+    """A partial grid with special values and nonzero CSI where absent."""
+    rng = np.random.default_rng(seed)
+    grid, manifest = random_dataset(rng, tx=3, rx=4, gm=5, gn=7)
+    csi = grid.csi.copy()
+    special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.0]
+    parts = csi.view(np.float64).reshape(-1)
+    parts[: len(special)] = special
+    parts[len(special):] *= 10.0 ** rng.integers(-300, 300, parts.size - len(special))
+    present = rng.random(csi.shape) > 0.2
+    present[:, :, 0, 0] = True  # every tx and rx keeps a value
+    assert np.all(csi[~present] != 0)
+    return CsiGrid(csi=csi, present=present, positions=grid.positions), manifest
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Make parsing csi.csv fail, so a read that succeeds used csi.cache."""
+
+    def parse(*args):
+        raise AssertionError("csi.csv was parsed")
+
+    monkeypatch.setattr(csidata, "_parse_csv", parse)
+
+
+def assert_bitwise(loaded, grid):
+    np.testing.assert_array_equal(loaded.present, grid.present)
+    expected = np.ascontiguousarray(np.where(grid.present, grid.csi, 0))
+    np.testing.assert_array_equal(loaded.csi.view(np.uint64), expected.view(np.uint64))
+
+
 class TestByteFormat:
+    @pytest.mark.parametrize("cache", ["kept", "deleted"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_row_writer_and_reads_back_bitwise(self, seed, tmp_path):
-        rng = np.random.default_rng(seed)
-        grid, manifest = random_dataset(rng, tx=3, rx=4, gm=5, gn=7)
-        csi = grid.csi.copy()
-        special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.0]
-        parts = csi.view(np.float64).reshape(-1)
-        parts[: len(special)] = special
-        parts[len(special):] *= 10.0 ** rng.integers(-300, 300, parts.size - len(special))
-        present = rng.random(csi.shape) > 0.2
-        present[:, :, 0, 0] = True  # every tx and rx keeps a value
-        grid = CsiGrid(csi=csi, present=present, positions=grid.positions)
+    def test_matches_row_writer_and_reads_back_bitwise(
+        self, seed, cache, tmp_path, request
+    ):
+        grid, manifest = special_dataset(seed)
         write_dataset(grid, manifest, tmp_path)
         assert (tmp_path / "csi.csv").read_bytes() == reference_csv(grid)
+        if cache == "kept":
+            request.getfixturevalue("no_parse")
+        else:
+            (tmp_path / "csi.cache").unlink()
         loaded, _ = read_dataset(tmp_path)
-        np.testing.assert_array_equal(loaded.present, present)
-        expected = np.where(present, csi, 0)
+        assert_bitwise(loaded, grid)
+
+
+def parsed(path, dest):
+    """read_dataset of ``path``'s manifest and csi.csv without csi.cache."""
+    dest.mkdir()
+    for name in ("manifest.json", "csi.csv"):
+        (dest / name).write_bytes((path / name).read_bytes())
+    return read_dataset(dest)
+
+
+def file_state(path):
+    return {p.name: p.stat().st_mtime_ns for p in path.iterdir()}
+
+
+class TestCsiCache:
+    def test_hit_is_bitwise_the_parse(self, tmp_path, monkeypatch, request):
+        grid, manifest = special_dataset(3)
+        write_dataset(grid, manifest, tmp_path / "d")
+        reference, _ = parsed(tmp_path / "d", tmp_path / "p")
+        request.getfixturevalue("no_parse")
+        loaded, loaded_manifest = read_dataset(tmp_path / "d")
+        np.testing.assert_array_equal(loaded.present, reference.present)
         np.testing.assert_array_equal(
-            loaded.csi.view(np.uint64), expected.view(np.uint64)
+            loaded.csi.view(np.uint64), reference.csi.view(np.uint64)
         )
+        np.testing.assert_array_equal(loaded.positions, reference.positions)
+        assert loaded_manifest.wavelength == manifest.wavelength
+
+    def test_rewritten_csv_value_is_read(self, rng, tmp_path):
+        grid, manifest = random_dataset(rng)
+        write_dataset(grid, manifest, tmp_path)
+        path = tmp_path / "csi.csv"
+        lines = path.read_text().splitlines()
+        t, r, m, n, _, im = lines[7].split(",")
+        lines[7] = ",".join([t, r, m, n, "0.5", im])
+        path.write_text("\n".join(lines) + "\n")
+        loaded, _ = read_dataset(tmp_path)
+        index = tuple(int(i) for i in (t, r, m, n))
+        assert loaded.csi[index] == complex(0.5, float(im))
+        assert loaded.csi[index] != grid.csi[index]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["empty", "digest-only", "mid-header", "mid-csi", "last-byte-cut", "garbage",
+         "wrong-digest", "wrong-dtype", "no-present", "wrong-shape"],
+    )
+    def test_bad_cache_falls_back_to_parse(self, tmp_path, damage):
+        grid, manifest = special_dataset(4)
+        base = tmp_path / "d"
+        write_dataset(grid, manifest, base)
+        cache = base / "csi.cache"
+        data = cache.read_bytes()
+        # the digest, then a version 1.0 .npy header: magic, version and
+        # header length in 10 bytes, then the header text
+        csi_start = 32 + 10 + int.from_bytes(data[40:42], "little")
+        damaged = {
+            "empty": b"",
+            "digest-only": data[:32],
+            "mid-header": data[:40],
+            "mid-csi": data[: csi_start + 100],
+            "last-byte-cut": data[:-1],
+            "garbage": bytes(np.random.default_rng(0).integers(0, 256, len(data), np.uint8)),
+            "wrong-digest": bytes([data[0] ^ 1]) + data[1:],
+            "wrong-dtype": data.replace(b"'<c16'", b"'<f16'", 1),
+            "no-present": data[: csi_start + grid.csi.nbytes],
+        }
+        if damage == "wrong-shape":
+            # one more grid row: csi.csv stays valid and in range
+            doc = json.loads((base / "manifest.json").read_text())
+            gn = grid.grid_shape[1]
+            doc["grid"] += [[grid.grid_shape[0], n, 9.0, float(n), 0.0] for n in range(gn)]
+            (base / "manifest.json").write_text(json.dumps(doc))
+        else:
+            assert damaged[damage] != data
+            cache.write_bytes(damaged[damage])
+        reference, _ = parsed(base, tmp_path / "p")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, _ = read_dataset(base)
+        np.testing.assert_array_equal(loaded.present, reference.present)
+        np.testing.assert_array_equal(
+            loaded.csi.view(np.uint64), reference.csi.view(np.uint64)
+        )
+        if damage == "wrong-shape":
+            assert loaded.grid_shape == (grid.grid_shape[0] + 1, grid.grid_shape[1])
+            assert not loaded.present[:, :, -1].any()
+
+    def test_fortran_ordered_grid_reads_back_bitwise(self, tmp_path):
+        grid, manifest = special_dataset(6)
+        grid = CsiGrid(
+            csi=np.asfortranarray(grid.csi),
+            present=np.asfortranarray(grid.present),
+            positions=grid.positions,
+        )
+        write_dataset(grid, manifest, tmp_path)
+        loaded, _ = read_dataset(tmp_path)
+        assert_bitwise(loaded, grid)
+
+    def test_transposed_grid_is_parsed(self, rng, tmp_path):
+        # same element count as the cache's payloads, other shape: the
+        # parse rejects the rows beyond the manifest's grid
+        grid, manifest = random_dataset(rng, gm=3, gn=5)
+        write_dataset(grid, manifest, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["grid"] = [[n, m, *xyz] for m, n, *xyz in doc["grid"]]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match="out of range"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("cache", ["kept", "deleted"])
+    def test_read_only_directory_is_left_unchanged(self, tmp_path, request, cache):
+        grid, manifest = special_dataset(5)
+        base = tmp_path / "d"
+        write_dataset(grid, manifest, base)
+        if cache == "kept":
+            request.getfixturevalue("no_parse")
+        else:
+            (base / "csi.cache").unlink()
+        before = file_state(base)
+        base.chmod(0o555)
+        try:
+            loaded, _ = read_dataset(base)
+        finally:
+            base.chmod(0o755)
+        assert_bitwise(loaded, grid)
+        assert file_state(base) == before
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +302,10 @@ def long_csv(tmp_path_factory):
 
 
 def write_lines(base, lines, dest, newline="\n"):
+    """A dataset of ``lines``; it keeps base's csi.cache, stale for them."""
     dest.mkdir()
-    (dest / "manifest.json").write_bytes((base / "manifest.json").read_bytes())
+    for name in ("manifest.json", "csi.cache"):
+        (dest / name).write_bytes((base / name).read_bytes())
     (dest / "csi.csv").write_bytes((newline.join(lines) + newline).encode())
     return dest
 

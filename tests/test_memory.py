@@ -8,7 +8,10 @@ buffers (~0.15x here) do not dominate. A full-size temporary copy of the
 grid adds at least 0.5x (its phases alone) and breaks the bound.
 """
 
+import contextlib
+import io
 import pickle
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -27,8 +30,9 @@ from dmimo import (
     read_dataset,
     write_dataset,
 )
-from dmimo import scenarios
+from dmimo import csidata, scenarios
 from dmimo.calibration import mean_phase_residual
+from dmimo.cli import cmd_calibrate
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -71,10 +75,47 @@ def test_generate_with_offsets_builds_one_grid(dataset):
     assert peak <= 2.25 * grid.csi.nbytes
 
 
-def test_read_dataset_builds_one_grid(dataset_dir, dataset):
+def without_cache(dataset_dir, dest):
+    dest.mkdir()
+    for name in (csidata.MANIFEST_NAME, csidata.CSI_NAME):
+        shutil.copy(dataset_dir / name, dest)
+    return dest
+
+
+@pytest.mark.parametrize("cache", ["kept", "deleted"])
+def test_read_dataset_builds_one_grid(dataset_dir, dataset, tmp_path, cache):
     # the returned grid, its mask, the finiteness check and one CSV chunk
-    _, peak = traced_peak(read_dataset, dataset_dir)
+    # or the cache's digest block
+    path = dataset_dir if cache == "kept" else without_cache(dataset_dir, tmp_path / "d")
+    _, peak = traced_peak(read_dataset, path)
     assert peak <= 1.6 * dataset[0].csi.nbytes
+
+
+def test_calibrate_command_holds_one_grid(dataset_dir, dataset, tmp_path, monkeypatch):
+    # the read grid and, in the estimate and the residual, about one
+    # grid's worth of LoS phases and residuals; per-tx residual
+    # temporaries add 0.4x
+    grids = []
+    read, write = csidata.read_dataset, csidata.write_dataset
+
+    def spy_read(path):
+        out = read(path)
+        grids.append(out[0])
+        return out
+
+    def spy_write(grid, manifest, path):
+        grids.append(grid)
+        write(grid, manifest, path)
+
+    monkeypatch.setattr(csidata, "read_dataset", spy_read)
+    monkeypatch.setattr(csidata, "write_dataset", spy_write)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = traced_peak(cmd_calibrate, str(dataset_dir), str(tmp_path / "cal"))
+    assert code == 0
+    assert peak <= 2.25 * dataset[0].csi.nbytes
+    # calibrated in place: the measured and calibrated CSI never coexist
+    read_grid, written_grid = grids
+    assert written_grid.csi is read_grid.csi
 
 
 def test_apply_calibration_builds_one_grid(dataset):
@@ -84,13 +125,14 @@ def test_apply_calibration_builds_one_grid(dataset):
     assert peak <= 1.5 * grid.csi.nbytes
 
 
-def test_mean_phase_residual_works_per_tx(dataset):
-    # the residual vector (0.5x) and one tx block's temporaries
+def test_mean_phase_residual_works_per_pair(dataset):
+    # the residual vector (0.5x), the LoS phases with their temporaries
+    # and one (tx, rx) pair's temporaries
     grid, manifest = dataset
     _, peak = traced_peak(
         mean_phase_residual, grid, manifest.rx_positions, manifest.wavelength
     )
-    assert peak <= 1.8 * grid.csi.nbytes
+    assert peak <= 1.2 * grid.csi.nbytes
 
 
 def test_dataset_sampler_keeps_one_tx_per_cell(dataset_dir, dataset):
