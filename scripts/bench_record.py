@@ -64,8 +64,8 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib.util
-import json
 import io
+import json
 import os
 import statistics
 import subprocess

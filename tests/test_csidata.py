@@ -169,7 +169,7 @@ def file_state(path):
 
 
 class TestCsiCache:
-    def test_hit_is_bitwise_the_parse(self, tmp_path, monkeypatch, request):
+    def test_hit_is_bitwise_the_parse(self, tmp_path, request):
         grid, manifest = special_dataset(3)
         write_dataset(grid, manifest, tmp_path / "d")
         reference, _ = parsed(tmp_path / "d", tmp_path / "p")
