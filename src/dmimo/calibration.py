@@ -142,7 +142,10 @@ def theoretical_los_phases(rx_positions, grid_positions, wavelength: float) -> n
     rx = np.asarray(rx_positions, dtype=float)
     grid = np.asarray(grid_positions, dtype=float)
     flat = grid.reshape(-1, 3)
-    d = np.linalg.norm(flat[None, :, :] - rx[:, None, :], axis=2)
+    # one rx antenna at a time: no (R, GM*GN, 3) difference stack
+    d = np.empty((rx.shape[0], flat.shape[0]))
+    for r, p in enumerate(rx):
+        d[r] = np.linalg.norm(flat - p, axis=1)
     return los_phase(d, wavelength).reshape(rx.shape[0], *grid.shape[:2])
 
 

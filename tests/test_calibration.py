@@ -21,6 +21,7 @@ from dmimo.calibration import (
     wrap_phase,
 )
 from dmimo.errors import CoverageError, NoDataError, UnidentifiableError
+from dmimo.geometry import los_phase
 
 
 def los_slice(rng, n=100):
@@ -169,6 +170,20 @@ class TestCalibrationPipeline:
         reference = float(np.abs(wrap_phase(diff)[grid.present]).mean())
         residual = mean_phase_residual(grid, manifest.rx_positions, manifest.wavelength)
         assert residual == reference > 0.1
+
+    @pytest.mark.parametrize("antennas_per_ap,nx", [(8, 24), (3, 7)])
+    def test_los_phases_equal_batched_distances(self, antennas_per_ap, nx):
+        # distances one rx antenna at a time; the reference is the batched
+        # (R, GM*GN, 3) expression they replaced, and must match bit for bit
+        geometry = perimeter_geometry(antennas_per_ap=antennas_per_ap)
+        grid = GridSpec(nx=nx, ny=nx, x_min=1.25, x_max=4.75, y_min=1.25, y_max=4.75,
+                        z=0.3).positions()
+        rx = geometry.antenna_positions
+        d = np.linalg.norm(grid.reshape(-1, 3)[None, :, :] - rx[:, None, :], axis=2)
+        reference = los_phase(d, geometry.wavelength).reshape(len(rx), nx, nx)
+        phases = theoretical_los_phases(rx, grid, geometry.wavelength)
+        assert phases.shape == reference.shape
+        np.testing.assert_array_equal(phases.view(np.uint64), reference.view(np.uint64))
 
     def test_apply_involution(self, offset_dataset):
         _, grid, _, table = offset_dataset
