@@ -328,14 +328,14 @@ class TestPooledWriter:
     def test_files_do_not_depend_on_cpu_count(self, dataset, tmp_path, monkeypatch, pools):
         grid, manifest = dataset()
         tasks = len(csidata._write_tasks(grid))
-        for cpus in (1, 2, 64):
+        for cpus in (1, 2, 8):
             monkeypatch.setattr(csidata, "_available_cpus", lambda: cpus)
             write_dataset(grid, manifest, tmp_path / str(cpus))
-        assert pools == [2, min(64, tasks)]
+        assert pools == [2, min(8, tasks)]
         for name in ("csi.csv", "csi.cache", "manifest.json"):
             one = (tmp_path / "1" / name).read_bytes()
             assert (tmp_path / "2" / name).read_bytes() == one
-            assert (tmp_path / "64" / name).read_bytes() == one
+            assert (tmp_path / "8" / name).read_bytes() == one
         assert (tmp_path / "1" / "csi.csv").read_bytes() == reference_csv(grid)
         loaded, _ = read_dataset(tmp_path / "2")
         assert_bitwise(loaded, grid)
