@@ -37,8 +37,7 @@ writing ``csi.cache`` adds to ``write_dataset`` (SHA-256 of the
 call and below its spread, is timed on its own as ``cache_work_s``. It
 records per side the median and quartiles of seconds, their verdict, and
 whether the two sides' last runs wrote byte-identical ``csi.csv``,
-``manifest.json`` and ``offsets.csv`` files. The row also records
-``nproc``: ``write_dataset`` formats ``csi.csv`` on one worker per CPU.
+``manifest.json`` and ``offsets.csv`` files.
 
 The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
@@ -265,8 +264,7 @@ def dataset_io(parent: Path, seed: int) -> dict:
                     timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
         identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
                         for f in files)
-    row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]],
-           "nproc": len(os.sched_getaffinity(0))}
+    row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}
     for key, sides in times.items():
         sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in sides.items() if v}
         if len(sides) == 2:

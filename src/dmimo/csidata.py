@@ -32,12 +32,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -58,10 +54,6 @@ DEFAULT_TX_COUNT = 4
 CHUNK = 1024
 #: Bytes of ``csi.csv`` hashed per read when checking ``csi.cache``.
 DIGEST_BLOCK = 1 << 16
-#: About this many ``csi.csv`` rows are formatted per ``write_dataset``
-#: task: whole (tx, rx) blocks, at least one. A task's text is held in
-#: memory until it is written.
-WRITE_TASK_ROWS = 2048
 _ROW_DTYPE = np.dtype(
     [("t", np.int64), ("r", np.int64), ("m", np.int64), ("n", np.int64),
      ("re", np.float64), ("im", np.float64)]
@@ -173,64 +165,12 @@ class GridSpec:
         return out
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _format_blocks(grid: CsiGrid, blocks: range) -> bytes:
-    """The encoded ``csi.csv`` rows of the flat (tx, rx) blocks ``blocks``."""
-    gm, gn = grid.grid_shape
-    cells = [f"{m},{n}," for m in range(gm) for n in range(gn)]
-    rows = []
-    for block in blocks:
-        t, r = divmod(block, grid.rx_count)
-        prefix = f"{t},{r},"
-        k = np.flatnonzero(grid.present[t, r])
-        z = grid.csi[t, r].reshape(-1)[k]
-        rows += [
-            f"{prefix}{cells[i]}{re!r},{im!r}\n"
-            for i, re, im in zip(k.tolist(), z.real.tolist(), z.imag.tolist())
-        ]
-    return "".join(rows).encode()
-
-
-#: The grid a ``write_dataset`` pool worker formats, given once per
-#: worker by the pool's initializer: tasks carry only block indices.
-_worker_grid: CsiGrid | None = None
-
-
-def _init_write_worker(grid: CsiGrid) -> None:
-    global _worker_grid
-    _worker_grid = grid
-
-
-def _pool_format_blocks(blocks: range) -> bytes:
-    return _format_blocks(_worker_grid, blocks)
-
-
-def _write_tasks(grid: CsiGrid) -> list[range]:
-    """Runs of consecutive flat (tx, rx) blocks of about ``WRITE_TASK_ROWS``
-    rows each, a function of the grid's shape alone."""
-    blocks = grid.tx_count * grid.rx_count
-    size = max(1, WRITE_TASK_ROWS // (grid.grid_shape[0] * grid.grid_shape[1]))
-    return [range(b, min(b + size, blocks)) for b in range(0, blocks, size)]
-
-
 def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
     """Write manifest.json, csi.csv and csi.cache into the directory ``path``.
 
     csi.cache holds the digest of the csi.csv bytes written here and the
     grid's ``csi`` and ``present`` arrays, which :func:`read_dataset`
     returns in place of parsing csi.csv while the two still match.
-
-    The csi.csv rows are formatted in tasks (:func:`_write_tasks`) on a
-    process pool of one worker per available CPU, at most one per task,
-    and written in order; with one task or one CPU no pool is started.
-    Each worker is given the grid once; tasks carry only block indices.
-    The bytes written do not depend on the CPU count.
     """
     import hashlib
 
@@ -260,16 +200,28 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         digest = hashlib.sha256()
-        tasks = _write_tasks(grid)
-        workers = min(_available_cpus(), len(tasks))
-        pool = ProcessPoolExecutor(workers, initializer=_init_write_worker,
-                                   initargs=(grid,)) if workers > 1 else None
-        with pool or nullcontext(), open(out / CSI_NAME, "wb") as fh:
-            blocks = (map(partial(_format_blocks, grid), tasks) if pool is None
-                      else pool.map(_pool_format_blocks, tasks))
-            for data in itertools.chain([(CSV_HEADER + "\n").encode()], blocks):
+        cells = [f"{m},{n}," for m in range(gm) for n in range(gn)]
+        with open(out / CSI_NAME, "wb") as fh:
+
+            def emit(text: str) -> None:
+                data = text.encode()
                 fh.write(data)
                 digest.update(data)
+
+            emit(CSV_HEADER + "\n")
+            # One (tx, rx) block per write keeps the formatted text small.
+            # Its rows share the "t,r," prefix, which the join puts in.
+            for t in range(grid.tx_count):
+                for r in range(grid.rx_count):
+                    k = np.flatnonzero(grid.present[t, r])
+                    z = grid.csi[t, r].reshape(-1)[k]
+                    rows = [
+                        f"{cells[i]}{re!r},{im!r}"
+                        for i, re, im in zip(k.tolist(), z.real.tolist(), z.imag.tolist())
+                    ]
+                    if rows:
+                        prefix = f"{t},{r},"
+                        emit(prefix + f"\n{prefix}".join(rows) + "\n")
         with open(out / CACHE_NAME, "wb") as fh:
             fh.write(digest.digest())
             np.save(fh, grid.csi, allow_pickle=False)

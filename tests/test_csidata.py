@@ -283,20 +283,6 @@ class TestCsiCache:
         assert file_state(base) == before
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Record the worker count of every pool write_dataset starts."""
-    made = []
-
-    class Recorded(csidata.ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            made.append(workers)
-            super().__init__(workers, **kwargs)
-
-    monkeypatch.setattr(csidata, "ProcessPoolExecutor", Recorded)
-    return made
-
-
 def offsets_dataset():
     geometry = perimeter_geometry()
     spec = GridSpec(nx=24, ny=24, x_min=1.25, x_max=4.75, y_min=1.25, y_max=4.75)
@@ -306,65 +292,35 @@ def offsets_dataset():
     return grid, manifest
 
 
-def boundary_gaps_dataset():
+def block_gaps_dataset():
     """A partial grid whose absent entries sit at the edges of the writer's
-    tasks: the last row of a task, the first row of the next, and one
-    task with no row at all."""
-    grid, manifest = random_dataset(np.random.default_rng(8), tx=3, rx=12, gm=16, gn=16)
-    tasks = csidata._write_tasks(grid)
-    assert len(tasks) >= 3  # the test needs interior boundaries
+    (tx, rx) blocks: the last row of one block, the first row of the next,
+    and one block with no row at all."""
+    grid, manifest = random_dataset(np.random.default_rng(8), tx=3, rx=12, gm=4, gn=4)
     present = grid.present.copy()
     flat = present.reshape(grid.tx_count * grid.rx_count, -1)
-    for before, after in zip(tasks, tasks[1:]):
-        flat[before[-1], -1] = False
-        flat[after[0], 0] = False
-    flat[tasks[1]] = False
+    flat[:-1, -1] = False
+    flat[1:, 0] = False
+    flat[5] = False
     assert present.any(axis=(0, 2, 3)).all() and present.any(axis=(1, 2, 3)).all()
     return CsiGrid(csi=grid.csi, present=present, positions=grid.positions), manifest
 
 
-class TestPooledWriter:
-    @pytest.mark.parametrize("dataset", [offsets_dataset, boundary_gaps_dataset])
-    def test_files_do_not_depend_on_cpu_count(self, dataset, tmp_path, monkeypatch, pools):
+class TestBlockWriter:
+    @pytest.mark.parametrize("dataset", [offsets_dataset, block_gaps_dataset])
+    def test_matches_row_writer(self, dataset, tmp_path, request):
         grid, manifest = dataset()
-        tasks = len(csidata._write_tasks(grid))
-        for cpus in (1, 2, 8):
-            monkeypatch.setattr(csidata, "_available_cpus", lambda: cpus)
-            write_dataset(grid, manifest, tmp_path / str(cpus))
-        assert pools == [2, min(8, tasks)]
-        for name in ("csi.csv", "csi.cache", "manifest.json"):
-            one = (tmp_path / "1" / name).read_bytes()
-            assert (tmp_path / "2" / name).read_bytes() == one
-            assert (tmp_path / "8" / name).read_bytes() == one
-        assert (tmp_path / "1" / "csi.csv").read_bytes() == reference_csv(grid)
-        loaded, _ = read_dataset(tmp_path / "2")
+        write_dataset(grid, manifest, tmp_path)
+        assert (tmp_path / "csi.csv").read_bytes() == reference_csv(grid)
+        request.getfixturevalue("no_parse")
+        loaded, _ = read_dataset(tmp_path)
         assert_bitwise(loaded, grid)
 
-    def test_cache_digest_is_the_written_csv(self, tmp_path, monkeypatch):
-        grid, manifest = boundary_gaps_dataset()
-        monkeypatch.setattr(csidata, "_available_cpus", lambda: 2)
+    def test_cache_digest_is_the_written_csv(self, tmp_path):
+        grid, manifest = block_gaps_dataset()
         write_dataset(grid, manifest, tmp_path)
         digest = hashlib.sha256((tmp_path / "csi.csv").read_bytes()).digest()
         assert (tmp_path / "csi.cache").read_bytes()[: len(digest)] == digest
-
-    def test_tasks_cover_the_blocks_in_order(self):
-        grid, _ = offsets_dataset()
-        tasks = csidata._write_tasks(grid)
-        assert [b for task in tasks for b in task] == list(range(4 * 64))
-        cells = 24 * 24
-        assert all(len(task) * cells <= max(cells, csidata.WRITE_TASK_ROWS) for task in tasks)
-
-    def test_grid_within_one_task_starts_no_pool(self, tmp_path, monkeypatch):
-        grid, manifest = special_dataset(2)
-        assert len(csidata._write_tasks(grid)) == 1
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(csidata, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(csidata, "_available_cpus", lambda: 2)
-        write_dataset(grid, manifest, tmp_path)
-        assert (tmp_path / "csi.csv").read_bytes() == reference_csv(grid)
 
 
 @pytest.fixture(scope="module")
