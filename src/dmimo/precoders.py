@@ -22,7 +22,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -423,7 +423,9 @@ class InfoEnvironment:
     State fixed by the positions and serving is derived on first use and
     kept, as read-only arrays every build on the environment shares: the
     near-field matrix (:attr:`near_field`) and each scope's assembly
-    units (:meth:`assembly`).
+    units (:meth:`assembly`). A caller that formed the near-field
+    phasors with its channels passes them as ``phasors``, (B, M, K),
+    and they are not derived again.
     """
 
     geometry: ArrayGeometry
@@ -431,10 +433,11 @@ class InfoEnvironment:
     csi: ChannelAccess | None = None
     ue_positions: np.ndarray | None = None
     serving: tuple[tuple[int, ...], ...] | np.ndarray | None = None
+    phasors: InitVar[np.ndarray | None] = None
     #: B for a batch of B trials, None for one trial.
     batch: int | None = field(init=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, phasors):
         k, num_aps = self.num_users, self.geometry.num_aps
         leads = set()  # the trial axis of each batched array
         if self.ue_positions is not None:
@@ -471,6 +474,11 @@ class InfoEnvironment:
         object.__setattr__(self, "_aps", aps)
         object.__setattr__(self, "batch", lead[0] if lead else None)
         object.__setattr__(self, "_assemblies", {})
+        if phasors is not None:
+            shape = (lead or (1,)) + (self.geometry.num_antennas, k)
+            if phasors.shape != shape:
+                raise ConfigError(f"phasors must have shape {shape}, got {phasors.shape}")
+            object.__setattr__(self, "near_field", _read_only(phasors))
 
     @cached_property
     def near_field(self) -> np.ndarray:

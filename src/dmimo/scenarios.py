@@ -13,10 +13,12 @@ environment, build per precoder and SINR call for B trials, with
 chunks as the tasks of a process pool when ``workers`` > 1. The noise
 pre-pass places every trial once and hands each chunk its trials'
 placement: the UE positions, or in dataset mode their cells, which give
-both positions and CSI. A chunk synthesizes its channels from it, and
-its information environment derives the near-field matrix and each
-scope's assembly units from the positions once, read-only arrays that
-every precoder of the chunk shares.
+both positions and CSI. A chunk synthesizes its channels from it, with
+synthetic channels and the near-field matrix from one distance pass, and
+its information environment derives each scope's assembly units (and in
+dataset mode the near-field matrix) from the positions once, read-only
+arrays that every precoder of the chunk shares. Only a pooled run
+imports the process-pool machinery.
 
 Determinism: every random draw derives from
 ``numpy.random.default_rng([rng_seed, trial_index, stream])`` with
@@ -28,7 +30,6 @@ worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -42,6 +43,7 @@ from .geometry import (
     ArrayGeometry,
     Box,
     LosChannelParams,
+    distance_phasors,
     los_channel,
     place_ues,
 )
@@ -260,6 +262,11 @@ def cluster_users(gains, pairs, geometry: ArrayGeometry) -> ClusterAssignment:
     return ClusterAssignment(ue_to_pair=np.argmax(mean_gains, axis=-1), mean_gains=mean_gains)
 
 
+def _trials_first(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(M, B·K) values toward (B, K, 3) positions as a (B, M, K) view."""
+    return x.reshape(len(x), *positions.shape[:2]).transpose(1, 0, 2)
+
+
 class _SyntheticSampler:
     """Draws exact LoS channels from the scenario geometry.
 
@@ -281,7 +288,17 @@ class _SyntheticSampler:
     def channels(self, positions: np.ndarray) -> np.ndarray:
         """(B, M, K) channels at (B, K, 3) positions, in one synthesis."""
         h = los_channel(self.geometry, positions.reshape(-1, 3), self.params)
-        return np.ascontiguousarray(h.reshape(len(h), *positions.shape[:2]).transpose(1, 0, 2))
+        return np.ascontiguousarray(_trials_first(h, positions))
+
+    def channels_and_near_field(self, positions: np.ndarray) -> tuple:
+        """:meth:`channels` and the (B, M, K) near-field phasors
+        (:attr:`InfoEnvironment.near_field`) at the positions, bit for bit,
+        from one distance pass."""
+        d, phasors = distance_phasors(
+            self.geometry.antenna_positions, positions.reshape(-1, 3), self.params.wavelength
+        )
+        h = self.params.amplitude(d) * phasors
+        return np.ascontiguousarray(_trials_first(h, positions)), _trials_first(phasors, positions)
 
 
 class _DatasetSampler:
@@ -333,6 +350,11 @@ class _DatasetSampler:
         """(B, M, K) CSI at (B, K) cells."""
         return np.ascontiguousarray(self.cell_csi[cells].transpose(0, 2, 1))
 
+    def channels_and_near_field(self, cells: np.ndarray) -> tuple:
+        """:meth:`channels` and None: the information environment derives
+        the near field from the cells' positions when a spec reads it."""
+        return self.channels(cells), None
+
 
 def _make_sampler(config: ScenarioConfig):
     return (_DatasetSampler if config.channel_source == "dataset" else _SyntheticSampler)(config)
@@ -380,19 +402,20 @@ def draw_trial_channels(
     return positions[0], h[0]
 
 
-def _chunk_environment(config: ScenarioConfig, h_true, positions) -> InfoEnvironment:
+def _chunk_environment(config: ScenarioConfig, h_true, positions, phasors=None) -> InfoEnvironment:
     """Information environment of a chunk of trials, holding their true
-    channels. With clustering, users are assigned to pairs by
-    true-channel mean gain; each AP is granted CSI only toward the users
-    its pair serves, and each user is served by its pair's antennas."""
+    channels and, if given, their near-field phasors. With clustering,
+    users are assigned to pairs by true-channel mean gain; each AP is
+    granted CSI only toward the users its pair serves, and each user is
+    served by its pair's antennas."""
     geo, k = config.geometry, config.k_users
     if config.clustering is None:
-        return InfoEnvironment(geo, k, ChannelAccess.full(geo, h_true), positions)
+        return InfoEnvironment(geo, k, ChannelAccess.full(geo, h_true), positions, phasors=phasors)
     gains = np.abs(h_true.swapaxes(-1, -2)) ** 2
     serving = np.array(config.clustering)[cluster_users(gains, config.clustering, geo).ue_to_pair]
     granted = np.zeros((len(h_true), geo.num_aps, k), dtype=bool)
     granted[np.arange(len(h_true))[:, None, None], serving, np.arange(k)[:, None]] = True
-    return InfoEnvironment(geo, k, ChannelAccess(geo, h_true, granted), positions, serving)
+    return InfoEnvironment(geo, k, ChannelAccess(geo, h_true, granted), positions, serving, phasors)
 
 
 def run_chunk(
@@ -408,6 +431,8 @@ def run_chunk(
     the B trials ``trials`` (indices) as one unit of work. Given
     ``placement``, the trials' stacked placement as the noise pre-pass
     made it, the chunk reads its UEs from it instead of placing them.
+    Synthetic channels and the near-field matrix come from one distance
+    pass.
 
     ``sigma_points`` lists per-entry channel-error variances (None means
     perfect CSI); a trial's estimates at all S points come from one
@@ -421,7 +446,11 @@ def run_chunk(
     the realized NMSE, (B, S), NaN under perfect CSI. A trial's results
     do not depend on the chunk it runs in.
     """
-    positions, h_true = draw_channels(config, trials, sampler, placement)
+    sampler = sampler or _make_sampler(config)
+    if placement is None:
+        placement = _place_chunk(config, trials, sampler)
+    positions = sampler.positions(placement)
+    h_true, phasors = sampler.channels_and_near_field(placement)
     shape = (len(trials), len(sigma_points), len(config.precoders))
     sinr_db = np.full(shape + (config.k_users,), np.nan)
     failures = np.full(shape, None, dtype=object)
@@ -432,7 +461,7 @@ def run_chunk(
     for b, t in enumerate(trials if known else ()):
         model = ChannelErrorModel(sigmas, [config.rng_seed, t, _STREAM_CHANNEL_ERROR])
         channels[b, known], nmse[b, known] = inject_channel_error(h_true[b], model)
-    env = _chunk_environment(config, h_true, positions)
+    env = _chunk_environment(config, h_true, positions, phasors)
     for p, spec in enumerate(config.precoders):
         w, errors = build_precoders(spec, env, channels, noise_var)
         sinr_db[:, :, p] = sinr_all(LinkRealization(h_true[:, None], w, noise_var))[1]
@@ -564,8 +593,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
     """
     validate_config(config)
     sampler = _make_sampler(config)
-    pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,
-                               initargs=(config, sampler)) if config.workers > 1 else None
+    pool = None
+    if config.workers > 1:
+        # only a pooled run loads multiprocessing (~1.5 MB resident, ~30 ms)
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,
+                                   initargs=(config, sampler))
     with pool or nullcontext():
         mean_user_gain, placements = _noise_prepass(config, sampler, pool)
         noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)

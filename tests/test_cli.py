@@ -332,6 +332,28 @@ class TestImports:
             pytest.skip("importing numpy already imports hashlib")
         assert _python("-c", "import dmimo.cli; " + loaded).strip() == "False"
 
+    POOL_MODULES = "import sys; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # multiprocessing brings socket, subprocess, pickle and threading
+        # (~1.5 MB resident); only a run with workers > 1 makes a pool
+        assert _python("-c", "import dmimo; " + self.POOL_MODULES).strip() == "[]"
+
+    def test_unpooled_commands_leave_process_pool_unloaded(self, tmp_path):
+        # generate, calibrate and a workers=1 simulate on the calibrated
+        # dataset, in one process
+        gen = write(tmp_path / "gen.yaml", GENERATE_CFG)
+        text = _in_geometry(SIMULATE_CFG, "n_aps: 2\n  antennas_per_ap: 4")
+        sim = write(tmp_path / "sim.yaml", text + f"channel:\n  source: dataset\n  path: {tmp_path / 'cal'}\n")
+        run = "; ".join(f"assert main({argv!r}) == 0" for argv in [
+            ["generate", "--config", gen, "--out", str(tmp_path / "ds")],
+            ["calibrate", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "cal")],
+            ["simulate", "--config", sim, "--out", str(tmp_path / "out"), "--workers", "1"],
+        ])
+        script = f"from dmimo.cli import main; {run}; {self.POOL_MODULES}"
+        assert _python("-c", script).splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "summary.json").exists()
+
 
 def _in_geometry(text, line):
     return text.replace("kind: perimeter", f"kind: perimeter\n  {line}")

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import functools
 import os
@@ -31,7 +32,7 @@ from dmimo import (
     sinr_all,
     write_dataset,
 )
-from dmimo import precoders, scenarios
+from dmimo import geometry, precoders, scenarios
 from dmimo.cli import main as cli_main
 from dmimo.cli import summary_document
 from dmimo.errors import ConfigError, RankDeficiencyError
@@ -348,22 +349,32 @@ class TestNmseSweep:
         assert calls == {"inv": 3, "svd": 2}
 
     def test_location_state_derived_once_per_chunk(self, monkeypatch):
-        # the chunk's environment derives the near-field matrix once and
-        # its assembly units once per scope, for every spec, trial and
-        # sigma point of the chunk
+        # one distance pass gives the chunk's channels and near-field
+        # matrix, and its environment derives the assembly units once per
+        # scope, for every spec, trial and sigma point of the chunk
         calls = collections.Counter()
-        for name in ("distance_phasors", "_assembly"):
-            def counting(*args, name=name, inner=getattr(precoders, name)):
+        originals = {name: getattr(precoders, name) for name in ("distance_phasors", "_assembly")}
+        for module, name in [(geometry, "distance_phasors"), (precoders, "distance_phasors"),
+                             (scenarios, "distance_phasors"), (precoders, "_assembly")]:
+            def counting(*args, name=name):
                 calls[name] += 1
-                return inner(*args)
+                return originals[name](*args)
 
-            monkeypatch.setattr(precoders, name, counting)
+            monkeypatch.setattr(module, name, counting, raising=False)
         names = ["mrt", "nf_nf", "mrt_nf", "rzf", "dis_rzf", "dis_rmrt_nf"]
         cfg = make_config(k_users=4, precoders=tuple(parse_precoder_name(n) for n in names))
         points = (0.0, 1e-7, 2e-7)
         _, failures, _ = scenarios.run_chunk(cfg, range(2, 6), 1e-6, points)
         assert np.equal(failures, None).all()
         assert calls == {"distance_phasors": 1, "_assembly": 2}
+        # the shared pass gives the bits of the channel synthesis and of
+        # the near field an environment derives from the positions
+        monkeypatch.undo()
+        sampler = scenarios._make_sampler(cfg)
+        positions, h = scenarios.draw_channels(cfg, range(2, 6), sampler)
+        shared_h, phasors = sampler.channels_and_near_field(positions)
+        derived = scenarios._chunk_environment(cfg, h, positions).near_field
+        assert shared_h.tobytes() == h.tobytes() and phasors.tobytes() == derived.tobytes()
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
         # one build per (trial, spec); only the specs that read CSI get a
@@ -579,12 +590,13 @@ class TestDatasetMode:
         monkeypatch.setattr(scenarios, "read_dataset", counting_read)
         sent = []
 
-        class RecordingPool(scenarios.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
                 sent.append(pickle.dumps((fn, args, kwargs)))
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        # run_scenario imports the pool class when it makes a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = make_config(
             k_users=3,
             trials=6,
