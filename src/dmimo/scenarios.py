@@ -595,7 +595,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
     sampler = _make_sampler(config)
     pool = None
     if config.workers > 1:
-        # only a pooled run loads multiprocessing (~1.5 MB resident, ~30 ms)
+        # only a pooled run loads multiprocessing and its imports (~1.5 MB resident)
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ from dmimo import (
     estimate_phase_offsets,
     generate_synthetic_dataset,
     inject_hardware_offsets,
+    parse_precoder_name,
     perimeter_geometry,
+    read_dataset,
+    run_scenario,
+    write_dataset,
 )
+from dmimo import scenarios
 from dmimo.calibration import (
     mean_phase_residual,
     theoretical_los_phases,
     wrap_phase,
 )
+from dmimo.cli import main
+from dmimo.configio import parse_simulate_config
 from dmimo.errors import CoverageError, NoDataError, UnidentifiableError
 from dmimo.geometry import los_phase
 
@@ -235,3 +243,85 @@ class TestCalibrationPipeline:
         est = estimate_phase_offsets(noisy, manifest.rx_positions, manifest.wavelength)
         err = np.abs(wrap_phase(est.offsets + table.offsets))
         assert (err <= 0.05).mean() >= 0.95
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ORACLE_SPECS = ("mrt", "zf", "rzf", "nf", "nf_nf", "mrt_nf", "zf_nf")
+#: Specs built from CSI alone: under full coordination zf_nf holds every
+#: user's CSI and suppresses through it.
+CSI_ONLY = [ORACLE_SPECS.index(n) for n in ("mrt", "zf", "rzf", "zf_nf")]
+
+
+@pytest.fixture(scope="module")
+def measured_csi(tmp_path_factory):
+    """The bundled generate config's dataset, measured (with hardware
+    offsets) and calibrated, and full_coordination_k5 with the oracle
+    specs run on each in dataset mode."""
+    root = tmp_path_factory.mktemp("oracle")
+    generate = str(CONFIGS / "generate_dataset.yaml")
+    assert main(["generate", "--config", generate, "--out", str(root / "measured")]) == 0
+    assert main(["calibrate", "--dataset", str(root / "measured"),
+                 "--out", str(root / "calibrated")]) == 0
+    config = dataclasses.replace(
+        parse_simulate_config(CONFIGS / "full_coordination_k5.yaml"),
+        trials=100, precoders=tuple(map(parse_precoder_name, ORACLE_SPECS)),
+        channel_source="dataset",
+    )
+    runs = {name: run_scenario(dataclasses.replace(config, dataset_path=str(root / name)))
+            for name in ("measured", "calibrated")}
+    return root, runs
+
+
+def _medians(summary):
+    return {s.precoder: s.median_db for s in summary.stats}
+
+
+class TestCalibrationOracle:
+    """The paper's claim on measured CSI: location-based suppression needs
+    the hardware phase calibration, and CSI-built precoders do not."""
+
+    def test_calibrated_dataset_is_the_los_model(self, measured_csi):
+        # the synthetic LoS channels at the snapped positions, with the
+        # same noise variance, give every SINR of the calibrated dataset
+        _, runs = measured_csi
+        calibrated = runs["calibrated"]
+        config = calibrated.config
+        sampler = scenarios._make_sampler(config)
+        trials = range(config.trials)
+        positions = sampler.positions(scenarios._place_chunk(config, trials, sampler))
+        los = dataclasses.replace(config, channel_source="synthetic", dataset_path=None)
+        sinr_db, failures, _ = scenarios.run_chunk(los, trials, calibrated.noise_var,
+                                                   placement=positions)
+        assert np.equal(failures, None).all() and np.equal(calibrated.failures, None).all()
+        assert np.abs(sinr_db - calibrated.sinr_db).max() <= 1e-9
+
+    def test_uncalibrated_moves_only_location_specs(self, measured_csi):
+        # every cell reads tx 0, so the measured channel is D·H with one
+        # diagonal D of rx phases for all users: CSI-built precoders
+        # become D·W and h^H w does not change; near-field vectors carry
+        # no D
+        _, runs = measured_csi
+        measured, calibrated = runs["measured"], runs["calibrated"]
+        assert measured.noise_var == pytest.approx(calibrated.noise_var, rel=1e-12)
+        moved = np.abs(measured.sinr_db[:, :, CSI_ONLY] - calibrated.sinr_db[:, :, CSI_ONLY])
+        assert moved.max() <= 1e-9
+        drop = _medians(calibrated)["nf_nf"] - _medians(measured)["nf_nf"]
+        assert drop >= 10.0, f"nf_nf median dropped {drop:.1f} dB without calibration"
+
+    def test_cells_on_different_tx_break_the_invariance(self, measured_csi):
+        # tx 0 lacks rx 0 on grid rows m < 10, so those cells read tx 1:
+        # users then see different diagonals D and CSI-built precoders
+        # change too, calibrated or not
+        root, runs = measured_csi
+        config = runs["calibrated"].config
+        partial = {}
+        for name in ("measured", "calibrated"):
+            grid, manifest = read_dataset(root / name)
+            present = grid.present.copy()
+            present[0, 0, :10] = False
+            path = root / f"{name}-partial"
+            write_dataset(dataclasses.replace(grid, present=present), manifest, path)
+            partial[name] = run_scenario(dataclasses.replace(config, dataset_path=str(path)))
+        moved = np.abs(partial["measured"].sinr_db[:, :, CSI_ONLY]
+                       - partial["calibrated"].sinr_db[:, :, CSI_ONLY])
+        assert moved.max() > 1.0, "CSI-only specs should move when cells use different tx"

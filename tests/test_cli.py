@@ -332,7 +332,9 @@ class TestImports:
             pytest.skip("importing numpy already imports hashlib")
         assert _python("-c", "import dmimo.cli; " + loaded).strip() == "False"
 
-    POOL_MODULES = "import sys; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    POOL_MODULES = (
+        "import sys; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
 
     def test_import_leaves_process_pool_unloaded(self):
         # multiprocessing brings socket, subprocess, pickle and threading
@@ -344,7 +346,8 @@ class TestImports:
         # dataset, in one process
         gen = write(tmp_path / "gen.yaml", GENERATE_CFG)
         text = _in_geometry(SIMULATE_CFG, "n_aps: 2\n  antennas_per_ap: 4")
-        sim = write(tmp_path / "sim.yaml", text + f"channel:\n  source: dataset\n  path: {tmp_path / 'cal'}\n")
+        text += f"channel:\n  source: dataset\n  path: {tmp_path / 'cal'}\n"
+        sim = write(tmp_path / "sim.yaml", text)
         run = "; ".join(f"assert main({argv!r}) == 0" for argv in [
             ["generate", "--config", gen, "--out", str(tmp_path / "ds")],
             ["calibrate", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "cal")],

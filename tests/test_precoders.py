@@ -581,7 +581,8 @@ class TestBuildPrecoder:
         with pytest.raises(ConfigError, match="trial axis"):
             InfoEnvironment(geometry, 5, ChannelAccess.full(geometry, np.stack([h, h])), positions)
         with pytest.raises(ConfigError, match="phasors must have shape"):
-            InfoEnvironment(geometry, 5, None, positions, phasors=np.ones((2, geometry.num_antennas, 5)))
+            phasors = np.ones((2, geometry.num_antennas, 5))
+            InfoEnvironment(geometry, 5, None, positions, phasors=phasors)
 
     def test_ff_base_on_linear_array(self):
         lam = 0.115

@@ -360,7 +360,7 @@ class TestNmseSweep:
                 calls[name] += 1
                 return originals[name](*args)
 
-            monkeypatch.setattr(module, name, counting, raising=False)
+            monkeypatch.setattr(module, name, counting)
         names = ["mrt", "nf_nf", "mrt_nf", "rzf", "dis_rzf", "dis_rmrt_nf"]
         cfg = make_config(k_users=4, precoders=tuple(parse_precoder_name(n) for n in names))
         points = (0.0, 1e-7, 2e-7)
