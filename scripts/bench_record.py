@@ -17,8 +17,10 @@ simulate --trials CONFIG_TRIALS`` at one worker and at ``nproc``, in the
 two trees in alternating order: ``CONFIG_REPS`` runs per side, each
 timed as a whole process, so trials/s includes interpreter start and
 writing the payload files. A row records per side the median and
-quartiles of trials/s, their verdict, and whether the last runs of the
-two sides wrote byte-identical ``results.csv`` and ``summary.json``.
+quartiles of trials/s, their verdict, the median and quartiles of the
+process's peak RSS (its ``ru_maxrss``, which covers its pool workers),
+and whether the last runs of the two sides wrote byte-identical
+``results.csv`` and ``summary.json``.
 
 The suite row runs ``scripts/run_all_experiments.py`` at its 2000-trial
 defaults with one worker, ``SUITE_PAIRS`` alternating parent/change
@@ -154,15 +156,20 @@ def simulate_configs() -> list[Path]:
     return [p for p in sorted((ROOT / "configs").glob("*.yaml")) if p.stem != "generate_dataset"]
 
 
-def cli_trials_per_s(tree: Path, config: str, workers: int, out: Path) -> float:
+def cli_run(tree: Path, config: str, workers: int, out: Path) -> tuple[float, float]:
+    """Trials/s of one simulate process, timed whole, and its peak RSS in MB."""
     t0 = time.perf_counter()
-    subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "dmimo.cli", "simulate", "--config", config,
          "--trials", str(CONFIG_TRIALS), "--workers", str(workers), "--out", str(out)],
-        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        capture_output=True, timeout=600, check=True,
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.DEVNULL,
     )
-    return CONFIG_TRIALS / (time.perf_counter() - t0)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return CONFIG_TRIALS / seconds, usage.ru_maxrss / 1024
 
 
 def configs(parent: Path, nproc: int) -> list[dict]:
@@ -172,11 +179,13 @@ def configs(parent: Path, nproc: int) -> list[dict]:
         for path in simulate_configs():
             config = str(path.relative_to(ROOT))
             for workers in sorted({1, nproc}):
-                tps = {"parent": [], "change": []}
+                tps, rss = {"parent": [], "change": []}, {"parent": [], "change": []}
                 for rep in range(CONFIG_REPS):
                     for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
                         tree = parent if side == "parent" else ROOT
-                        tps[side].append(cli_trials_per_s(tree, config, workers, out[side]))
+                        rate, peak = cli_run(tree, config, workers, out[side])
+                        tps[side].append(rate)
+                        rss[side].append(peak)
                 sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in tps.items()}
                 identical = all(
                     (out["parent"] / name).read_bytes() == (out["change"] / name).read_bytes()
@@ -186,6 +195,8 @@ def configs(parent: Path, nproc: int) -> list[dict]:
                     "config": path.stem, "workers": workers, "trials": CONFIG_TRIALS,
                     "trials_per_s": dict(sides, verdict=verdict(
                         sides["parent"], sides["change"], higher=True)),
+                    "peak_rss_mb": {s: {q: round(x, 1) for q, x in summarize(v).items()}
+                                    for s, v in rss.items()},
                     "payload_identical": identical,
                 }
                 rows.append(row)

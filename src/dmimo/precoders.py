@@ -497,9 +497,11 @@ class InfoEnvironment:
             )
         return self._assemblies[scope]
 
-    def trial(self, b: int) -> "InfoEnvironment":
+    def trial(self, b: int | slice) -> "InfoEnvironment":
         """Trial ``b`` of a batch as a one-trial environment (a copy of a
-        one-trial environment), deriving its own location state."""
+        one-trial environment), deriving its own location state; for a
+        slice ``b``, those trials as a batch that shares the location
+        state this one has derived."""
 
         def pick(x):
             return x if x is None or x.ndim < 3 else x[b]
@@ -507,7 +509,14 @@ class InfoEnvironment:
         c = self.csi
         csi = c and ChannelAccess(self.geometry, pick(c.channel), pick(c.granted))
         serving = None if self.serving is None else pick(self._aps)
-        return replace(self, csi=csi, ue_positions=pick(self.ue_positions), serving=serving)
+        shared = isinstance(b, slice)
+        phasors = pick(self.near_field) if shared and self.ue_positions is not None else None
+        env = replace(self, csi=csi, ue_positions=pick(self.ue_positions), serving=serving,
+                      phasors=phasors)
+        if shared:
+            for scope, (units, ant, sizes, served, pu, pk) in self._assemblies.items():
+                env._assemblies[scope] = units, ant, sizes, pick(served), pu[b], pk
+        return env
 
     def serving_aps(self, user: int) -> tuple[int, ...]:
         return tuple(self._aps[user].tolist())
@@ -587,6 +596,13 @@ _PAIR_FAILURES = {
 #: leave-one-out downdate may use; worse-conditioned units are solved
 #: pair by pair.
 DOWNDATE_COND = 1e8
+
+#: Most entries of the pool, Gram and base stacks one build call holds,
+#: estimates x units x K x (unit antennas + K) per trial: a suppressing
+#: build runs over slabs of its trials within it, so its memory does not
+#: grow with the batch.
+BUILD_ENTRIES = 25_000
+
 
 def _rank_deficient(pool, present, sizes, pu, mask, n, used):
     """Per trial, pool slice and pair: do its n columns under ``mask`` lack
@@ -719,7 +735,7 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
     held = direct @ unit_of  # (trial, slice, unit) holding a directly solved pair
     a = inv = inv_cols = None
     if held.any():
-        a = np.where(held[..., None, None], gram, np.eye(k))
+        a = np.ascontiguousarray(np.where(held[..., None, None], gram, np.eye(k)))
         _diagonal(a)[...] += alpha if alpha is not None else ~present[:, None]
         inv = np.linalg.inv(a)
         inv_cols = inv / np.diagonal(inv, axis1=-2, axis2=-1)[..., None, :]
@@ -742,69 +758,27 @@ def build_precoders(
     precoder :func:`build_precoder` returns for trial b holding
     ``channels[b, s]``, NaN where that build fails, and ``failures[b][s]``
     the PrecodingError it raises, or None. A spec that reads no CSI is
-    built once per trial: W has one slice per trial.
+    built once per trial: W has one slice per trial. ``noise_var``
+    supplies the weight of a regularized spec with ``alpha=None``.
+    Missing information or weight raises for the whole batch.
 
     Column k of a slice is user k's base vector (MRT from CSI, or a
     steering vector from the UE location) orthogonalized against the
-    suppression subspace built from the other users' CSI columns and/or
-    near-field vectors. With scope "per-ap" the projection is repeated
-    independently over each serving AP's antennas using only that AP's
-    CSI. Per-unit results are concatenated over the user's serving
-    antennas; entries outside them are zero. Each column equals
+    other users' CSI and/or near-field columns, per assembly unit (all
+    serving antennas, or each serving AP with scope "per-ap"): it equals
     ``orthogonalize`` (or ``orthogonalize_regularized``) of the user's
-    base against its own suppression columns.
+    base against its own suppression columns. README ("Library entry
+    points") gives the construction, batched over units, users, trials
+    and estimates.
 
-    Every user l has one pool column per assembly unit: its CSI where
-    the unit holds it on every AP (natural channel scale), else its
-    unit-norm near-field vector when the spec suppresses by location,
-    else none. A regularized unit pool that holds both kinds has every
-    nonzero column scaled to unit norm, so alpha acts on one scale; a
-    zero column stays zero and suppresses nothing. Pair (unit, u)
-    projects off the pool without column u.
-    Each unit's Gram matrix A = V^H V + D (D is alpha*I when regularized,
-    else 1 on the diagonal of absent columns) is inverted once per trial
-    and estimate, or per trial for a pool made from locations alone, and
-    every user's leave-one-out coefficients follow from that inverse by a
-    Schur downdate (:func:`_leave_one_out`); a unit none of whose pairs
-    is solved so inverts the identity instead, and no step reads it.
-    Regularized specs add one refinement step with the same inverse,
-    X += downdate(R - A X), which takes the columns from ~1e-8 to ~1e-11
-    of the per-vector construction when K - 1 exceeds the unit's antenna
-    count.
-    Unregularized specs project twice, as :func:`orthogonalize` does,
-    each pass reusing the inverse, after one rank SVD per unit pool (see
-    :func:`_rank_deficient`).
-
-    Pairs fall back to a solve of their own masked Gram matrix when
-    their unit's pool is rank deficient or when the unit's Gram condition
-    number may exceed ``DOWNDATE_COND``.
-    Units are padded to the widest with zero rows, which change no Gram
-    matrix, projection or norm. Specs without suppression skip all of
-    this. Each choice is made per (trial, estimate) slice.
-
-    Arrays derived from locations, grants and serving are (B, ...): the
-    near-field matrix, the assembly pairs, each unit's pool columns and
-    a pool made from locations alone (``nf_nf``, ``mrt_nf``) with its
-    rank SVD and inverses. The first two are ``env``'s: computed from the
-    UE positions (never from a channel) and the serving APs on first
-    use, and read by every later build on ``env``
-    (:attr:`InfoEnvironment.near_field`, :meth:`InfoEnvironment.assembly`).
-    Arrays read from CSI are (B, S, ...). Products broadcast the first
-    over the estimates; each slice's arithmetic is that of a build of its
-    own, whatever batch it is built in.
-
-    ``noise_var`` supplies the default regularization weight when the
-    spec is regularized with ``alpha=None``. A singular Gram matrix, in
-    a unit inverse or a pair's solve, fails its slice with a
-    RankDeficiencyError naming the spec. Missing information or weight
-    raises for the whole batch.
+    A suppressing spec runs over slabs of trials of at most
+    ``BUILD_ENTRIES`` stack entries, each sharing ``env``'s location
+    state (:meth:`InfoEnvironment.trial`); a batch that fits one slab is
+    one call. Each slice's arithmetic is that of a build of its own,
+    whatever batch or slab it is built in. A singular Gram matrix fails
+    its slab, which is built again one (trial, estimate) at a time: only
+    its own slice fails, with a RankDeficiencyError naming the spec.
     """
-    w, failures = _build(spec, env, channels, noise_var)
-    return (w, failures) if env.batch is not None else (w[0], failures[0])
-
-
-def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
-    """:func:`build_precoders` with the trial axis kept for one trial."""
     req = _check_requirements(spec, env)
     alpha = None
     if spec.regularized:
@@ -820,6 +794,46 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
             shape = f"({'B, ' if env.batch else ''}S, {geo.num_antennas}, {k})"
             raise ValueError(f"channels must be {shape}, got {stack.shape}")
         stack = stack.reshape((batch,) + stack.shape[-3:])
+    ant = env.assembly(spec.scope)[1]  # derived once, and shared by every slab
+    slices = 1 if stack is None else stack.shape[1]
+    entries = slices * k * (ant.size + len(ant) * k)  # per trial
+    size = batch if spec.suppression == "none" else min(batch, max(1, BUILD_ENTRIES // entries))
+    w = errors = None  # filled slab by slab unless one call builds the batch
+    queue = [(slice(t, t + size), slice(None)) for t in range(0, batch, size)]
+    while queue:
+        trials, estimates = queue.pop()
+        whole = size == batch and estimates == slice(None)
+        try:
+            part = _build(spec, env if whole else env.trial(trials), alpha,
+                          None if stack is None else stack[trials, estimates])
+        except np.linalg.LinAlgError as exc:
+            cells = [(slice(b, b + 1), slice(s, s + 1))
+                     for b in range(batch)[trials] for s in range(slices)[estimates]]
+            if len(cells) > 1:  # find the singular slices: build each on its own
+                queue += cells
+                continue
+            part = np.nan, RankDeficiencyError(
+                f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
+            )
+            part[1].__cause__ = exc
+        else:
+            if whole:
+                w, errors = part
+                break
+        if w is None:
+            w = np.empty((batch, slices, geo.num_antennas, k), dtype=complex)
+            errors = np.empty((batch, slices), dtype=object)
+        w[trials, estimates], errors[trials, estimates] = part
+    errors = tuple(map(tuple, errors))
+    return (w, errors) if env.batch is not None else (w[0], errors[0])
+
+
+def _build(spec, env, alpha, stack) -> tuple[np.ndarray, np.ndarray]:
+    """One call of :func:`build_precoders` over every trial of ``env``,
+    given the weight ``alpha`` (None when unregularized) and the (B, S, M,
+    K) ``stack`` of estimates (None for a spec that reads no CSI): W and
+    the (B, S) failures. A singular Gram matrix raises LinAlgError."""
+    geo, k, batch = env.geometry, env.num_users, env.batch or 1
     asm = units, ant, sizes, served, pu, pk = env.assembly(spec.scope)
     nf = None
     if spec.base == "nf" or spec.suppression in ("nf", "csi+nf"):
@@ -843,57 +857,44 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
     n = np.zeros_like(pu)  # the columns each pair projects off
     code = np.zeros(w.shape[:2] + pk.shape, dtype=int)
     if spec.suppression != "none":
-        try:
-            pool, gram, mask, n, pool_code, solve, slow, held, a, inv, inv_cols = _pool(
-                spec, env, alpha, asm, stack, nf
-            )
-            code[...] = pool_code  # a location pool's codes hold for every estimate
-            if solve.any():
-                # every user's base on every unit; columns outside a pair never move
-                b = _pad(w)[:, :, ant]
-                del w
-                # pairs solved one by one, per slice of the build
-                sb, ss, sp = np.nonzero(np.broadcast_to(slow, code.shape))
+        pool, gram, mask, n, pool_code, solve, slow, held, a, inv, inv_cols = _pool(
+            spec, env, alpha, asm, stack, nf
+        )
+        code[...] = pool_code  # a location pool's codes hold for every estimate
+        if solve.any():
+            # every user's base on every unit; columns outside a pair never move
+            b = _pad(w)[:, :, ant]
+            del w
+            # pairs solved one by one, per slice of the build
+            sb, ss, sp = np.nonzero(np.broadcast_to(slow, code.shape))
+            if sp.size:
+                su, sk, sm = pu[sb, sp], pk[sp], mask[sb, sp]
+                g = np.broadcast_to(gram, b.shape[:2] + gram.shape[2:])[sb, ss, su]
+                g = g * (sm[:, :, None] & sm[:, None, :])
+                _diagonal(g)[...] += alpha if alpha is not None else ~sm
+            del gram
+            for _ in range(1 if alpha is not None else 2):
+                r = pool.conj().swapaxes(-1, -2) @ b
                 if sp.size:
-                    su, sk, sm = pu[sb, sp], pk[sp], mask[sb, sp]
-                    g = np.broadcast_to(gram, b.shape[:2] + gram.shape[2:])[sb, ss, su]
-                    g = g * (sm[:, :, None] & sm[:, None, :])
-                    _diagonal(g)[...] += alpha if alpha is not None else ~sm
-                del gram
-                for _ in range(1 if alpha is not None else 2):
-                    r = pool.conj().swapaxes(-1, -2) @ b
-                    if sp.size:
-                        rhs = (r[sb, ss, su, :, sk] * sm)[:, :, None]
-                    step = np.zeros_like(r) if inv is None else _leave_one_out(inv, inv_cols, r)
-                    if inv is not None and alpha is not None:
-                        r -= a @ step
-                        step += _leave_one_out(inv, inv_cols, r)
-                    del r
-                    step[~np.broadcast_to(held, step.shape[:3])] = 0  # only slow pairs move these
-                    if sp.size:
-                        step[sb, ss, su, :, sk] = sm * np.linalg.solve(g, rhs)[:, :, 0]
-                    b -= pool @ step
-                del pool, a, inv, inv_cols, step
-                if alpha is None:
-                    tb, ts, tp = np.nonzero(np.broadcast_to(solve, code.shape))
-                    tiny = _norms(b[tb, ts, pu[tb, tp], :, pk[tp]], 1) < FULL_SUPPRESSION_TOL
-                    code[tb[tiny], ts[tiny], tp[tiny]] = _SUPPRESSED
-                w = np.zeros(b.shape[:2] + (geo.num_antennas + 1, k), dtype=complex)
-                bi = np.arange(batch)[:, None]
-                w[bi[..., None], :, ant[pu], pk[:, None]] = b[bi, :, pu, :, pk].swapaxes(-1, -2)
-                w = w[:, :, :-1]
-        except np.linalg.LinAlgError as exc:
-            slices = total.shape[:2]
-            if slices[0] * slices[1] > 1:  # find the singular slices: build each on its own
-                one = [[_build(spec, env.trial(b), None if stack is None else stack[b, s][None],
-                               noise_var) for s in range(slices[1])] for b in range(slices[0])]
-                return (np.array([[x[0][0, 0] for x in row] for row in one]),
-                        tuple(tuple(x[1][0][0] for x in row) for row in one))
-            error = RankDeficiencyError(
-                f"precoder {spec.name!r}: singular suppression Gram matrix ({exc})"
-            )
-            error.__cause__ = exc
-            return np.full(slices + (geo.num_antennas, k), np.nan, dtype=complex), ((error,),)
+                    rhs = (r[sb, ss, su, :, sk] * sm)[:, :, None]
+                step = np.zeros_like(r) if inv is None else _leave_one_out(inv, inv_cols, r)
+                if inv is not None and alpha is not None:
+                    r -= a @ step
+                    step += _leave_one_out(inv, inv_cols, r)
+                del r
+                step[~np.broadcast_to(held, step.shape[:3])] = 0  # only slow pairs move these
+                if sp.size:
+                    step[sb, ss, su, :, sk] = sm * np.linalg.solve(g, rhs)[:, :, 0]
+                b -= pool @ step
+            del pool, a, inv, inv_cols, step
+            if alpha is None:
+                tb, ts, tp = np.nonzero(np.broadcast_to(solve, code.shape))
+                tiny = _norms(b[tb, ts, pu[tb, tp], :, pk[tp]], 1) < FULL_SUPPRESSION_TOL
+                code[tb[tiny], ts[tiny], tp[tiny]] = _SUPPRESSED
+            w = np.zeros(b.shape[:2] + (geo.num_antennas + 1, k), dtype=complex)
+            bi = np.arange(batch)[:, None]
+            w[bi[..., None], :, ant[pu], pk[:, None]] = b[bi, :, pu, :, pk].swapaxes(-1, -2)
+            w = w[:, :, :-1]
 
     norms = _norms(w, -2)
     failed = (total == 0) | (norms < FULL_SUPPRESSION_TOL)
@@ -906,7 +907,7 @@ def _build(spec, env, channels, noise_var) -> tuple[np.ndarray, tuple]:
     for b, s in zip(*np.nonzero(bad)):
         trial = n[b], pu[b], pk, total[b, s], code[b, s], failed[b, s]
         errors[b, s] = _failure(spec, units, sizes, *trial)
-    return w, tuple(map(tuple, errors))
+    return w, errors
 
 
 def build_precoder(

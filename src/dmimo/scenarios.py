@@ -394,14 +394,6 @@ def draw_channels(
     return sampler.positions(placement), sampler.channels(placement)
 
 
-def draw_trial_channels(
-    config: ScenarioConfig, trial_index: int, sampler=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """UE positions and true channel matrix for one trial, (K, 3) and (M, K)."""
-    positions, h = draw_channels(config, [trial_index], sampler)
-    return positions[0], h[0]
-
-
 def _chunk_environment(config: ScenarioConfig, h_true, positions, phasors=None) -> InfoEnvironment:
     """Information environment of a chunk of trials, holding their true
     channels and, if given, their near-field phasors. With clustering,
@@ -469,21 +461,19 @@ def run_chunk(
     return sinr_db, failures, nmse
 
 
-#: Most trials per chunk, the unit of work (one draw, environment, build
-#: per precoder and SINR call for all of them), and most entries of the
-#: pool and Gram stacks its builds hold, sigma points x K x (M + APs x K)
-#: per trial: a build's memory grows with them.
-CHUNK_TRIALS, CHUNK_ENTRIES = 32, 25_000
+#: Most trials per chunk, the unit of work: one draw, environment, build
+#: per precoder and SINR call for all of them. A build keeps its own
+#: memory bound (:data:`dmimo.precoders.BUILD_ENTRIES`).
+CHUNK_TRIALS = 32
 
 
 def _chunks(config: ScenarioConfig) -> list[range]:
-    """The chunks of a run, a function of its config alone: at most
-    ``CHUNK_TRIALS`` trials and ``CHUNK_ENTRIES`` stack entries each,
-    and about eight per pool worker."""
-    geo, k, trials = config.geometry, config.k_users, config.trials
-    entries = len(config.nmse_grid or [0]) * k * (geo.num_antennas + geo.num_aps * k)
+    """The chunks of a run, a function of its trials and workers alone:
+    at most ``CHUNK_TRIALS`` trials each, and about eight per pool
+    worker."""
+    trials = config.trials
     pool_share = -(-trials // (8 * config.workers)) if config.workers > 1 else trials
-    size = max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // entries, pool_share))
+    size = max(1, min(CHUNK_TRIALS, pool_share))
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 

@@ -20,7 +20,7 @@ def bench_record(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "REPS", 2)
-    monkeypatch.setattr(module, "TRIALS", 4)
+    monkeypatch.setattr(module, "TRIALS", 33)
     monkeypatch.setattr(module, "simulate_configs", lambda: [CONFIG])
     yield module
     for name in [n for n in sys.modules if n.split(".")[0] == "dmimo_parent"]:
@@ -40,13 +40,24 @@ def test_pertrial_runs_the_chunks_of_a_run(bench_record, monkeypatch):
     cfg = bench_record.trial_setup("dmimo", CONFIG)[1]
     assert [row["spec"] for row in rows] == [spec.name for spec in cfg.precoders]
     chunks = scenarios._chunks(cfg)
-    assert len(chunks) > 1  # the sweep's chunk budget splits the trials
+    assert len(chunks) > 1  # more trials than a chunk holds
     assert calls == [(c, True) for c in chunks] * len(rows) * bench_record.REPS
     for row in rows:
         assert row["config"] == CONFIG.stem and row["sigma_points"] == len(cfg.nmse_grid)
         times = row["ms_per_trial"]
         assert times["parent"]["median"] > 0 and times["change"]["median"] > 0
         assert times["verdict"] in ("faster", "slower", "overlap")
+
+
+def test_configs_rows_record_each_process_peak_rss(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record, "CONFIG_REPS", 1)
+    monkeypatch.setattr(bench_record, "CONFIG_TRIALS", 3)
+    (row,) = bench_record.configs(ROOT, nproc=1)
+    assert row["config"] == CONFIG.stem and row["workers"] == 1 and row["payload_identical"]
+    for side in ("parent", "change"):
+        assert row["trials_per_s"][side]["median"] > 0
+        # one simulate process with numpy loaded: tens of MB
+        assert 10 < row["peak_rss_mb"][side]["median"] < 500
 
 
 def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):

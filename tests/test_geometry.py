@@ -19,7 +19,7 @@ from dmimo import (
 )
 from dmimo.errors import GeometryError, PlacementError
 from dmimo.geometry import AMPLITUDE_MODELS, DEFAULT_RETRY_BUDGET
-from dmimo.scenarios import _STREAM_PLACEMENT, draw_trial_channels
+from dmimo.scenarios import _STREAM_PLACEMENT, draw_channels
 
 
 class TestLosPhase:
@@ -271,7 +271,7 @@ class TestPlaceUesStream:
             def channels(self, positions):
                 return np.zeros((len(positions), cfg.geometry.num_antennas, cfg.k_users))
 
-        positions, _ = draw_trial_channels(cfg, 4, Sampler())
+        (positions,), _ = draw_channels(cfg, [4], Sampler())
         rng = np.random.default_rng([cfg.rng_seed, 4, _STREAM_PLACEMENT])
         for _ in range(rejected + 1):
             expected = reference_place_ues(cfg.roi, cfg.k_users, cfg.min_spacing_m, rng)

@@ -11,12 +11,15 @@ dominate. A full-size temporary copy of the grid adds at least 0.5x (its
 phases alone) and breaks the bound.
 
 The build bounds are for one precoder build on the first chunk of the
-K = 10 error sweep: 3 trials, 5 channel estimates and 8 per-AP units.
-Each of its (trial, estimate, unit) stacks, K x K or antennas x K, takes
-150-190 KiB. The build keeps its unit inverses in such stacks, and a
-location pool's once per trial. A gathered copy of the inverse stacks
-per (trial, estimate) slice breaks the bounds; so does a location pool's
-inverses copied to every estimate.
+K = 10 error sweep, 32 trials, and on its first slab: 3 trials, 5
+channel estimates and 8 per-AP units. Each of the slab's (trial,
+estimate, unit) stacks, K x K or antennas x K, takes 150-190 KiB. The
+build keeps its unit inverses in such stacks, and a location pool's once
+per trial. A gathered copy of the inverse stacks per (trial, estimate)
+slice breaks the slab bounds; so does a location pool's inverses copied
+to every estimate. The chunk's build holds its (32, 5, 64, 10) output,
+1.56 MiB, and one slab's stacks at a time; built in one piece it held
+them for all 32 trials, 17.2 and 11.3 MiB.
 """
 
 import contextlib
@@ -45,7 +48,7 @@ from dmimo import (
     read_dataset,
     write_dataset,
 )
-from dmimo import csidata, scenarios
+from dmimo import csidata, precoders, scenarios
 from dmimo.calibration import mean_phase_residual
 from dmimo.cli import cmd_calibrate
 
@@ -178,13 +181,13 @@ def sweep_chunk():
         geometry=perimeter_geometry(),
         roi=default_roi(),
         k_users=10,
-        trials=10,
+        trials=32,
         precoders=(parse_precoder_name("dis_rzf"),),
         nmse_grid=(0.0, 0.01, 0.02, 0.05, 0.1),
         nmse_relative=True,
     )
     trials = scenarios._chunks(cfg)[0]
-    assert trials == range(3)
+    assert trials == range(32)
     positions, h = scenarios.draw_channels(cfg, trials)
     gain = float(np.mean(np.sum(np.abs(h) ** 2, axis=1)))
     sigmas = tuple(v * gain / cfg.geometry.num_antennas for v in cfg.nmse_grid)
@@ -197,11 +200,24 @@ def sweep_chunk():
 
 @pytest.mark.parametrize("name,mib", [("dis_rzf", 2.4), ("dis_rmrt_nf", 1.8)])
 def test_build_keeps_dense_unit_stacks(sweep_chunk, name, mib):
-    # ~1.7 and ~1.3 MiB; per-slice gathered copies of the inverse stacks
-    # took them to ~2.8 and ~2.4 MiB
+    # one slab, ~1.7 and ~1.3 MiB; per-slice gathered copies of the
+    # inverse stacks took them to ~2.8 and ~2.4 MiB
     env, channels, noise_var = sweep_chunk
+    env, channels = env.trial(slice(0, 3)), channels[:3]
     spec = parse_precoder_name(name)
+    assert 3 * channels.shape[1] * 10 * (64 + 8 * 10) <= precoders.BUILD_ENTRIES  # one call
     build_precoders(spec, env, channels, noise_var)  # derives the shared location state
     (_, failures), peak = traced_peak(build_precoders, spec, env, channels, noise_var)
     assert np.equal(failures, None).all()
+    assert peak <= mib * 2**20
+
+
+@pytest.mark.parametrize("name,mib", [("dis_rzf", 4.0), ("dis_rmrt_nf", 3.5)])
+def test_chunk_build_holds_one_slab(sweep_chunk, name, mib):
+    # ~3.4 and ~3.0 MiB: the output and one slab's stacks
+    env, channels, noise_var = sweep_chunk
+    spec = parse_precoder_name(name)
+    build_precoders(spec, env, channels, noise_var)
+    (w, failures), peak = traced_peak(build_precoders, spec, env, channels, noise_var)
+    assert w.shape == (32, 5, 64, 10) and np.equal(failures, None).all()
     assert peak <= mib * 2**20

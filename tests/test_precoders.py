@@ -41,8 +41,9 @@ from dmimo.errors import (
     PrecodingError,
     RankDeficiencyError,
 )
+from dmimo import precoders
 from dmimo.precoders import _diagonal, _leave_one_out
-from dmimo.scenarios import draw_trial_channels
+from dmimo.scenarios import draw_channels
 
 
 def ula(n: int, lam: float = 0.115) -> ArrayGeometry:
@@ -855,7 +856,7 @@ class TestDowndateRefinement:
     @pytest.fixture(scope="class")
     def trials(self):
         cfg = parse_simulate_config(self.CONFIG)
-        drawn = [draw_trial_channels(cfg, t) for t in self.TRIALS]
+        drawn = list(zip(*draw_channels(cfg, self.TRIALS)))
         gain = np.mean([np.sum(np.abs(h) ** 2) / cfg.k_users for _, h in drawn])
         noise_var = noise_variance_from_floor(cfg.noise_floor_db, gain)
         assert cfg.k_users - 1 > max(map(len, cfg.geometry.ap_partition))
@@ -1064,6 +1065,48 @@ class TestBuildPrecodersBatch:
             expected = build_precoder(spec, with_channel(env, channels[s]), noise_var)
             assert np.abs(w[s] - expected).max() < 1e-9
 
+    def test_singular_slice_in_a_later_slab_fails_alone(self, monkeypatch):
+        # slabs of two trials: slice (3, 1), in the second slab, is scaled
+        # by 1e3, the marker the patched inverse treats as singular. Only
+        # that slab is rebuilt slice by slice, and only that slice fails
+        rng = np.random.default_rng(3)
+        geo = perimeter_geometry()
+        h = crandn(rng, 5, 64, 4)
+        env = InfoEnvironment(geo, 4, ChannelAccess.full(geo, h))
+        channels = np.repeat(h[:, None], 3, axis=1)
+        channels[3, 1] *= 1e3
+        inv, build = np.linalg.inv, precoders._build
+        calls = []
+
+        def singular_on_marker(a):
+            if np.abs(a).max() > 1e3 * np.abs(h).max() ** 2 * 64:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        def spy(spec, env, alpha, stack):
+            calls.append(stack.shape[:2])
+            return build(spec, env, alpha, stack)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_on_marker)
+        monkeypatch.setattr(precoders, "_build", spy)
+        monkeypatch.setattr(precoders, "BUILD_ENTRIES", 2 * 3 * 4 * (64 + 4))
+        spec = parse_precoder_name("zf")
+        w, failures = build_precoders(spec, env, channels, 1e-6)
+        assert sorted(calls) == [(1, 1)] * 6 + [(1, 3), (2, 3), (2, 3)]
+        assert [[f is None for f in row] for row in failures] == (
+            [[True] * 3] * 3 + [[True, False, True], [True] * 3]
+        )
+        assert str(failures[3][1]) == (
+            "precoder 'zf': singular suppression Gram matrix (Singular matrix)"
+        )
+        assert isinstance(failures[3][1], RankDeficiencyError)
+        assert np.isnan(w[3, 1]).all() and not np.isnan(np.delete(w.reshape(15, -1), 10, 0)).any()
+        for b in range(5):
+            for s in range(3):
+                if (b, s) != (3, 1):
+                    one = build(spec, env.trial(slice(b, b + 1)), None, channels[b:b + 1, s:s + 1])
+                    np.testing.assert_array_equal(w[b, s], one[0][0, 0])
+
     def test_location_spec_has_one_slice(self):
         env, noise_var = oracle_env(5, 1, "centralized")
         channels = error_stack(env, 3, 1)
@@ -1080,6 +1123,21 @@ class TestBuildPrecodersBatch:
         expected = a + 0.5 * np.eye(4)
         _diagonal(a)[...] += 0.5
         np.testing.assert_array_equal(a, expected)
+
+    @pytest.mark.parametrize("name", ["zf", "rzf", "dis_rmrt_nf"])
+    def test_unit_gram_stack_of_any_layout_builds(self, name, monkeypatch):
+        # the stack the downdate inverts takes its layout from np.where,
+        # and its diagonal is written through a C-order view: an F-ordered
+        # np.where result must build the same precoders
+        env, noise_var = oracle_env(5, 1, "centralized")
+        channels = error_stack(env, 3, 1)
+        spec = parse_precoder_name(name)
+        w, failures = build_precoders(spec, env, channels, noise_var)
+        where = np.where
+        monkeypatch.setattr(np, "where", lambda *args: np.asfortranarray(where(*args)))
+        f_w, f_failures = build_precoders(spec, env, channels, noise_var)
+        np.testing.assert_array_equal(f_w, w)
+        assert repr(f_failures) == repr(failures)
 
     @pytest.mark.parametrize("layout", ["fancy-indexed", "transposed", "strided"])
     def test_diagonal_of_non_contiguous_stack_raises(self, layout):

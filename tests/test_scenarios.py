@@ -36,7 +36,7 @@ from dmimo import geometry, precoders, scenarios
 from dmimo.cli import main as cli_main
 from dmimo.cli import summary_document
 from dmimo.errors import ConfigError, RankDeficiencyError
-from dmimo.scenarios import draw_trial_channels, validate_config
+from dmimo.scenarios import draw_channels, validate_config
 
 
 def make_config(**overrides):
@@ -171,7 +171,7 @@ class TestRunTrial:
         cfg = make_config(k_users=1, precoders=(parse_precoder_name("mrt"),))
         noise = 1e-6
         sinr_db, _, _ = run_trial(cfg, 0, noise_var=noise)
-        positions, h = draw_trial_channels(cfg, 0)
+        (positions,), (h,) = draw_channels(cfg, [0])
         expected = 10 * np.log10(float(np.sum(np.abs(h) ** 2)) / noise)
         assert sinr_db[0, 0, 0] == pytest.approx(expected, rel=1e-10)
 
@@ -236,12 +236,12 @@ class TestRunTrial:
         monkeypatch.setattr(scenarios, "los_channel", counting)
         cfg = make_config(k_users=6)
         for t in range(3):
-            draw_trial_channels(cfg, t)
+            draw_channels(cfg, [t])
         assert calls == [(6, 3)] * 3
 
     def test_positions_respect_roi_and_spacing(self):
         cfg = make_config(k_users=5, min_spacing_m=0.10)
-        p, _ = draw_trial_channels(cfg, 3)
+        (p,), _ = draw_channels(cfg, [3])
         assert np.all(p >= cfg.roi.lo - 1e-12) and np.all(p <= cfg.roi.hi + 1e-12)
         d = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
         np.fill_diagonal(d, np.inf)
@@ -259,7 +259,7 @@ class TestDeterminism:
             assert sa.guaranteed_90_db == sb.guaranteed_90_db
         for t in range(cfg.trials):
             np.testing.assert_array_equal(
-                draw_trial_channels(cfg, t)[0], draw_trial_channels(cfg, t)[0]
+                draw_channels(cfg, [t])[0], draw_channels(cfg, [t])[0]
             )
         np.testing.assert_array_equal(a.sinr_db, b.sinr_db)
         np.testing.assert_array_equal(a.failures, b.failures)
@@ -440,7 +440,7 @@ class TestNoiseVariance:
         for trials in (6, 3):
             run = dataclasses.replace(cfg, trials=trials)
             gain = np.mean(
-                [np.sum(np.abs(draw_trial_channels(run, t)[1]) ** 2) for t in range(trials)]
+                [np.sum(np.abs(draw_channels(run, [t])[1]) ** 2) for t in range(trials)]
             )
             expected = noise_variance_from_floor(run.noise_floor_db, gain / run.k_users)
             noise_vars.append(run_scenario(run).noise_var)
@@ -464,7 +464,7 @@ class TestClusteringScenario:
             np.concatenate([geo.ap_indices(a) for a in pair]) for pair in pairs
         ]
         for t in range(cfg.trials):
-            positions, h = draw_trial_channels(cfg, t)
+            (positions,), (h,) = draw_channels(cfg, [t])
             env = scenarios._chunk_environment(cfg, h[None], positions[None]).trial(0)
             gains = np.abs(h.T) ** 2
             for k in range(cfg.k_users):
@@ -514,7 +514,7 @@ class TestDatasetMode:
             channel_source="dataset",
             dataset_path=str(dataset_dir),
         )
-        positions, h = draw_trial_channels(cfg, 0)
+        (positions,), (h,) = draw_channels(cfg, [0])
         xs = np.linspace(1.25, 4.75, 12)
         for p in positions:
             assert np.min(np.abs(xs - p[0])) < 1e-9
@@ -545,7 +545,7 @@ class TestDatasetMode:
         )
         cells = grid.positions.reshape(-1, 3)
         for t in range(20):
-            positions, h = draw_trial_channels(cfg, t)
+            (positions,), (h,) = draw_channels(cfg, [t])
             flat = [int(np.argmin(np.linalg.norm(cells - p, axis=1))) for p in positions]
             assert len(set(flat)) == 10
             m, n = np.unravel_index(flat, grid.grid_shape)
@@ -682,29 +682,32 @@ class TestChunks:
     def test_outputs_identical_across_chunking_and_workers(self, name, tmp_path, monkeypatch):
         config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
         outputs = {}
-        monkeypatch.setattr(scenarios, "CHUNK_ENTRIES", 10**9)
-        for chunk in (1, 3, 13):
-            monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
-            for workers in (1, 2):
-                out = tmp_path / f"{chunk}-{workers}"
-                argv = ["simulate", "--config", str(config), "--out", str(out),
-                        "--trials", "13", "--workers", str(workers)]
-                assert cli_main(argv) == 0
-                summary = (out / "summary.json").read_bytes()
-                assert summary.count(f'"workers": {workers}'.encode()) == 1
-                outputs[chunk, workers] = (
-                    (out / "results.csv").read_bytes(),
-                    summary.replace(f'"workers": {workers}'.encode(), b'"workers": 1'),
-                )
-        assert len(set(outputs.values())) == 1
+        # builds of one trial per slab, of a few, and of the whole chunk
+        for entries in (1, 20_000, 10**9):
+            monkeypatch.setattr(precoders, "BUILD_ENTRIES", entries)
+            for chunk in (1, 3, 13):
+                monkeypatch.setattr(scenarios, "CHUNK_TRIALS", chunk)
+                for workers in (1, 2):
+                    out = tmp_path / f"{entries}-{chunk}-{workers}"
+                    argv = ["simulate", "--config", str(config), "--out", str(out),
+                            "--trials", "13", "--workers", str(workers)]
+                    assert cli_main(argv) == 0
+                    summary = (out / "summary.json").read_bytes()
+                    assert summary.count(f'"workers": {workers}'.encode()) == 1
+                    outputs[entries, chunk, workers] = (
+                        (out / "results.csv").read_bytes(),
+                        summary.replace(f'"workers": {workers}'.encode(), b'"workers": 1'),
+                    )
+        assert len(outputs) == 18 and len(set(outputs.values())) == 1
 
     def test_chunk_boundaries(self):
-        # at most CHUNK_TRIALS trials, CHUNK_ENTRIES stack entries (here
-        # 5 x 3 x (64 + 8 x 3) = 1320 per trial) and an eighth of a
-        # worker's share each
+        # at most CHUNK_TRIALS trials and an eighth of a worker's share
+        # each, whatever the build shape: the builds hold their own budget
         cfg = make_config(trials=10, nmse_grid=(0.0, 0.1, 0.2, 0.3, 0.4))
         assert scenarios._chunks(cfg) == [range(0, 10)]
-        assert scenarios._chunks(dataclasses.replace(cfg, trials=50))[-1] == range(36, 50)
+        assert scenarios._chunks(dataclasses.replace(cfg, trials=50)) == [
+            range(0, 32), range(32, 50)
+        ]
         pool = dataclasses.replace(cfg, trials=200, workers=2)
         assert scenarios._chunks(pool) == [range(t, t + 13) for t in range(0, 195, 13)] + [
             range(195, 200)
@@ -712,8 +715,8 @@ class TestChunks:
         assert scenarios._chunks(dataclasses.replace(cfg, trials=3, workers=4)) == [
             range(0, 1), range(1, 2), range(2, 3)
         ]
-        wide = dataclasses.replace(cfg, k_users=40, trials=3)  # past the entry budget
-        assert scenarios._chunks(wide) == [range(0, 1), range(1, 2), range(2, 3)]
+        wide = dataclasses.replace(cfg, k_users=40, trials=3)  # a build of many slabs
+        assert scenarios._chunks(wide) == [range(0, 3)]
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_chunk_slice_equals_its_own_build(self, clustered):
@@ -792,8 +795,8 @@ class TestChunks:
 
     def test_shared_location_state_is_read_only(self):
         # the near-field matrix and assembly units are derived once per
-        # environment and shared by its builds, so none may be written;
-        # a one-trial copy derives its own
+        # environment and shared by its builds and its slabs' sub-batches,
+        # so none may be written; a one-trial copy derives its own
         cfg = make_config(k_users=4, clustering=((0, 1), (2, 3), (4, 5), (6, 7)))
         positions, h = scenarios.draw_channels(cfg, range(3))
         env = scenarios._chunk_environment(cfg, h, positions)
@@ -810,6 +813,16 @@ class TestChunks:
         one = env.trial(1)
         assert "near_field" not in vars(one) and not one._assemblies
         np.testing.assert_array_equal(one.near_field[0], env.near_field[1])
+        sub = env.trial(slice(1, 3))
+        assert sub.batch == 2 and np.shares_memory(sub.near_field, env.near_field)
+        np.testing.assert_array_equal(sub.near_field, env.near_field[1:])
+        for scope in precoders.SCOPES:
+            units, ant, sizes, served, pu, pk = env.assembly(scope)
+            shared = sub.assembly(scope)
+            assert all(a is b for a, b in zip(shared[:3] + shared[5:], (units, ant, sizes, pk)))
+            np.testing.assert_array_equal(shared[3], served[1:])
+            np.testing.assert_array_equal(shared[4], pu[1:])
+            assert np.shares_memory(shared[4], pu)
 
     def test_dis_zf_fails_every_trial_of_a_chunk(self):
         cfg = make_config(k_users=10, precoders=(parse_precoder_name("dis_zf"),))
@@ -866,6 +879,6 @@ class TestChunks:
         positions, h = scenarios.draw_channels(cfg, range(12), sampler)
         assert len(snaps) > 12  # some trial collided and was re-placed
         for t in range(12):
-            p, one = draw_trial_channels(cfg, t)
+            (p,), (one,) = draw_channels(cfg, [t])
             np.testing.assert_array_equal(positions[t], p)
             np.testing.assert_array_equal(h[t], one)
