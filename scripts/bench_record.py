@@ -36,10 +36,13 @@ that writes none has no such row) and with it deleted, which parses
 ``csi.csv``; and ``write_dataset`` of the parsed grid. The work that
 writing ``csi.cache`` adds to ``write_dataset`` (SHA-256 of the
 ``csi.csv`` bytes and ``np.save`` of both arrays), a few percent of the
-call and below its spread, is timed on its own as ``cache_work_s``. It
-records per side the median and quartiles of seconds, their verdict, and
-whether the two sides' last runs wrote byte-identical ``csi.csv``,
-``manifest.json`` and ``offsets.csv`` files.
+call and below its spread, is timed on its own as ``cache_work_s``. Each
+run then repeats ``generate`` and ``calibrate`` as fresh ``dmimo.cli``
+processes for their peak RSS (``generate_rss_mb``, ``calibrate_rss_mb``,
+from ``os.wait4``). It records per side the median and quartiles of each
+measure, their verdict, and whether the two sides' last runs wrote
+byte-identical ``csi.csv``, ``csi.cache``, ``manifest.json`` and
+``offsets.csv`` files.
 
 The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
@@ -156,12 +159,12 @@ def simulate_configs() -> list[Path]:
     return [p for p in sorted((ROOT / "configs").glob("*.yaml")) if p.stem != "generate_dataset"]
 
 
-def cli_run(tree: Path, config: str, workers: int, out: Path) -> tuple[float, float]:
-    """Trials/s of one simulate process, timed whole, and its peak RSS in MB."""
+def cli_run(tree: Path, *args: str) -> tuple[float, float]:
+    """Seconds of one ``dmimo.cli`` process with ``args``, timed whole,
+    and its peak RSS in MB (its ``ru_maxrss``, pool workers included)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dmimo.cli", "simulate", "--config", config,
-         "--trials", str(CONFIG_TRIALS), "--workers", str(workers), "--out", str(out)],
+        [sys.executable, "-m", "dmimo.cli", *args],
         cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.DEVNULL,
     )
     _, status, usage = os.wait4(proc.pid, 0)
@@ -169,7 +172,7 @@ def cli_run(tree: Path, config: str, workers: int, out: Path) -> tuple[float, fl
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    return CONFIG_TRIALS / seconds, usage.ru_maxrss / 1024
+    return seconds, usage.ru_maxrss / 1024
 
 
 def configs(parent: Path, nproc: int) -> list[dict]:
@@ -183,8 +186,10 @@ def configs(parent: Path, nproc: int) -> list[dict]:
                 for rep in range(CONFIG_REPS):
                     for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
                         tree = parent if side == "parent" else ROOT
-                        rate, peak = cli_run(tree, config, workers, out[side])
-                        tps[side].append(rate)
+                        seconds, peak = cli_run(
+                            tree, "simulate", "--config", config, "--trials", str(CONFIG_TRIALS),
+                            "--workers", str(workers), "--out", str(out[side]))
+                        tps[side].append(CONFIG_TRIALS / seconds)
                         rss[side].append(peak)
                 sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in tps.items()}
                 identical = all(
@@ -243,20 +248,22 @@ def cache_work(csv_path: Path, grid, dest: Path) -> None:
 
 
 def dataset_io(parent: Path, seed: int) -> dict:
-    """Seconds per dataset command and read/write call, per side."""
+    """Seconds per dataset command and read/write call, and each dataset
+    command's peak RSS in a fresh process, per side."""
     load_tree(parent / "src", "dmimo_parent")
-    times = {key: {"parent": [], "change": []}
-             for key in ("generate_s", "calibrate_s", "read_cache_s", "read_parse_s", "write_s",
-                         "cache_work_s")}
+    samples = {key: {"parent": [], "change": []}
+               for key in ("generate_s", "calibrate_s", "read_cache_s", "read_parse_s", "write_s",
+                           "cache_work_s", "generate_rss_mb", "calibrate_rss_mb")}
 
     def timed(key, side, fn, *args):
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             result = fn(*args)
-        times[key][side].append(time.perf_counter() - t0)
+        samples[key][side].append(time.perf_counter() - t0)
         return result
 
-    files = ("gen/csi.csv", "gen/manifest.json", "cal/csi.csv", "cal/offsets.csv")
+    files = ("gen/csi.csv", "gen/csi.cache", "gen/manifest.json", "cal/csi.csv", "cal/csi.cache",
+             "cal/offsets.csv")
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "gen.yaml"
         config.write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})) + "\n")
@@ -275,10 +282,14 @@ def dataset_io(parent: Path, seed: int) -> dict:
                 timed("write_s", side, csidata.write_dataset, grid, manifest, out / "write")
                 if side == "change":
                     timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
+                tree = parent if side == "parent" else ROOT
+                for command, args in (("generate", ("--config", str(config), "--out", str(gen))),
+                                      ("calibrate", ("--dataset", str(gen), "--out", str(out / "cal")))):
+                    samples[f"{command}_rss_mb"][side].append(cli_run(tree, command, *args)[1])
         identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
                         for f in files)
     row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}
-    for key, sides in times.items():
+    for key, sides in samples.items():
         sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in sides.items() if v}
         if len(sides) == 2:
             sides["verdict"] = verdict(sides["parent"], sides["change"])

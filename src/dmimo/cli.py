@@ -111,7 +111,8 @@ def cmd_calibrate(dataset_dir: str, out_dir: str, config_path: str | None = None
         rx_positions = geometry.antenna_positions
         wavelength = geometry.wavelength
     table = calibration.estimate_phase_offsets(grid, rx_positions, wavelength)
-    # Nothing else holds the measured grid, so it is calibrated in place:
+    # Nothing else holds the measured grid, so it is calibrated in place
+    # (on private pages when it maps csi.cache, which --out may replace):
     # the measured and calibrated CSI never both exist.
     table.rotate(grid.csi, out=grid.csi)
     out = Path(out_dir)
@@ -153,6 +154,11 @@ def summary_document(summary: ScenarioSummary) -> dict:
     }
 
 
+#: Trials of ``results.csv`` formatted per block: only one block's
+#: values exist as Python objects at a time.
+RESULTS_BLOCK = 64
+
+
 def write_results_csv(summary: ScenarioSummary, path) -> None:
     """Per-trial rows: trial,user,precoder,sinr_db,nmse (failures omitted).
 
@@ -160,21 +166,24 @@ def write_results_csv(summary: ScenarioSummary, path) -> None:
     nmse field is empty under perfect CSI.
     """
     names = [spec.name for spec in summary.config.precoders]
-    failed = np.not_equal(summary.failures, None).tolist()
-    nmse = summary.nmse.tolist()
+    failed = np.not_equal(summary.failures, None)
     with open(path, "w") as fh:
         fh.write(RESULTS_CSV_HEADER + "\n")
-        for t, trial in enumerate(summary.sinr_db.tolist()):
-            for s, row in enumerate(trial):
-                tail = "" if summary.sigma_grid is None else repr(nmse[t][s])
-                for name, sinr, bad in zip(names, row, failed[t][s]):
-                    if not bad:
-                        fh.write(
-                            "".join(
-                                f"{t},{user},{name},{value!r},{tail}\n"
-                                for user, value in enumerate(sinr)
+        for start in range(0, len(summary.sinr_db), RESULTS_BLOCK):
+            block = slice(start, start + RESULTS_BLOCK)
+            trials = zip(summary.sinr_db[block].tolist(), failed[block].tolist(),
+                         summary.nmse[block].tolist())
+            for t, (trial, failed_trial, nmse_trial) in enumerate(trials, start):
+                for row, failed_row, nmse in zip(trial, failed_trial, nmse_trial):
+                    tail = "" if summary.sigma_grid is None else repr(nmse)
+                    for name, sinr, bad in zip(names, row, failed_row):
+                        if not bad:
+                            fh.write(
+                                "".join(
+                                    f"{t},{user},{name},{value!r},{tail}\n"
+                                    for user, value in enumerate(sinr)
+                                )
                             )
-                        )
 
 
 def cmd_simulate(

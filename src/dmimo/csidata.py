@@ -18,9 +18,13 @@ third derived from them:
 ``csi.cache`` (derived, optional)
     the SHA-256 digest of the ``csi.csv`` bytes, then the ``csi`` and
     ``present`` arrays as ``.npy`` payloads. Only :func:`write_dataset`
-    creates it. :func:`read_dataset` uses it in place of parsing
-    ``csi.csv`` when the digest matches that file and both payloads have
-    the manifest's shape; otherwise it parses. Deleting it is always safe.
+    creates it. :func:`read_dataset` maps its payloads copy-on-write in
+    place of parsing ``csi.csv`` when the digest matches that file and
+    both payloads have the manifest's shape; otherwise it parses.
+    Deleting it is always safe.
+
+:func:`write_dataset` replaces each file whole (``os.replace``), so a
+grid read from a directory may be written back into it.
 
 The tx index plays the role of a UE-side antenna measured over the grid;
 the rx index is a base-station antenna. All tx antennas of a synthetic
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,6 +176,12 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
     csi.cache holds the digest of the csi.csv bytes written here and the
     grid's ``csi`` and ``present`` arrays, which :func:`read_dataset`
     returns in place of parsing csi.csv while the two still match.
+
+    The three files are written to temporary files in ``path`` and then
+    moved over the old ones in that order, csi.cache last. A grid mapped
+    from the old csi.cache keeps reading the old file, a write that fails
+    leaves the previous files and no temporary one, and a stop between
+    the moves leaves a csi.cache whose digest no longer matches.
     """
     import hashlib
 
@@ -181,6 +192,8 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
     ):
         raise DatasetFormatError("manifest and grid disagree on grid positions")
     out = Path(path)
+    names = (MANIFEST_NAME, CSI_NAME, CACHE_NAME)
+    temps = {name: out / f".{name}.{os.getpid()}.tmp" for name in names}
     try:
         out.mkdir(parents=True, exist_ok=True)
         gm, gn = grid.grid_shape
@@ -196,12 +209,12 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
                 for n in range(gn)
             ],
         }
-        with open(out / MANIFEST_NAME, "w") as fh:
+        with open(temps[MANIFEST_NAME], "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         digest = hashlib.sha256()
         cells = [f"{m},{n}," for m in range(gm) for n in range(gn)]
-        with open(out / CSI_NAME, "wb") as fh:
+        with open(temps[CSI_NAME], "wb") as fh:
 
             def emit(text: str) -> None:
                 data = text.encode()
@@ -222,12 +235,18 @@ def write_dataset(grid: CsiGrid, manifest: DatasetManifest, path) -> None:
                     if rows:
                         prefix = f"{t},{r},"
                         emit(prefix + f"\n{prefix}".join(rows) + "\n")
-        with open(out / CACHE_NAME, "wb") as fh:
+        with open(temps[CACHE_NAME], "wb") as fh:
             fh.write(digest.digest())
             np.save(fh, grid.csi, allow_pickle=False)
             np.save(fh, grid.present, allow_pickle=False)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
     except OSError as exc:
         raise DatasetFormatError(f"cannot write dataset at {out}: {exc}") from exc
+    finally:
+        for temp in temps.values():
+            if temp.exists():
+                temp.unlink()
 
 
 def _read_manifest(path: Path) -> DatasetManifest:
@@ -354,14 +373,21 @@ def _raise_first_bad_line(csv_path, lines, first_lineno, present) -> NoReturn:
 
 
 def _read_payload(fh, shape: tuple, dtype: np.dtype) -> np.ndarray | None:
-    """The next ``.npy`` array in ``fh`` if it is a C-order array of this
-    shape and dtype, else None. Raises ValueError on a malformed header
-    or a short payload."""
+    """The next ``.npy`` array in ``fh``, mapped copy-on-write, if it is
+    a C-order array of this shape and dtype, else None. Raises ValueError
+    on a malformed header or a short payload.
+
+    Nothing is copied onto the heap: pages are read from the file as they
+    are touched, a write copies only its page, and the map is released
+    with the last array that views it."""
     if np.lib.format.read_magic(fh) != (1, 0):
         return None
     if np.lib.format.read_array_header_1_0(fh) != (shape, False, dtype):
         return None
-    return np.fromfile(fh, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
+    offset = fh.tell()
+    payload = np.memmap(fh, dtype=dtype, mode="c", offset=offset, shape=shape)
+    fh.seek(offset + payload.nbytes)
+    return payload
 
 
 def _read_cache(base: Path, shape: tuple) -> tuple[np.ndarray, np.ndarray] | None:
@@ -427,7 +453,9 @@ def read_dataset(path) -> tuple[CsiGrid, DatasetManifest]:
     ``csi.cache`` when that file holds the digest of the current
     ``csi.csv`` and arrays of the manifest's shape, and is parsed from
     ``csi.csv`` otherwise; both give the same arrays bit for bit, and
-    both pass the same checks. Nothing is written.
+    both pass the same checks. Nothing is written: arrays from the cache
+    are copy-on-write maps of it, so writing into them changes only this
+    process's copy.
     """
     base = Path(path)
     manifest = _read_manifest(base / MANIFEST_NAME)

@@ -901,7 +901,7 @@ def _build(spec, env, alpha, stack) -> tuple[np.ndarray, np.ndarray]:
     fb, fs, fp = np.nonzero(code)
     failed[fb, fs, pk[fp]] = True
     bad = failed.any(axis=-1)
-    w = w / np.where(failed, 1.0, norms)[..., None, :]
+    w /= np.where(failed, 1.0, norms)[..., None, :]
     w[bad] = np.nan
     errors = np.full(bad.shape, None, dtype=object)
     for b, s in zip(*np.nonzero(bad)):

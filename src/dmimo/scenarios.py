@@ -457,6 +457,7 @@ def run_chunk(
     for p, spec in enumerate(config.precoders):
         w, errors = build_precoders(spec, env, channels, noise_var)
         sinr_db[:, :, p] = sinr_all(LinkRealization(h_true[:, None], w, noise_var))[1]
+        del w  # the next spec builds without this one's W
         failures[:, :, p] = [[e and f"{type(e).__name__}: {e}" for e in row] for row in errors]
     return sinr_db, failures, nmse
 
@@ -602,8 +603,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
             sigma_points = sigma_grid
         run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_points)
-        chunks = list(_each_chunk(run, config, sampler, pool, placements))
-    sinr_db, failures, nmse = (np.concatenate(a) for a in zip(*chunks))
+        # each chunk is copied into the run's arrays as it arrives
+        shape = (config.trials, len(sigma_points), len(config.precoders))
+        sinr_db, failures = np.empty(shape + (config.k_users,)), np.empty(shape, dtype=object)
+        nmse = np.empty(shape[:2])
+        chunks = _each_chunk(run, config, sampler, pool, placements)
+        for trials, chunk in zip(_chunks(config), chunks):
+            for out, part in zip((sinr_db, failures, nmse), chunk):
+                out[trials.start:trials.stop] = part
 
     return ScenarioSummary(
         config=config,

@@ -69,6 +69,10 @@ def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
     for key in ("generate_s", "calibrate_s", "read_parse_s", "write_s"):
         assert set(row[key]) == {"parent", "change", "verdict"}
         assert row[key]["parent"]["median"] > 0 and row[key]["change"]["median"] > 0
+    for key in ("generate_rss_mb", "calibrate_rss_mb"):
+        # one fresh process with numpy loaded: tens of MB
+        assert set(row[key]) == {"parent", "change", "verdict"}
+        assert 10 < row[key]["parent"]["median"] < 500 and 10 < row[key]["change"]["median"] < 500
     # this tree is both sides, so both write and read the cache
     assert set(row["read_cache_s"]) == {"parent", "change", "verdict"}
     assert set(row["cache_work_s"]) == {"change"}

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmimo import PhaseOffsetTable, read_dataset, run_scenario
+from dmimo import PhaseOffsetTable, read_dataset, run_scenario, write_dataset
 from dmimo import cli
 from dmimo.calibration import wrap_phase
 from dmimo.cli import main
 from dmimo.configio import config_document, parse_simulate_config
+from dmimo.errors import DatasetFormatError
 
 GENERATE_CFG = """\
 schema_version: 1
@@ -136,6 +137,40 @@ class TestCalibrate:
         grid, manifest = read_dataset(out)
         assert grid.tx_count == 2
 
+    def test_in_place_equals_fresh_directory(self, tmp_path):
+        # the read grid maps ds/csi.cache while the command rewrites it
+        cfg = write(tmp_path / "gen.yaml", GENERATE_CFG)
+        ds, fresh = tmp_path / "ds", tmp_path / "cal"
+        main(["generate", "--config", cfg, "--out", str(ds)])
+        assert main(["calibrate", "--dataset", str(ds), "--out", str(fresh)]) == 0
+        assert main(["calibrate", "--dataset", str(ds), "--out", str(ds)]) == 0
+        names = ["csi.cache", "csi.csv", "manifest.json", "offsets.csv"]
+        assert sorted(os.listdir(ds)) == names[:3] + ["offsets.csv", "offsets_true.csv"]
+        for name in names:
+            assert (ds / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("exc, raised", [(OSError, DatasetFormatError), (RuntimeError, RuntimeError)])
+    def test_failed_write_leaves_previous_files(self, tmp_path, monkeypatch, exc, raised):
+        cfg = write(tmp_path / "gen.yaml", GENERATE_CFG)
+        ds = tmp_path / "ds"
+        main(["generate", "--config", cfg, "--out", str(ds)])
+        before = {p.name: p.read_bytes() for p in ds.iterdir()}
+        grid, manifest = read_dataset(ds)
+        grid = dataclasses.replace(grid, csi=1j * grid.csi)
+        save, calls = np.save, []
+
+        def fail_second(*args, **kwargs):  # csi.cache's present payload
+            calls.append(args)
+            if len(calls) == 2:
+                raise exc("disk full")
+            save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", fail_second)
+        with pytest.raises(raised, match="disk full"):
+            write_dataset(grid, manifest, ds)
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in ds.iterdir()} == before
+
 
 class TestSimulate:
     def test_outputs_exist_and_parse(self, tmp_path):
@@ -181,9 +216,12 @@ class TestSimulate:
             assert first.startswith("noise_var = ")
             assert first.endswith(f"dB vs mean received power over {trials} trials)")
 
-    def test_results_csv_rows_follow_arrays(self, tmp_path):
+    @pytest.mark.parametrize("block", [1, 2, cli.RESULTS_BLOCK])
+    def test_results_csv_rows_follow_arrays(self, tmp_path, monkeypatch, block):
         # rows run trial, sigma point, precoder, user; failed builds are
-        # omitted; nmse is the trial's realized value at that sigma point
+        # omitted; nmse is the trial's realized value at that sigma point;
+        # blocks of trials do not show
+        monkeypatch.setattr(cli, "RESULTS_BLOCK", block)
         cfg = write(
             tmp_path / "sim.yaml",
             SIMULATE_CFG.replace("users: 3", "users: 10").replace(
