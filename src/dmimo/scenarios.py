@@ -603,7 +603,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
             sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
             sigma_points = sigma_grid
         run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_points)
-        # each chunk is copied into the run's arrays as it arrives
+        # one copy of the results: a chunk is dropped once copied in
         shape = (config.trials, len(sigma_points), len(config.precoders))
         sinr_db, failures = np.empty(shape + (config.k_users,)), np.empty(shape, dtype=object)
         nmse = np.empty(shape[:2])

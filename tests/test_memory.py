@@ -103,7 +103,9 @@ def without_cache(dataset_dir, dest):
     return dest
 
 
-@pytest.mark.parametrize("cache, bound", [("kept", 0.25), ("deleted", 1.6)])
+@pytest.mark.parametrize(
+    "cache, bound", [pytest.param("kept", 0.25, id="kept"), pytest.param("deleted", 1.6, id="deleted")]
+)
 def test_read_dataset_builds_one_grid(dataset_dir, dataset, tmp_path, cache, bound):
     # parsed: the returned grid, its mask, the finiteness check and one
     # CSV chunk; from the cache: the finiteness check's (0.06x) and the
