@@ -18,7 +18,8 @@ two trees in alternating order: ``CONFIG_REPS`` runs per side, each
 timed as a whole process, so trials/s includes interpreter start and
 writing the payload files. A row records per side the median and
 quartiles of trials/s, their verdict, the median and quartiles of the
-process's peak RSS (its ``ru_maxrss``, which covers its pool workers),
+process's peak RSS (its ``ru_maxrss``, which covers its pool workers;
+``LAUNCH`` keeps this script's own peak out of it),
 and whether the last runs of the two sides wrote byte-identical
 ``results.csv`` and ``summary.json``.
 
@@ -36,14 +37,12 @@ that writes none has no such row) and with it deleted, which parses
 ``csi.csv``; and ``write_dataset`` of the parsed grid. The work that
 writing ``csi.cache`` adds to ``write_dataset`` (SHA-256 of the
 ``csi.csv`` bytes and ``np.save`` of both arrays), a few percent of the
-call and below its spread, is timed on its own as ``cache_work_s``.
-Before any of that, while this process is small, it runs ``generate``
-and ``calibrate`` ``DATASET_REPS`` times per side as fresh ``dmimo.cli``
-processes, alternating, for their peak RSS (``generate_rss_mb``,
-``calibrate_rss_mb``, from ``os.wait4``). It records per side the median
-and quartiles of each measure, their verdict, and whether the two sides'
-last fresh processes wrote byte-identical ``csi.csv``, ``csi.cache``,
-``manifest.json`` and ``offsets.csv`` files.
+call and below its spread, is timed on its own as ``cache_work_s``. Each
+run then repeats ``generate`` and ``calibrate`` as fresh ``dmimo.cli``
+processes for their peak RSS (``generate_rss_mb``, ``calibrate_rss_mb``).
+It records per side the median and quartiles of each measure, their
+verdict, and whether the two sides' last runs wrote byte-identical
+``csi.csv``, ``csi.cache``, ``manifest.json`` and ``offsets.csv`` files.
 
 The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
@@ -160,20 +159,35 @@ def simulate_configs() -> list[Path]:
     return [p for p in sorted((ROOT / "configs").glob("*.yaml")) if p.stem != "generate_dataset"]
 
 
+#: Runs ``dmimo.cli`` with its arguments as the child of a bare
+#: interpreter and prints the child's wall seconds, ``ru_maxrss`` (KiB) and
+#: exit code. A process's ``ru_maxrss`` is at least the peak of the
+#: process it was spawned from, and this script's grows when it compares
+#: the suite's payload files.
+LAUNCH = """\
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "dmimo.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
 def cli_run(tree: Path, *args: str) -> tuple[float, float]:
     """Seconds of one ``dmimo.cli`` process with ``args``, timed whole,
     and its peak RSS in MB (its ``ru_maxrss``, pool workers included)."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dmimo.cli", *args],
-        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.DEVNULL,
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH, *args], cwd=tree,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.PIPE, text=True,
+        check=True,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    return seconds, usage.ru_maxrss / 1024
+    seconds, rss_kb, code = proc.stdout.split()
+    if int(code):
+        raise subprocess.CalledProcessError(int(code), ["dmimo.cli", *args])
+    return float(seconds), int(rss_kb) / 1024
 
 
 def configs(parent: Path, nproc: int) -> list[dict]:
@@ -251,6 +265,7 @@ def cache_work(csv_path: Path, grid, dest: Path) -> None:
 def dataset_io(parent: Path, seed: int) -> dict:
     """Seconds per dataset command and read/write call, and each dataset
     command's peak RSS in a fresh process, per side."""
+    load_tree(parent / "src", "dmimo_parent")
     samples = {key: {"parent": [], "change": []}
                for key in ("generate_s", "calibrate_s", "read_cache_s", "read_parse_s", "write_s",
                            "cache_work_s", "generate_rss_mb", "calibrate_rss_mb")}
@@ -267,18 +282,6 @@ def dataset_io(parent: Path, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "gen.yaml"
         config.write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})) + "\n")
-        # The fresh processes run before this one loads either tree: a
-        # child's ru_maxrss is at least this process's peak when it spawns.
-        for rep in range(DATASET_REPS):
-            for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                tree, out = parent if side == "parent" else ROOT, Path(tmp) / "fresh" / side
-                gen, cal = str(out / "gen"), str(out / "cal")
-                for command, args in (("generate", ("--config", str(config), "--out", gen)),
-                                      ("calibrate", ("--dataset", gen, "--out", cal))):
-                    samples[f"{command}_rss_mb"][side].append(cli_run(tree, command, *args)[1])
-        identical = all((Path(tmp) / "fresh" / "parent" / f).read_bytes()
-                        == (Path(tmp) / "fresh" / "change" / f).read_bytes() for f in files)
-        load_tree(parent / "src", "dmimo_parent")
         for rep in range(DATASET_REPS):
             for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
                 mod = "dmimo_parent" if side == "parent" else "dmimo"
@@ -294,6 +297,12 @@ def dataset_io(parent: Path, seed: int) -> dict:
                 timed("write_s", side, csidata.write_dataset, grid, manifest, out / "write")
                 if side == "change":
                     timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
+                tree = parent if side == "parent" else ROOT
+                for command, args in (("generate", ("--config", str(config), "--out", str(gen))),
+                                      ("calibrate", ("--dataset", str(gen), "--out", str(out / "cal")))):
+                    samples[f"{command}_rss_mb"][side].append(cli_run(tree, command, *args)[1])
+        identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
+                        for f in files)
     row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}
     for key, sides in samples.items():
         sides = {s: {q: round(x, 4) for q, x in summarize(v).items()} for s, v in sides.items() if v}

@@ -3,9 +3,11 @@ with this tree as both parent and change, and its provenance fields."""
 
 import hashlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmimo import scenarios
@@ -58,6 +60,17 @@ def test_configs_rows_record_each_process_peak_rss(bench_record, monkeypatch):
         assert row["trials_per_s"][side]["median"] > 0
         # one simulate process with numpy loaded: tens of MB
         assert 10 < row["peak_rss_mb"][side]["median"] < 500
+
+
+def test_cli_run_measures_the_command_alone(bench_record, tmp_path):
+    # ru_maxrss of a process spawned from this one is at least this one's
+    # peak, which the ballast puts above 80 MB
+    ballast = np.ones(10_000_000)
+    config = str(ROOT / "configs" / "generate_dataset.yaml")
+    seconds, peak = bench_record.cli_run(ROOT, "generate", "--config", config, "--out", str(tmp_path))
+    assert seconds > 0 and 10 < peak < 70 < ballast.nbytes / 2**20
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_record.cli_run(ROOT, "calibrate", "--dataset", str(tmp_path / "none"), "--out", str(tmp_path))
 
 
 def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
