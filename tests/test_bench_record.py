@@ -69,8 +69,9 @@ def test_cli_run_measures_the_command_alone(bench_record, tmp_path):
     config = str(ROOT / "configs" / "generate_dataset.yaml")
     seconds, peak = bench_record.cli_run(ROOT, "generate", "--config", config, "--out", str(tmp_path))
     assert seconds > 0 and 10 < peak < 70 < ballast.nbytes / 2**20
+    missing = str(tmp_path / "none")
     with pytest.raises(subprocess.CalledProcessError):
-        bench_record.cli_run(ROOT, "calibrate", "--dataset", str(tmp_path / "none"), "--out", str(tmp_path))
+        bench_record.cli_run(ROOT, "calibrate", "--dataset", missing, "--out", str(tmp_path))
 
 
 def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
@@ -85,7 +86,7 @@ def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
     for key in ("generate_rss_mb", "calibrate_rss_mb"):
         # one fresh process with numpy loaded: tens of MB
         assert set(row[key]) == {"parent", "change", "verdict"}
-        assert 10 < row[key]["parent"]["median"] < 500 and 10 < row[key]["change"]["median"] < 500
+        assert all(10 < row[key][side]["median"] < 500 for side in ("parent", "change"))
     # this tree is both sides, so both write and read the cache
     assert set(row["read_cache_s"]) == {"parent", "change", "verdict"}
     assert set(row["cache_work_s"]) == {"change"}

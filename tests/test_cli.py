@@ -149,7 +149,9 @@ class TestCalibrate:
         for name in names:
             assert (ds / name).read_bytes() == (fresh / name).read_bytes()
 
-    @pytest.mark.parametrize("exc, raised", [(OSError, DatasetFormatError), (RuntimeError, RuntimeError)])
+    @pytest.mark.parametrize(
+        "exc, raised", [(OSError, DatasetFormatError), (RuntimeError, RuntimeError)]
+    )
     def test_failed_write_leaves_previous_files(self, tmp_path, monkeypatch, exc, raised):
         cfg = write(tmp_path / "gen.yaml", GENERATE_CFG)
         ds = tmp_path / "ds"

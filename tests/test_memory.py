@@ -1,5 +1,5 @@
-"""Peak memory of the dataset path and of the precoder build, traced
-with ``tracemalloc``.
+"""Peak memory of the dataset path, the precoder build, a runner chunk
+and the results writer, traced with ``tracemalloc``.
 
 numpy reports its array buffers to ``tracemalloc``, so the peak traced
 during a call bounds the arrays it allocates. Mapped pages are not
@@ -104,7 +104,8 @@ def without_cache(dataset_dir, dest):
 
 
 @pytest.mark.parametrize(
-    "cache, bound", [pytest.param("kept", 0.25, id="kept"), pytest.param("deleted", 1.6, id="deleted")]
+    "cache, bound",
+    [pytest.param("kept", 0.25, id="kept"), pytest.param("deleted", 1.6, id="deleted")],
 )
 def test_read_dataset_builds_one_grid(dataset_dir, dataset, tmp_path, cache, bound):
     # parsed: the returned grid, its mask, the finiteness check and one
