@@ -44,6 +44,16 @@ It records per side the median and quartiles of each measure, their
 verdict, and whether the two sides' last runs wrote byte-identical
 ``csi.csv``, ``csi.cache``, ``manifest.json`` and ``offsets.csv`` files.
 
+The placement table imports both trees' ``dmimo`` in one process and
+times, alternating parent and change, ``REPS`` repetitions per side on
+each benchmark workload's simulate config (the dataset workload's on a
+generated and calibrated dataset): microseconds per trial of placing
+``TRIALS`` trials (``scenarios._place_chunk``, the noise pre-pass's
+placement), and milliseconds of the distance pass over their UEs
+(``geometry.distance_phasors``, a chunk's LoS channels and near-field
+phasors). It records per side the median and quartiles of each, their
+verdict, and whether the two sides placed the same bytes.
+
 The per-trial table imports both trees' ``dmimo`` in one process and
 times the runner's unit of work on a one-spec copy of every bundled
 config over that config's error grid (perfect CSI when it has none),
@@ -59,7 +69,10 @@ config's specs (such as the location state a chunk's environment
 derives once for all of them); the configs table and the workloads do.
 A ``verdict``, here and in the configs and suite rows, is "faster" or
 "slower" where the two sides' quartile ranges are disjoint, else
-"overlap". The output is a record, not a gate. It names the measured
+"overlap". Before any run, ``python -m compileall -q src`` compiles each
+tree's sources, so no process of either tree recompiles a module whose
+cached bytecode is stale or missing (perfbench's clients write none
+under ``PYTHONDONTWRITEBYTECODE``). The output is a record, not a gate. It names the measured
 code by the parent's commit and ``change_src_diff_sha1``, the SHA-1 of
 the change's ``src`` diff against that commit, working tree included.
 """
@@ -85,7 +98,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT))
 
-from perfbench.workloads import GENERATE_24  # noqa: E402
+from perfbench.workloads import GENERATE_24, WORKLOADS  # noqa: E402
 
 #: Alternating parent/change pairs of benchmark runs per workload: ten,
 #: so a claimed gain can meet the nine-in-ten rule from the record.
@@ -314,6 +327,58 @@ def dataset_io(parent: Path, seed: int) -> dict:
     return row
 
 
+def placement(parent: Path, seed: int) -> list[dict]:
+    """Microseconds per trial of placing a chunk of ``TRIALS`` trials and
+    milliseconds of the distance pass over their UEs, per workload and side."""
+    load_tree(parent / "src", "dmimo_parent")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        from dmimo import cli
+
+        (tmp / "gen.yaml").write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.cmd_generate(str(tmp / "gen.yaml"), str(tmp / "gen"))
+            cli.cmd_calibrate(str(tmp / "gen"), str(tmp / "cal"))
+        for name, workload in WORKLOADS.items():
+            doc = dict(workload.simulate, seed=seed)
+            if workload.dataset:
+                doc["channel"] = dict(doc["channel"], path=str(tmp / "cal"))
+            path = tmp / f"{name}.yaml"
+            path.write_text(json.dumps(doc))
+            sides = {}
+            for side, mod in (("parent", "dmimo_parent"), ("change", "dmimo")):
+                configio, scenarios, geometry = (importlib.import_module(f"{mod}.{m}")
+                                                 for m in ("configio", "scenarios", "geometry"))
+                cfg = configio.parse_simulate_config(path)
+                sides[side] = scenarios, geometry, cfg, scenarios._make_sampler(cfg)
+            samples = {"place_us_per_trial": {"parent": [], "change": []},
+                       "distance_ms_per_chunk": {"parent": [], "change": []}}
+            placed = {}
+            for rep in range(REPS):
+                for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                    scenarios, geometry, cfg, sampler = sides[side]
+                    t0 = time.perf_counter()
+                    placed[side] = scenarios._place_chunk(cfg, range(TRIALS), sampler)
+                    t1 = time.perf_counter()
+                    ues = sampler.positions(placed[side]).reshape(-1, 3)
+                    t2 = time.perf_counter()
+                    geometry.distance_phasors(cfg.geometry.antenna_positions, ues,
+                                              cfg.geometry.wavelength)
+                    t3 = time.perf_counter()
+                    samples["place_us_per_trial"][side].append((t1 - t0) / TRIALS * 1e6)
+                    samples["distance_ms_per_chunk"][side].append((t3 - t2) * 1e3)
+            row = {"workload": name, "trials": TRIALS}
+            for key, values in samples.items():
+                summary = {s: {q: round(x, 4) for q, x in summarize(v).items()}
+                           for s, v in values.items()}
+                row[key] = dict(summary, verdict=verdict(summary["parent"], summary["change"]))
+            row["placement_identical"] = placed["parent"].tobytes() == placed["change"].tobytes()
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    return rows
+
+
 def load_tree(src: Path, name: str):
     """The ``dmimo`` package under ``src`` imported as ``name``."""
     spec = importlib.util.spec_from_file_location(
@@ -389,6 +454,8 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     nproc = len(os.sched_getaffinity(0))
     parent_sha = git(parent, "rev-parse", "HEAD").strip()
+    for tree in (parent, ROOT):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
     record = {
         "parent_sha": parent_sha,
         "change_base_sha": git(ROOT, "rev-parse", "HEAD").strip(),
@@ -404,6 +471,7 @@ def main(argv=None) -> int:
     record["configs"] = configs(parent, nproc)
     record["suite"] = suite(parent)
     record["dataset_io"] = dataset_io(parent, args.seed)
+    record["placement"] = placement(parent, args.seed)
     record["pertrial_ms"] = pertrial(parent)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .csidata import CsiGrid
 from .errors import CoverageError, DatasetFormatError, NoDataError, UnidentifiableError
-from .geometry import los_phase
+from .geometry import los_phase, pairwise_distances
 
 OFFSETS_CSV_HEADER = "tx,rx,offset_radians"
 
@@ -142,10 +142,10 @@ def theoretical_los_phases(rx_positions, grid_positions, wavelength: float) -> n
     rx = np.asarray(rx_positions, dtype=float)
     grid = np.asarray(grid_positions, dtype=float)
     flat = grid.reshape(-1, 3)
-    # one rx antenna at a time: no (R, GM*GN, 3) difference stack
+    # one rx antenna at a time: no (R, GM*GN) temporaries
     d = np.empty((rx.shape[0], flat.shape[0]))
-    for r, p in enumerate(rx):
-        d[r] = np.linalg.norm(flat - p, axis=1)
+    for r in range(rx.shape[0]):
+        d[r] = pairwise_distances(rx[r : r + 1], flat)[0]
     return los_phase(d, wavelength).reshape(rx.shape[0], *grid.shape[:2])
 
 

@@ -122,7 +122,7 @@ class UePlacement:
         pos = _as_positions(self.positions)
         object.__setattr__(self, "positions", pos)
         if len(pos) > 1 and self.min_spacing > 0:
-            d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+            d = pairwise_distances(pos, pos)
             np.fill_diagonal(d, np.inf)
             if d.min() < self.min_spacing:
                 raise GeometryError(
@@ -164,6 +164,24 @@ class LosChannelParams:
         return self.reference_gain * self.wavelength / (4.0 * np.pi * d)
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``a`` (m, 3) and ``b`` (n, 3), (m, n).
+
+    Bit for bit ``np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)``,
+    one coordinate at a time: the squared differences summed as
+    (dx^2 + dy^2) + dz^2, numpy's order for a length-3 reduction, then the
+    square root in place. It holds two (m, n) arrays, not two (m, n, 3)
+    difference stacks.
+    """
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    for axis in (1, 2):
+        e = np.subtract.outer(a[:, axis], b[:, axis])
+        e *= e
+        d += e
+    return np.sqrt(d, out=d)
+
+
 def los_phase(distance, wavelength: float):
     """Phase -2*pi*d/lambda accumulated over a path of length d (radians).
 
@@ -187,7 +205,7 @@ def distance_phasors(
     Both results have shape (antennas, points). A point on an antenna is a
     GeometryError.
     """
-    d = np.linalg.norm(antenna_positions[:, None, :] - points[None, :, :], axis=2)
+    d = pairwise_distances(antenna_positions, points)
     if np.any(d == 0):
         raise GeometryError("UE position coincides with an antenna position")
     return d, np.exp(1j * los_phase(d, wavelength))
@@ -229,38 +247,44 @@ def place_ues(
     and judged in draw order, so the positions and the generator's state
     afterwards equal those of drawing one candidate at a time.
     """
+    return UePlacement(_draw_ues(roi, k, min_spacing, rng_seed, retry_budget), min_spacing)
+
+
+def _draw_ues(
+    roi: Box, k: int, min_spacing: float, rng_seed, retry_budget: int = DEFAULT_RETRY_BUDGET
+) -> np.ndarray:
+    """The (k, 3) positions of :func:`place_ues`, without the
+    :class:`UePlacement` that checks their spacing again."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(rng_seed)
     if not min_spacing > 0:
-        return UePlacement(
-            positions=rng.uniform(roi.lo, roi.hi, size=(k, 3)), min_spacing=min_spacing
-        )
-    accepted = np.empty((0, 3))
-    rejections = 0
-    while len(accepted) < k:
-        n = len(accepted)
-        block = rng.uniform(roi.lo, roi.hi, size=(k - n, 3))
-        points = np.concatenate([accepted, block])
-        # UePlacement's own distance expression, so the two agree at the boundary
-        d = np.linalg.norm(block[:, None, :] - points[None, :, :], axis=-1)
-        close = d < min_spacing
-        close[:, n:] &= np.tri(len(block), k=-1, dtype=bool)  # earlier candidates only
-        keep = np.ones(len(block), dtype=bool)
-        if close.any():
-            keep[:] = False
-            for i, row in enumerate(close):
-                if row[:n].any() or row[n:][keep].any():
-                    rejections += 1
-                    if rejections >= retry_budget:
-                        raise PlacementError(
-                            f"could not place {k} points with spacing {min_spacing} m "
-                            f"after {rejections} rejections"
-                        )
-                else:
-                    keep[i] = True
-        accepted = np.concatenate([accepted, block[keep]])
-    return UePlacement(positions=accepted, min_spacing=min_spacing)
+        return rng.uniform(roi.lo, roi.hi, size=(k, 3))
+    points = np.empty((k, 3))  # accepted points, then the current block
+    n = rejections = 0
+    while n < k:
+        points[n:] = rng.uniform(roi.lo, roi.hi, size=(k - n, 3))
+        # UePlacement's own distances, so the two agree at the boundary; they
+        # are symmetric, so a close pair of candidates shows off the diagonal
+        # (each candidate is at 0 from itself)
+        close = pairwise_distances(points[n:], points) < min_spacing
+        if np.count_nonzero(close) == k - n:
+            break
+        keep = np.zeros(k - n, dtype=bool)
+        for i, row in enumerate(close):
+            if row[:n].any() or row[n : n + i][keep[:i]].any():
+                rejections += 1
+                if rejections >= retry_budget:
+                    raise PlacementError(
+                        f"could not place {k} points with spacing {min_spacing} m "
+                        f"after {rejections} rejections"
+                    )
+            else:
+                keep[i] = True
+        kept = points[n:][keep]
+        points[n : n + len(kept)] = kept
+        n += len(kept)
+    return points
 
 
 def perimeter_geometry(

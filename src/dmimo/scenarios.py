@@ -43,9 +43,10 @@ from .geometry import (
     ArrayGeometry,
     Box,
     LosChannelParams,
+    _draw_ues,
     distance_phasors,
     los_channel,
-    place_ues,
+    pairwise_distances,
 )
 from .metrics import (
     ChannelErrorModel,
@@ -337,8 +338,7 @@ class _DatasetSampler:
 
     def snap(self, positions: np.ndarray) -> np.ndarray | None:
         """The cells nearest the (K, 3) positions, (K,); None when two share one."""
-        d = np.linalg.norm(positions[:, None] - self.cell_positions, axis=-1)
-        idx = np.argmin(d, axis=-1)
+        idx = np.argmin(pairwise_distances(positions, self.cell_positions), axis=-1)
         ordered = np.sort(idx)
         return None if (ordered[1:] == ordered[:-1]).any() else idx
 
@@ -366,8 +366,7 @@ def _place(config: ScenarioConfig, trial_index: int, sampler) -> np.ndarray:
     cells."""
     rng = np.random.default_rng([config.rng_seed, trial_index, _STREAM_PLACEMENT])
     for _ in range(_SNAP_ATTEMPTS):
-        placed = place_ues(config.roi, config.k_users, config.min_spacing_m, rng)
-        snapped = sampler.snap(placed.positions)
+        snapped = sampler.snap(_draw_ues(config.roi, config.k_users, config.min_spacing_m, rng))
         if snapped is not None:
             return snapped
     raise PlacementError(

@@ -1,5 +1,5 @@
-"""The per-trial table of ``scripts/bench_record.py`` on a small config,
-with this tree as both parent and change, and its provenance fields."""
+"""The tables of ``scripts/bench_record.py`` on small configs, with this
+tree as both parent and change, and its provenance fields."""
 
 import hashlib
 import importlib.util
@@ -90,6 +90,18 @@ def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
     # this tree is both sides, so both write and read the cache
     assert set(row["read_cache_s"]) == {"parent", "change", "verdict"}
     assert set(row["cache_work_s"]) == {"change"}
+
+
+def test_placement_rows_time_each_workload(bench_record, monkeypatch):
+    grid = dict(bench_record.GENERATE["grid"], nx=6, ny=5)
+    monkeypatch.setattr(bench_record, "GENERATE", dict(bench_record.GENERATE, grid=grid))
+    rows = bench_record.placement(ROOT, seed=3)
+    assert [row["workload"] for row in rows] == list(bench_record.WORKLOADS)
+    for row in rows:
+        assert row["trials"] == 33 and row["placement_identical"]
+        for key in ("place_us_per_trial", "distance_ms_per_chunk"):
+            assert row[key]["parent"]["median"] > 0 and row[key]["change"]["median"] > 0
+            assert row[key]["verdict"] in ("faster", "slower", "overlap")
 
 
 def test_src_diff_hashed_against_the_parent(bench_record, monkeypatch):

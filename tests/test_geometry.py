@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dmimo import (
     ArrayGeometry,
@@ -18,7 +19,7 @@ from dmimo import (
     place_ues,
 )
 from dmimo.errors import GeometryError, PlacementError
-from dmimo.geometry import AMPLITUDE_MODELS, DEFAULT_RETRY_BUDGET
+from dmimo.geometry import AMPLITUDE_MODELS, DEFAULT_RETRY_BUDGET, pairwise_distances
 from dmimo.scenarios import _STREAM_PLACEMENT, draw_channels
 
 
@@ -105,6 +106,60 @@ class TestLosChannel:
         np.testing.assert_allclose(mismatch, 0.0, atol=1e-12)
 
 
+def norm_distances(a, b):
+    """The distance expression the kernel replaces."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+
+
+def assert_same_distances(a, b):
+    got = pairwise_distances(a, b)
+    assert got.shape == (len(a), len(b))
+    assert got.tobytes() == norm_distances(a, b).tobytes()
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_norm_of_differences(self, seed):
+        # every coordinate at its own scale, z included: a different order
+        # of summing the three squares differs in the last bit here
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            m, n = rng.integers(1, 80, size=2)
+            scale = 10.0 ** rng.uniform(-6, 3, size=(2, 3))
+            assert_same_distances(rng.standard_normal((m, 3)) * scale[0],
+                                  rng.standard_normal((n, 3)) * scale[1])
+
+    def test_order_of_the_squares(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((64, 3)), rng.standard_normal((320, 3))
+        sq = [np.subtract.outer(a[:, i], b[:, i]) ** 2 for i in range(3)]
+        assert np.array_equal(norm_distances(a, b), np.sqrt((sq[0] + sq[1]) + sq[2]))
+        assert not np.array_equal(norm_distances(a, b), np.sqrt(sq[0] + (sq[1] + sq[2])))
+
+    def test_coincident_points_are_zero(self):
+        a = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [1e3, 1e-6, -7.25]])
+        d = pairwise_distances(a, a)
+        assert not np.diag(d).any()
+        assert_same_distances(a, a)
+        assert_same_distances(a, a[::-1])
+
+    def test_single_row_operands(self, geometry):
+        ue = np.array([[1.7, 4.2, 0.3]])
+        assert_same_distances(geometry.antenna_positions, ue)
+        assert_same_distances(ue, geometry.antenna_positions)
+        assert_same_distances(ue, ue + 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(*(
+            hnp.arrays(np.float64, (n, 3), elements=st.floats(-1e150, 1e150))
+            for n in (m, m + 1)))),
+    )
+    def test_equals_norm_on_finite_arrays(self, operands):
+        # finite coordinates whose squared differences stay finite
+        assert_same_distances(*operands)
+
+
 class TestLosChannelMatrix:
     @pytest.mark.parametrize("model", AMPLITUDE_MODELS)
     def test_matrix_equals_stacked_columns(self, geometry, model):
@@ -171,6 +226,12 @@ class TestPlaceUes:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             place_ues(default_roi(), 0, 0.1, rng_seed=0)
+
+    @pytest.mark.parametrize("spacing", [0.0, 0.5])
+    def test_returns_a_placement(self, spacing):
+        p = place_ues(default_roi(), 10, spacing, rng_seed=3)
+        assert isinstance(p, UePlacement)
+        assert p.num_ues == 10 and p.min_spacing == spacing
 
 
 def reference_place_ues(roi, k, min_spacing, rng, retry_budget=DEFAULT_RETRY_BUDGET):
@@ -296,6 +357,9 @@ class TestTypes:
     def test_ue_placement_spacing_invariant(self):
         with pytest.raises(GeometryError):
             UePlacement(positions=[[0, 0, 0], [0.01, 0, 0]], min_spacing=0.1)
+        with pytest.raises(GeometryError, match="below minimum"):
+            UePlacement(positions=[[0, 0, 0], [1, 1, 1], [1, 1, 1.0999]], min_spacing=0.1)
+        UePlacement(positions=[[0, 0, 0], [1, 1, 1], [1, 1, 1.125]], min_spacing=0.125)
 
     def test_box_ordering(self):
         with pytest.raises(GeometryError):

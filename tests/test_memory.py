@@ -45,6 +45,7 @@ from dmimo import (
     estimate_phase_offsets,
     generate_synthetic_dataset,
     inject_channel_error,
+    los_channel,
     noise_variance_from_floor,
     parse_precoder_name,
     perimeter_geometry,
@@ -94,6 +95,15 @@ def test_generate_with_offsets_builds_one_grid(dataset):
     assert table is not None
     np.testing.assert_array_equal(grid.csi, dataset[0].csi)
     assert peak <= 2.25 * grid.csi.nbytes
+
+
+def test_los_channel_holds_no_difference_stack():
+    # the 24x24 grid's (M, G) distances, phasors and their temporaries,
+    # 3.2x the channel; the (M, G, 3) differences and their squares of
+    # np.linalg.norm add 3x (4.0x in all)
+    geometry, spec, params = generate_args()
+    h, peak = traced_peak(los_channel, geometry, spec.positions().reshape(-1, 3), params)
+    assert peak <= 3.5 * h.nbytes
 
 
 def without_cache(dataset_dir, dest):

@@ -26,6 +26,7 @@ from dmimo import (
     noise_variance_from_floor,
     parse_precoder_name,
     perimeter_geometry,
+    place_ues,
     read_dataset,
     run_chunk,
     run_scenario,
@@ -520,6 +521,44 @@ class TestDatasetMode:
             assert np.min(np.abs(xs - p[0])) < 1e-9
             assert np.min(np.abs(xs - p[1])) < 1e-9
         assert len({tuple(np.round(p, 9)) for p in positions}) == 4
+
+    def test_equidistant_ue_snaps_to_lower_cell(self):
+        sampler = object.__new__(scenarios._DatasetSampler)
+        sampler.cell_positions = np.array([[2.0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0]])
+        # 0.5 m from cells 0 and 2, 1.5 m from cells 1 and 2, 0.5 m from
+        # cells 2 and 3, 1 m from cells 2 and 3 and 0.5 m below
+        ues = np.array([[1.5, 0, 0], [-0.5, 1, 0], [1, 0.5, 0], [1, 0.5, 0.5]])
+        assert sampler.snap(ues[:2]) is not None
+        np.testing.assert_array_equal(sampler.snap(ues[:1]), [0])
+        np.testing.assert_array_equal(sampler.snap(ues[1:3]), [1, 2])
+        assert sampler.snap(ues[2:]) is None  # both on cell 2
+
+    @pytest.mark.parametrize("spacing", [0.0, 0.1])
+    def test_place_equals_placement_then_snap(self, dataset_dir, spacing):
+        # the placement path before the spacing check was dropped from it:
+        # a validated UePlacement, then the nearest cell by np.linalg.norm;
+        # ten users on a 12x12 grid often collide and are re-placed from
+        # the same stream
+        for source in ("synthetic", "dataset"):
+            cfg = make_config(k_users=10, min_spacing_m=spacing, channel_source=source,
+                              dataset_path=str(dataset_dir))
+            sampler = scenarios._make_sampler(cfg)
+            replaced = 0
+            for t in range(120):
+                rng = np.random.default_rng([cfg.rng_seed, t, scenarios._STREAM_PLACEMENT])
+                while True:
+                    positions = place_ues(cfg.roi, cfg.k_users, spacing, rng).positions
+                    if source == "synthetic":
+                        expected = positions
+                        break
+                    d = np.linalg.norm(positions[:, None] - sampler.cell_positions, axis=-1)
+                    expected = np.argmin(d, axis=-1)
+                    if len(set(expected.tolist())) == cfg.k_users:
+                        break
+                    replaced += 1
+                got = scenarios._place(cfg, t, sampler)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert (replaced > 10) == (source == "dataset")
 
     @pytest.fixture
     def partial_dataset(self, dataset_dir, tmp_path):
