@@ -1,5 +1,5 @@
-"""Peak memory of the dataset path, the precoder build, a runner chunk
-and the results writer, traced with ``tracemalloc``.
+"""Peak memory of the LoS synthesis, the dataset path, the precoder
+build, a runner chunk and the results writer, traced with ``tracemalloc``.
 
 numpy reports its array buffers to ``tracemalloc``, so the peak traced
 during a call bounds the arrays it allocates. Mapped pages are not
