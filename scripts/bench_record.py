@@ -72,8 +72,8 @@ A ``verdict``, here and in the configs and suite rows, is "faster" or
 "overlap". Before any run, ``python -m compileall -q src`` compiles each
 tree's sources, so no process of either tree recompiles a module whose
 cached bytecode is stale or missing (perfbench's clients write none
-under ``PYTHONDONTWRITEBYTECODE``). The output is a record, not a gate. It names the measured
-code by the parent's commit and ``change_src_diff_sha1``, the SHA-1 of
+under ``PYTHONDONTWRITEBYTECODE``). The output is a record, not a gate.
+It names the measured code by the parent's commit and ``change_src_diff_sha1``, the SHA-1 of
 the change's ``src`` diff against that commit, working tree included.
 """
 
@@ -333,9 +333,7 @@ def placement(parent: Path, seed: int) -> list[dict]:
     load_tree(parent / "src", "dmimo_parent")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        from dmimo import cli
-
+        tmp, cli = Path(tmp), importlib.import_module("dmimo.cli")
         (tmp / "gen.yaml").write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})))
         with contextlib.redirect_stdout(io.StringIO()):
             cli.cmd_generate(str(tmp / "gen.yaml"), str(tmp / "gen"))
@@ -365,9 +363,8 @@ def placement(parent: Path, seed: int) -> list[dict]:
                     t2 = time.perf_counter()
                     geometry.distance_phasors(cfg.geometry.antenna_positions, ues,
                                               cfg.geometry.wavelength)
-                    t3 = time.perf_counter()
+                    samples["distance_ms_per_chunk"][side].append((time.perf_counter() - t2) * 1e3)
                     samples["place_us_per_trial"][side].append((t1 - t0) / TRIALS * 1e6)
-                    samples["distance_ms_per_chunk"][side].append((t3 - t2) * 1e3)
             row = {"workload": name, "trials": TRIALS}
             for key, values in samples.items():
                 summary = {s: {q: round(x, 4) for q, x in summarize(v).items()}
