@@ -18,10 +18,20 @@ two trees in alternating order: ``CONFIG_REPS`` runs per side, each
 timed as a whole process, so trials/s includes interpreter start and
 writing the payload files. A row records per side the median and
 quartiles of trials/s, their verdict, the median and quartiles of the
-process's peak RSS (its ``ru_maxrss``, which covers its pool workers;
+process's peak RSS (its ``ru_maxrss``, which covers its workers;
 ``LAUNCH`` keeps this script's own peak out of it),
 and whether the last runs of the two sides wrote byte-identical
 ``results.csv`` and ``summary.json``.
+
+The pool row runs ``cluster_k10_pool``'s simulate config (the
+record's seed) at ``workers=nproc`` in the two trees in alternating
+order, ``POOL_REPS`` runs per side, each as a ``dmimo.cli`` process
+launched as the configs table launches it. The process reports its own
+peak RSS (``RUSAGE_SELF``) apart from its largest reaped worker's
+(``RUSAGE_CHILDREN``); the row records per side the median and quartiles
+of each, so it shows which process sets the workload's ``peak_rss_mb``,
+and whether the last runs of the two sides wrote byte-identical
+``results.csv``.
 
 The suite row runs ``scripts/run_all_experiments.py`` at its 2000-trial
 defaults with one worker, ``SUITE_PAIRS`` alternating parent/change
@@ -110,6 +120,9 @@ CONFIG_REPS, CONFIG_TRIALS = 5, 200
 #: Repetitions and trials per repetition of the per-trial table.
 REPS, TRIALS = 10, 32
 
+#: Runs per side of the pool row.
+POOL_REPS = 10
+
 #: Alternating parent/change pairs of the suite row.
 SUITE_PAIRS = 3
 
@@ -172,35 +185,53 @@ def simulate_configs() -> list[Path]:
     return [p for p in sorted((ROOT / "configs").glob("*.yaml")) if p.stem != "generate_dataset"]
 
 
-#: Runs ``dmimo.cli`` with its arguments as the child of a bare
-#: interpreter and prints the child's wall seconds, ``ru_maxrss`` (KiB) and
-#: exit code. A process's ``ru_maxrss`` is at least the peak of the
-#: process it was spawned from, and this script's grows when it compares
-#: the suite's payload files.
+#: Runs ``python`` with its arguments (stdout discarded) as the child of a
+#: bare interpreter and prints the child's wall seconds, ``ru_maxrss``
+#: (KiB) and exit code. A process's ``ru_maxrss`` is at least the peak of
+#: the process it was spawned from, and this script's grows when it
+#: compares the suite's payload files.
 LAUNCH = """\
 import os, sys, time
 t0 = time.perf_counter()
 pid = os.fork()
 if pid == 0:
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    os.execv(sys.executable, [sys.executable, "-m", "dmimo.cli", *sys.argv[1:]])
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
 _, status, usage = os.wait4(pid, 0)
 print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 """
 
+#: ``dmimo.cli`` with its arguments, which then writes to stderr its own
+#: ``ru_maxrss`` and its largest reaped child's (KiB).
+SELF_AND_WORKERS = """\
+import resource, sys
+from dmimo.cli import main
+code = main(sys.argv[1:])
+print(*(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF,
+                                                      resource.RUSAGE_CHILDREN)), file=sys.stderr)
+sys.exit(code)
+"""
 
-def cli_run(tree: Path, *args: str) -> tuple[float, float]:
-    """Seconds of one ``dmimo.cli`` process with ``args``, timed whole,
-    and its peak RSS in MB (its ``ru_maxrss``, pool workers included)."""
+
+def launch(tree: Path, *argv: str) -> tuple[float, float, str]:
+    """Seconds of one ``python argv`` process of ``tree``'s dmimo, timed
+    whole, its peak RSS in MB (its ``ru_maxrss``, workers included) and
+    its stderr."""
     proc = subprocess.run(
-        [sys.executable, "-c", LAUNCH, *args], cwd=tree,
-        env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.PIPE, text=True,
+        [sys.executable, "-c", LAUNCH, *argv], cwd=tree,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")), capture_output=True, text=True,
         check=True,
     )
     seconds, rss_kb, code = proc.stdout.split()
     if int(code):
-        raise subprocess.CalledProcessError(int(code), ["dmimo.cli", *args])
-    return float(seconds), int(rss_kb) / 1024
+        raise subprocess.CalledProcessError(int(code), argv, stderr=proc.stderr)
+    return float(seconds), int(rss_kb) / 1024, proc.stderr
+
+
+def cli_run(tree: Path, *args: str) -> tuple[float, float]:
+    """Seconds of one ``dmimo.cli`` process with ``args``, timed whole,
+    and its peak RSS in MB (its ``ru_maxrss``, workers included)."""
+    return launch(tree, "-m", "dmimo.cli", *args)[:2]
 
 
 def configs(parent: Path, nproc: int) -> list[dict]:
@@ -235,6 +266,32 @@ def configs(parent: Path, nproc: int) -> list[dict]:
                 rows.append(row)
                 print(json.dumps(row), flush=True)
     return rows
+
+
+def pool(parent: Path, nproc: int, seed: int) -> dict:
+    """Peak RSS of ``cluster_k10_pool``'s simulate process at ``nproc``
+    workers, the process's own apart from its largest worker's, per side."""
+    rss = {key: {"parent": [], "change": []} for key in ("parent_rss_mb", "worker_rss_mb")}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sim.yaml"
+        config.write_text(json.dumps(dict(WORKLOADS["cluster_k10_pool"].simulate, seed=seed)))
+        for rep in range(POOL_REPS):
+            for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                tree = parent if side == "parent" else ROOT
+                stderr = launch(tree, "-c", SELF_AND_WORKERS, "simulate", "--config", str(config),
+                                "--workers", str(nproc), "--out", str(Path(tmp) / side))[2]
+                own_kb, worker_kb = stderr.split()[-2:]
+                rss["parent_rss_mb"][side].append(int(own_kb) / 1024)
+                rss["worker_rss_mb"][side].append(int(worker_kb) / 1024)
+        identical = ((Path(tmp) / "parent" / "results.csv").read_bytes()
+                     == (Path(tmp) / "change" / "results.csv").read_bytes())
+    row = {"workload": "cluster_k10_pool", "workers": nproc, "reps": POOL_REPS}
+    for key, sides in rss.items():
+        sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in sides.items()}
+        row[key] = dict(sides, verdict=verdict(sides["parent"], sides["change"]))
+    row["payload_identical"] = identical
+    print(json.dumps(row), flush=True)
+    return row
 
 
 def suite(parent: Path) -> dict:
@@ -466,6 +523,7 @@ def main(argv=None) -> int:
         record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
         record.update({k: v for k, v in env.items() if k != "git_sha"})
     record["configs"] = configs(parent, nproc)
+    record["pool"] = pool(parent, nproc, args.seed)
     record["suite"] = suite(parent)
     record["dataset_io"] = dataset_io(parent, args.seed)
     record["placement"] = placement(parent, args.seed)

@@ -9,16 +9,17 @@ each AP pair serves the users with the best average channel gain and
 suppresses inter-cluster interference from location information.
 
 Trials run in chunks (:func:`run_chunk`): one channel draw, information
-environment, build per precoder and SINR call for B trials, with
-chunks as the tasks of a process pool when ``workers`` > 1. The noise
-pre-pass places every trial once and hands each chunk its trials'
-placement: the UE positions, or in dataset mode their cells, which give
-both positions and CSI. A chunk synthesizes its channels from it, with
-synthetic channels and the near-field matrix from one distance pass, and
-its information environment derives each scope's assembly units (and in
-dataset mode the near-field matrix) from the positions once, read-only
-arrays that every precoder of the chunk shares. Only a pooled run
-imports the process-pool machinery.
+environment, build per precoder and SINR call for B trials. With
+``workers`` > 1 the chunks are dealt to that many children forked once
+the channel sampler exists, each talking to the parent over two pipes
+(:func:`_run_forked`). The noise pre-pass places every trial once and
+keeps each chunk's placement for its trials: the UE positions, or in
+dataset mode their cells, which give both positions and CSI. A chunk
+synthesizes its channels from it, with synthetic channels and the
+near-field matrix from one distance pass, and its information
+environment derives each scope's assembly units (and in dataset mode
+the near-field matrix) from the positions once, read-only arrays that
+every precoder of the chunk shares.
 
 Determinism: every random draw derives from
 ``numpy.random.default_rng([rng_seed, trial_index, stream])`` with
@@ -30,7 +31,9 @@ worker count.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -313,7 +316,7 @@ class _DatasetSampler:
 
     The sampler keeps only each valid cell's position and its CSI at that
     tx, (cells, 3) and (cells, M), not the dataset's grid: the read grid
-    is freed once they are taken, and pool workers receive only them.
+    is freed once they are taken, and forked workers inherit only them.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -469,7 +472,7 @@ CHUNK_TRIALS = 32
 
 def _chunks(config: ScenarioConfig) -> list[range]:
     """The chunks of a run, a function of its trials and workers alone:
-    at most ``CHUNK_TRIALS`` trials each, and about eight per pool
+    at most ``CHUNK_TRIALS`` trials each, and about eight per forked
     worker."""
     trials = config.trials
     pool_share = -(-trials // (8 * config.workers)) if config.workers > 1 else trials
@@ -477,30 +480,12 @@ def _chunks(config: ScenarioConfig) -> list[range]:
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
-#: The (config, sampler) of the run a pool worker serves, given once per
-#: worker by the pool's initializer: tasks carry only their trials and
-#: placements.
-_worker_run: tuple = ()
-
-
-def _init_pool_worker(*run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _pool_task(task, trials, keywords=None):
-    return task(_worker_run[0], trials, sampler=_worker_run[1], **(keywords or {}))
-
-
-def _each_chunk(task, config: ScenarioConfig, sampler, pool=None, placements=None):
+def _each_chunk(task, config: ScenarioConfig, sampler, placements=None):
     """``task(config, trials, sampler=sampler)`` for each chunk in order,
-    given ``placement=`` its entry of ``placements`` if any, in process or
-    on ``pool``, whose workers hold config and sampler."""
+    given ``placement=`` its entry of ``placements`` if any."""
     chunks = _chunks(config)
     keywords = [{}] * len(chunks) if placements is None else [{"placement": p} for p in placements]
-    if pool is None:
-        return (task(config, c, sampler=sampler, **kw) for c, kw in zip(chunks, keywords))
-    return pool.map(partial(_pool_task, task), chunks, keywords)
+    return (task(config, c, sampler=sampler, **kw) for c, kw in zip(chunks, keywords))
 
 
 def _chunk_gains(config: ScenarioConfig, trials, sampler) -> tuple[np.ndarray, list[float]]:
@@ -511,17 +496,181 @@ def _chunk_gains(config: ScenarioConfig, trials, sampler) -> tuple[np.ndarray, l
     return placement, np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
 
 
-def _noise_prepass(config: ScenarioConfig, sampler, pool=None) -> tuple[float, list[np.ndarray]]:
-    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
-    drawn chunk by chunk and summed in trial order, and each chunk's
-    placement; on ``pool`` if given, whose workers hold config and sampler
-    (:func:`_init_pool_worker`)."""
-    total, placements = 0.0, []
-    for placement, gains in _each_chunk(_chunk_gains, config, sampler, pool):
-        placements.append(placement)
+def _mean_gain(config: ScenarioConfig, chunk_gains) -> float:
+    """Mean ||h_k||^2 over all users and trials from each chunk's per-trial
+    gains, given in chunk order and summed in trial order."""
+    total = 0.0
+    for gains in chunk_gains:
         for gain in gains:
             total += gain
-    return total / (config.trials * config.k_users), placements
+    return total / (config.trials * config.k_users)
+
+
+def _noise_prepass(config: ScenarioConfig, sampler) -> tuple[float, list[np.ndarray]]:
+    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
+    drawn chunk by chunk and summed in trial order, and each chunk's
+    placement. A forked run makes the same sum from its workers' gains."""
+    placements, gains = zip(*_each_chunk(_chunk_gains, config, sampler))
+    return _mean_gain(config, gains), list(placements)
+
+
+def _levels(config: ScenarioConfig, mean_user_gain: float) -> tuple[float, tuple | None]:
+    """The noise variance and the error grid (None without one) that the
+    mean user gain sets."""
+    noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
+    if config.nmse_grid is None:
+        return noise_var, None
+    scale = mean_user_gain / config.geometry.num_antennas if config.nmse_relative else 1.0
+    return noise_var, tuple(float(v) * scale for v in config.nmse_grid)
+
+
+def _empty_results(config: ScenarioConfig) -> tuple:
+    """The run's (T, S, P, K) SINR, (T, S, P) failure and (T, S) NMSE
+    arrays, the one copy of the results, allocated once the noise
+    pre-pass is done and filled by :func:`_store`."""
+    shape = (config.trials, len(config.nmse_grid or (None,)), len(config.precoders))
+    return np.empty(shape + (config.k_users,)), np.empty(shape, dtype=object), np.empty(shape[:2])
+
+
+def _store(results: tuple, chunks, outputs) -> None:
+    """Copies each chunk's outputs into ``results`` as they arrive; a
+    chunk is dropped once copied in."""
+    for trials, chunk in zip(chunks, outputs):
+        for out, part in zip(results, chunk):
+            out[trials.start:trials.stop] = part
+
+
+def _send(up, outputs) -> bool:
+    """Sends a worker's ``outputs``, one per chunk, up as one message: (the
+    outputs until one raised, the exception or None). Returns whether
+    none raised."""
+    done, error = [], None
+    try:
+        for output in outputs:
+            done.append(output)
+    except Exception as exc:
+        error = exc
+    pickle.dump((done, error), up)
+    up.flush()
+    return error is None
+
+
+def _serve(config: ScenarioConfig, sampler, chunks, up, down) -> None:
+    """A forked worker's part of a run: it places its chunks, keeps the
+    placements and sends their per-trial gains up; it reads the noise
+    variance and error grid from down, runs the chunks on the kept
+    placements and sends their results up."""
+    placements = []
+
+    def gains(trials):
+        placement, chunk_gains = _chunk_gains(config, trials, sampler)
+        placements.append(placement)
+        return chunk_gains
+
+    if _send(up, (gains(trials) for trials in chunks)):
+        noise_var, sigma_grid = pickle.load(down)
+        _send(up, (run_chunk(config, trials, noise_var, sigma_grid or (None,), sampler,
+                             placement=placement) for trials, placement in zip(chunks, placements)))
+
+
+def _fork(config: ScenarioConfig, sampler, chunks, workers: list) -> tuple:
+    """A forked worker serving ``chunks``: its pid and the parent's ends
+    of its pipes, up (a reader) and down (a descriptor). ``workers``
+    lists the siblings forked before it, whose parent ends it closes, so
+    that each worker sees its down pipe end when the parent dies."""
+    up_r, up_w = os.pipe()
+    down_r, down_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            for _, up, down in workers:
+                up.close()
+                os.close(down)
+            os.close(up_r)
+            os.close(down_w)
+            with open(up_w, "wb") as up, open(down_r, "rb") as down:
+                _serve(config, sampler, chunks, up, down)
+            status = 0
+        finally:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    os.close(up_w)
+    os.close(down_r)
+    return pid, open(up_r, "rb"), down_w
+
+
+def _gather(workers: list, running: set):
+    """Yields each worker's outputs of one phase in worker order; then
+    raises the exception of the earliest failed chunk, as a run at
+    ``workers=1`` would. A worker that ended without a message is reaped
+    and reported by its exit status at once."""
+    first = None
+    for i, (pid, up, _) in enumerate(workers):
+        try:
+            done, error = pickle.load(up)
+        except (EOFError, pickle.UnpicklingError):
+            import signal  # only a failed run loads it
+
+            running.discard(pid)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            status = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"worker {i} (pid {pid}) ended without a result: {status}") from None
+        chunk = i + len(done) * len(workers)
+        if error is not None and (first is None or chunk < first[0]):
+            first = chunk, error
+        yield done
+    if first is not None:
+        raise first[1]
+
+
+def _run_forked(config: ScenarioConfig, sampler) -> tuple[float, tuple]:
+    """Runs the chunks on ``min(workers, chunks)`` forked workers, worker
+    i serving chunks i, i + W, ...; returns the mean user gain and the
+    results (:func:`_empty_results`).
+
+    The fork is explicit: a ``multiprocessing`` pool forks only by
+    default, and from Python 3.14 on Linux would start ``forkserver``
+    workers and pickle the sampler to each. A worker inherits the config
+    and the sampler, keeps its placements (:func:`_serve`) and exchanges
+    one pickled message each way per phase. On any failure the parent
+    kills and reaps every worker."""
+    chunks = _chunks(config)
+    n = min(config.workers, len(chunks))
+    workers, running = [], set()
+    sys.stdout.flush()  # else each worker would write the buffered text again
+    sys.stderr.flush()
+    try:
+        for i in range(n):
+            workers.append(_fork(config, sampler, chunks[i::n], workers))
+            running.add(workers[-1][0])
+        gains = list(_gather(workers, running))
+        mean_user_gain = _mean_gain(config, (gains[c % n][c // n] for c in range(len(chunks))))
+        levels = pickle.dumps(_levels(config, mean_user_gain))
+        for _, _, down in workers:
+            try:
+                os.write(down, levels)
+            except BrokenPipeError:
+                pass  # the worker is gone; reading its results reports how
+        results = _empty_results(config)
+        for i, done in enumerate(_gather(workers, running)):
+            _store(results, chunks[i::n], done)
+    except BaseException:
+        import signal  # only a failed run loads it
+
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, up, down in workers:
+            up.close()
+            os.close(down)
+    return mean_user_gain, results
 
 
 def _decimate_cdf(values: np.ndarray, probs: np.ndarray, max_points: int = CDF_MAX_POINTS):
@@ -574,50 +723,31 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
 
     The noise variance is fixed once per configuration: the configured
     floor (dB) relative to the mean MRT received power over the same
-    trial channels. Trials run in chunks (:func:`run_chunk`), with
-    ``workers`` > 1 on a process pool that also draws the noise
-    pre-pass. The pre-pass places every trial once and hands each chunk
-    its placement; each worker is sent the sampler once, and each task
-    only its trials and placement. Results are bit-identical for a given
-    seed regardless of ``workers`` and chunking.
+    trial channels. Trials run in chunks (:func:`run_chunk`), in process,
+    or with ``workers`` > 1 on forked workers (:func:`_run_forked`) that
+    also draw the noise pre-pass. The pre-pass places every trial once
+    and each chunk runs on its placement. Results are bit-identical for a
+    given seed regardless of ``workers`` and chunking.
     """
     validate_config(config)
     sampler = _make_sampler(config)
-    pool = None
     if config.workers > 1:
-        # only a pooled run loads multiprocessing and its imports (~1.5 MB resident)
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(config.workers, initializer=_init_pool_worker,
-                                   initargs=(config, sampler))
-    with pool or nullcontext():
-        mean_user_gain, placements = _noise_prepass(config, sampler, pool)
-        noise_var = noise_variance_from_floor(config.noise_floor_db, mean_user_gain)
-        mean_entry_gain = mean_user_gain / config.geometry.num_antennas
-        if config.nmse_grid is None:
-            sigma_points: tuple[float | None, ...] = (None,)
-            sigma_grid = None
-        else:
-            scale = mean_entry_gain if config.nmse_relative else 1.0
-            sigma_grid = tuple(float(v) * scale for v in config.nmse_grid)
-            sigma_points = sigma_grid
-        run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_points)
-        # one copy of the results: a chunk is dropped once copied in
-        shape = (config.trials, len(sigma_points), len(config.precoders))
-        sinr_db, failures = np.empty(shape + (config.k_users,)), np.empty(shape, dtype=object)
-        nmse = np.empty(shape[:2])
-        chunks = _each_chunk(run, config, sampler, pool, placements)
-        for trials, chunk in zip(_chunks(config), chunks):
-            for out, part in zip((sinr_db, failures, nmse), chunk):
-                out[trials.start:trials.stop] = part
-
+        mean_user_gain, results = _run_forked(config, sampler)
+    else:
+        mean_user_gain, placements = _noise_prepass(config, sampler)
+        noise_var, sigma_grid = _levels(config, mean_user_gain)
+        run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_grid or (None,))
+        results = _empty_results(config)
+        _store(results, _chunks(config), _each_chunk(run, config, sampler, placements))
+    sinr_db, failures, nmse = results
+    noise_var, sigma_grid = _levels(config, mean_user_gain)
     return ScenarioSummary(
         config=config,
         noise_var=noise_var,
         mean_user_gain=mean_user_gain,
-        mean_entry_gain=mean_entry_gain,
+        mean_entry_gain=mean_user_gain / config.geometry.num_antennas,
         sigma_grid=sigma_grid,
-        stats=_aggregate(config, sinr_db, failures, nmse, sigma_points),
+        stats=_aggregate(config, sinr_db, failures, nmse, sigma_grid or (None,)),
         sinr_db=sinr_db,
         failures=failures,
         nmse=nmse,

@@ -62,6 +62,17 @@ def test_configs_rows_record_each_process_peak_rss(bench_record, monkeypatch):
         assert 10 < row["peak_rss_mb"][side]["median"] < 500
 
 
+def test_pool_row_parts_the_peak_by_process(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record, "POOL_REPS", 1)
+    row = bench_record.pool(ROOT, nproc=2, seed=3)
+    assert row["workload"] == "cluster_k10_pool" and row["workers"] == 2 and row["payload_identical"]
+    for key in ("parent_rss_mb", "worker_rss_mb"):
+        # the simulate process and a worker forked from it, with numpy
+        # loaded: tens of MB each
+        assert set(row[key]) == {"parent", "change", "verdict"}
+        assert all(10 < row[key][side]["median"] < 500 for side in ("parent", "change"))
+
+
 def test_cli_run_measures_the_command_alone(bench_record, tmp_path):
     # ru_maxrss of a process spawned from this one is at least this one's
     # peak, which the ballast puts above 80 MB

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dmimo import PhaseOffsetTable, read_dataset, run_scenario, write_dataset
-from dmimo import cli
+from dmimo import cli, scenarios
 from dmimo.calibration import wrap_phase
 from dmimo.cli import main
 from dmimo.configio import config_document, parse_simulate_config
@@ -310,6 +310,47 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("failure", ["placement", "one-worker"])
+    def test_worker_failure_exits_as_serial(self, tmp_path, capsys, monkeypatch, failure):
+        # a failure in a forked worker reaches the CLI as at one worker:
+        # the same exit code and message, and no child is left
+        if failure == "placement":  # a 2x2 grid cannot hold 5 distinct users
+            gen = write(tmp_path / "gen.yaml", GENERATE_CFG.replace("nx: 6\n  ny: 6", "nx: 2\n  ny: 2"))
+            assert main(["generate", "--config", gen, "--out", str(tmp_path / "ds")]) == 0
+            text = _in_geometry(SIMULATE_CFG, "n_aps: 2\n  antennas_per_ap: 4")
+            text = text.replace("users: 3", "users: 5")
+            text += f"channel:\n  source: dataset\n  path: {tmp_path / 'ds'}\n"
+        else:  # trial 2 runs in the first of two workers
+            run_chunk = scenarios.run_chunk
+
+            def failing(config, trials, *args, **kwargs):
+                if 2 in trials:
+                    raise np.linalg.LinAlgError("Singular matrix in trial 2")
+                return run_chunk(config, trials, *args, **kwargs)
+
+            monkeypatch.setattr(scenarios, "run_chunk", failing)
+            text = SIMULATE_CFG
+        cfg = write(tmp_path / "sim.yaml", text)
+        capsys.readouterr()
+        outcomes = []
+        for workers in ("1", "2"):
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / workers), "--workers", workers]
+            outcomes.append((main(argv), capsys.readouterr().err))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3 and "numerical failure" in outcomes[0][1]
+
+    def test_text_printed_before_a_forked_run_appears_once(self, tmp_path):
+        # on a block-buffered stdout (as to a pipe, unless
+        # PYTHONUNBUFFERED is set), a worker forked with the line still in
+        # the buffer would write it again
+        cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)
+        script = ("import sys; from dmimo.cli import main; sys.stdout = open(1, 'w', closefd=False); "
+                  "print('before the run'); main(sys.argv[1:]); sys.stdout.flush()")
+        out = _python("-c", script, "simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                      "--workers", "2")
+        assert out.count("before the run") == 1 and out.count("wrote ") == 1
 
     @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
     def test_summary_reruns_as_config(self, tmp_path, dataset):
@@ -377,8 +418,17 @@ class TestImports:
 
     def test_import_leaves_process_pool_unloaded(self):
         # multiprocessing brings socket, subprocess, pickle and threading
-        # (~1.5 MB resident); only a run with workers > 1 makes a pool
+        # (~1.5 MB resident); no dmimo command needs it
         assert _python("-c", "import dmimo; " + self.POOL_MODULES).strip() == "[]"
+
+    def test_forked_simulate_leaves_process_pool_unloaded(self, tmp_path):
+        # a run at workers > 1 forks its workers itself, and its parent
+        # only coordinates: it places no user, so loads no numpy.random
+        cfg = write(tmp_path / "sim.yaml", SIMULATE_CFG)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"]
+        script = (f"from dmimo.cli import main; assert main({argv!r}) == 0; "
+                  f"{self.POOL_MODULES}; print('numpy.random' in sys.modules)")
+        assert _python("-c", script).splitlines()[-2:] == ["[]", "False"]
 
     def test_unpooled_commands_leave_process_pool_unloaded(self, tmp_path):
         # generate, calibrate and a workers=1 simulate on the calibrated

@@ -186,7 +186,7 @@ def test_dataset_sampler_keeps_one_tx_per_cell(dataset_dir, dataset):
         dataset_path=str(dataset_dir),
     )
     sampler = scenarios._make_sampler(cfg)
-    # all it holds, and all a pool worker receives: (cells, M) CSI, 1/T
+    # all it holds, and all a forked worker inherits: (cells, M) CSI, 1/T
     # of the grid here, and the cell positions
     assert len(pickle.dumps(sampler)) <= 0.3 * grid.csi.nbytes
 

@@ -1,9 +1,10 @@
 import collections
-import concurrent.futures
 import dataclasses
-import functools
+import io
+import itertools
 import os
 import pickle
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from dmimo import (
 from dmimo import geometry, precoders, scenarios
 from dmimo.cli import main as cli_main
 from dmimo.cli import summary_document
-from dmimo.errors import ConfigError, RankDeficiencyError
+from dmimo.errors import ConfigError, GeometryError, PlacementError, RankDeficiencyError
 from dmimo.scenarios import draw_channels, validate_config
 
 
@@ -627,15 +628,26 @@ class TestDatasetMode:
             return read(path)
 
         monkeypatch.setattr(scenarios, "read_dataset", counting_read)
-        sent = []
+        sent, count = tmp_path / "sent", itertools.count()
+        sent.mkdir()
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                sent.append(pickle.dumps((fn, args, kwargs)))
-                return super().submit(fn, *args, **kwargs)
+        class RecordingPickle:
+            """pickle, keeping each message in a file of its own, since
+            the workers' messages are pickled in the workers."""
 
-        # run_scenario imports the pool class when it makes a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+            load, UnpicklingError = pickle.load, pickle.UnpicklingError
+
+            @staticmethod
+            def dumps(obj):
+                data = pickle.dumps(obj)
+                (sent / f"{os.getpid()}-{next(count)}").write_bytes(data)
+                return data
+
+            @staticmethod
+            def dump(obj, file):
+                file.write(RecordingPickle.dumps(obj))
+
+        monkeypatch.setattr(scenarios, "pickle", RecordingPickle)
         cfg = make_config(
             k_users=3,
             trials=6,
@@ -647,8 +659,19 @@ class TestDatasetMode:
         log.unlink()
         parallel = run_scenario(dataclasses.replace(cfg, workers=2))
         assert log.read_text() == f"{os.getpid()}\n"
-        # the sampler goes to each worker once, not with every task
-        assert sent and not any(b"Sampler" in task for task in sent)
+        # two messages from each worker and one to both; the workers
+        # inherit the sampler and the config, and keep their placements
+        messages = [path.read_bytes() for path in sent.iterdir()]
+        assert len(messages) == 5
+        assert not any(b"Sampler" in m or b"ScenarioConfig" in m for m in messages)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            return [a for item in obj for a in arrays(item)] if isinstance(obj, (list, tuple)) else []
+
+        # a dataset placement is an integer array of cells
+        assert all(a.dtype.kind in "fO" for m in messages for a in arrays(pickle.loads(m)))
         assert (
             summary_document(parallel)["precoders"]
             == summary_document(serial)["precoders"]
@@ -657,26 +680,30 @@ class TestDatasetMode:
         np.testing.assert_array_equal(parallel.sinr_db, serial.sinr_db)
         np.testing.assert_array_equal(parallel.failures, serial.failures)
 
-    def test_chunk_task_keeps_given_sampler(self, dataset_dir, monkeypatch):
-        # the pool initializer gives a worker the run's sampler once; a
-        # pickled chunk task carries its trials and the noise level only,
-        # and runs on that sampler without re-reading the dataset
-        cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir))
+    def test_worker_chunks_equal_their_trials(self, dataset_dir, monkeypatch):
+        # a worker runs its chunks on the sampler it inherited, without
+        # re-reading the dataset, and on the placements it made itself;
+        # each trial's gains and results equal those of its own run
+        cfg = make_config(channel_source="dataset", dataset_path=str(dataset_dir), trials=7,
+                          workers=2, nmse_grid=(1e-4, 1e-3))
         sampler = scenarios._make_sampler(cfg)
 
         def no_read(path):
             raise AssertionError("worker re-read the dataset")
 
         monkeypatch.setattr(scenarios, "read_dataset", no_read)
-        monkeypatch.setattr(scenarios, "_worker_run", ())
-        scenarios._init_pool_worker(cfg, sampler)
-        run = functools.partial(scenarios.run_chunk, noise_var=1e-3, sigma_points=(None,))
-        payload = pickle.dumps(functools.partial(scenarios._pool_task, run))
-        assert b"Sampler" not in payload and b"ScenarioConfig" not in payload
-        chunk = pickle.loads(payload)(range(1, 4))
-        for b, t in enumerate(range(1, 4)):
-            for a, e in zip(chunk, run_trial(cfg, t, 1e-3, (None,), sampler), strict=True):
-                np.testing.assert_array_equal(a[b], e)
+        chunks = scenarios._chunks(cfg)[1::2]
+        up, down = io.BytesIO(), io.BytesIO(pickle.dumps((1e-3, cfg.nmse_grid)))
+        scenarios._serve(cfg, sampler, chunks, up, down)
+        up.seek(0)
+        (gains, gain_error), (results, run_error) = pickle.load(up), pickle.load(up)
+        assert gain_error is None and run_error is None and up.read() == b""
+        assert len(gains) == len(results) == len(chunks) > 1
+        for trials, chunk_gains, chunk in zip(chunks, gains, results):
+            assert chunk_gains == scenarios._chunk_gains(cfg, trials, sampler)[1]
+            for b, t in enumerate(trials):
+                for a, e in zip(chunk, run_trial(cfg, t, 1e-3, cfg.nmse_grid, sampler), strict=True):
+                    np.testing.assert_array_equal(a[b], e)
 
     def test_geometry_mismatch_rejected(self, dataset_dir):
         cfg = make_config(
@@ -921,3 +948,90 @@ class TestChunks:
             (p,), (one,) = draw_channels(cfg, [t])
             np.testing.assert_array_equal(positions[t], p)
             np.testing.assert_array_equal(h[t], one)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test whose run hangs instead of raising."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the run hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedWorkers:
+    """A run at workers > 1 forks its workers; whatever happens in them,
+    the caller sees what a run at one worker shows, and no child is left."""
+
+    CFG = dict(trials=7, k_users=3, workers=3)  # chunks of one trial each
+
+    def test_success_leaves_no_child(self, deadline):
+        cfg = make_config(**self.CFG)
+        assert len(scenarios._chunks(cfg)) == 7
+        np.testing.assert_array_equal(run_scenario(cfg).sinr_db,
+                                      run_scenario(dataclasses.replace(cfg, workers=1)).sinr_db)
+        assert_no_child_left()
+
+    def test_placement_error_as_serial(self, tmp_path, deadline):
+        # four cells cannot hold five distinct users: every trial fails
+        geometry = perimeter_geometry()
+        spec = GridSpec(nx=2, ny=2, x_min=1.25, x_max=4.75, y_min=1.25, y_max=4.75)
+        grid, manifest, _ = generate_synthetic_dataset(
+            geometry, spec, LosChannelParams(wavelength=geometry.wavelength), tx_count=1)
+        write_dataset(grid, manifest, tmp_path / "ds")
+        cfg = make_config(**dict(self.CFG, k_users=5), channel_source="dataset",
+                          dataset_path=str(tmp_path / "ds"))
+        errors = []
+        for workers in (1, 3):
+            with pytest.raises(PlacementError) as info:
+                run_scenario(dataclasses.replace(cfg, workers=workers))
+            errors.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+        assert errors[0] == errors[1] and "(trial 0)" in errors[0][1]
+
+    @pytest.mark.parametrize("stage", ["_place_chunk", "run_chunk"], ids=["prepass", "trials"])
+    @pytest.mark.parametrize("first", [0, 2, 3, 6], ids=lambda t: f"from-trial-{t}")
+    def test_earliest_chunk_error_as_serial(self, stage, first, monkeypatch, deadline):
+        # every trial from ``first`` on fails, in one worker or in several,
+        # while placing or while running; the run raises the failure of
+        # the earliest chunk. From trial 6 only the first worker fails,
+        # and its siblings wait for the noise variance until killed.
+        task = getattr(scenarios, stage)
+
+        def failing(config, trials, *args, **kwargs):
+            if trials.stop > first:
+                raise GeometryError(f"no geometry for trial {max(first, trials.start)}")
+            return task(config, trials, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, stage, failing)
+        cfg = make_config(**self.CFG)
+        for workers in (1, 3):
+            with pytest.raises(GeometryError, match=f"^no geometry for trial {first}$"):
+                run_scenario(dataclasses.replace(cfg, workers=workers))
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("worker", [0, 2], ids=["first", "last"])
+    def test_killed_worker_raises(self, worker, monkeypatch, deadline):
+        parent, run_chunk = os.getpid(), scenarios.run_chunk
+
+        def killed(config, trials, *args, **kwargs):
+            assert os.getpid() != parent, "a forked run ran a chunk in the parent"
+            if trials.start == worker:  # the worker's first chunk
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_chunk(config, trials, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_chunk", killed)
+        message = f"^worker {worker} \\(pid \\d+\\) ended without a result: killed by SIGKILL$"
+        with pytest.raises(RuntimeError, match=message):
+            run_scenario(make_config(**self.CFG))
+        assert_no_child_left()
