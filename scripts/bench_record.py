@@ -70,8 +70,9 @@ config over that config's error grid (perfect CSI when it has none),
 alternating parent and change: ``REPS`` repetitions of the config's
 first ``TRIALS`` trials, run as a simulate run of them runs: one
 ``scenarios.run_chunk`` call per chunk of ``scenarios._chunks``, each
-given its placement from the noise pre-pass (``scenarios._noise_prepass``,
-which also gives the noise variance). Each side runs on its own parsed
+given its placement from the noise pre-pass (``scenarios._chunk_gains``
+per chunk, whose gains ``scenarios._mean_gain`` adds into the mean gain
+that sets the noise variance). Each side runs on its own parsed
 config, sampler, noise variance and placements, and is summarized by
 median and quartiles of ms per trial. A one-spec copy builds nothing
 but its spec, so the table cannot show a saving shared across a
@@ -416,7 +417,8 @@ def placement(parent: Path, seed: int) -> list[dict]:
                     t0 = time.perf_counter()
                     placed[side] = scenarios._place_chunk(cfg, range(TRIALS), sampler)
                     t1 = time.perf_counter()
-                    ues = sampler.positions(placed[side]).reshape(-1, 3)
+                    ues = scenarios.draw_channels(cfg, range(TRIALS), sampler,
+                                                  placed[side])[0].reshape(-1, 3)
                     t2 = time.perf_counter()
                     geometry.distance_phasors(cfg.geometry.antenna_positions, ues,
                                               cfg.geometry.wavelength)
@@ -450,14 +452,15 @@ def trial_setup(mod, path: Path) -> tuple:
     configio, scenarios = (importlib.import_module(f"{mod}.{m}") for m in ("configio", "scenarios"))
     cfg = configio.override(configio.parse_simulate_config(path), trials=TRIALS)
     sampler = scenarios._make_sampler(cfg)
-    gain, placements = scenarios._noise_prepass(cfg, sampler)
+    chunks = scenarios._chunks(cfg)
+    placements, gains = zip(*(scenarios._chunk_gains(cfg, trials, sampler) for trials in chunks))
+    gain = scenarios._mean_gain(cfg, gains)
     noise_var = scenarios.noise_variance_from_floor(cfg.noise_floor_db, gain)
     sigma_points = (None,)
     if cfg.nmse_grid is not None:  # as run_scenario scales it
         scale = gain / cfg.geometry.num_antennas if cfg.nmse_relative else 1.0
         sigma_points = tuple(float(v) * scale for v in cfg.nmse_grid)
-    chunks = list(zip(scenarios._chunks(cfg), placements))
-    return scenarios, cfg, sampler, noise_var, sigma_points, chunks
+    return scenarios, cfg, sampler, noise_var, sigma_points, list(zip(chunks, placements))
 
 
 def pertrial(parent: Path) -> list[dict]:

@@ -96,21 +96,23 @@ def phase_align(v: np.ndarray) -> np.ndarray:
 
 
 def far_field_weights(
-    geometry: ArrayGeometry, theta: float, reference_antenna: int = 0
+    geometry: ArrayGeometry, theta: float | np.ndarray, reference_antenna: int = 0
 ) -> np.ndarray:
     """Delay-and-sum steering weights for angle ``theta`` off broadside.
 
     Element i is exp(-j*2*pi*d_i*sin(theta)/lambda) with d_i the distance
     from antenna i to the reference antenna, normalized to a unit vector.
     Meaningful for (near-)collinear antennas; |theta| must be <= pi/2
-    (pi/2 is endfire).
+    (pi/2 is endfire). Angles of shape (...) give one vector each, (..., M).
     """
-    if not abs(theta) <= np.pi / 2:
-        raise ValueError(f"|theta| must be <= pi/2, got {theta}")
+    theta = np.asarray(theta, dtype=float)
+    outside = ~(np.abs(theta) <= np.pi / 2)
+    if outside.any():
+        raise ValueError(f"|theta| must be <= pi/2, got {theta[outside][0]}")
     ref = geometry.antenna_positions[reference_antenna]
     d = np.linalg.norm(geometry.antenna_positions - ref, axis=1)
-    w = np.exp(-2j * np.pi * d * np.sin(theta) / geometry.wavelength)
-    return w / np.linalg.norm(w)
+    w = np.exp(-2j * np.pi * d * np.sin(theta)[..., None] / geometry.wavelength)
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 def near_field_weights(
@@ -239,6 +241,8 @@ def steering_angle(
     the LoS channel coherently in the far field. The reference antenna is
     the end of the array; theta is measured from broadside with the sign
     matching the exp(-j*2*pi*d*sin(theta)/lambda) weight convention.
+    UE positions of shape (..., 3) give their angles, (...), from one fit
+    of the array axis; the reference antenna depends on the antennas alone.
     """
     if antenna_subset is None:
         subset = np.arange(geometry.num_antennas)
@@ -248,14 +252,15 @@ def steering_angle(
     axis = _array_axis(positions)
     proj = (positions - positions.mean(axis=0)) @ axis
     ref_local = int(np.argmin(proj))
-    to_ue = np.asarray(ue_position, dtype=float).reshape(3) - positions[ref_local]
-    dist = np.linalg.norm(to_ue)
-    if dist == 0:
+    to_ue = np.asarray(ue_position, dtype=float) - positions[ref_local]
+    dist = np.linalg.norm(to_ue, axis=-1)
+    if (dist == 0).any():
         raise GeometryError("UE position coincides with the reference antenna")
-    sin_geom = float(np.clip(axis @ to_ue / dist, -1.0, 1.0))
-    if abs(sin_geom) == 1.0:
+    sin_geom = np.clip(to_ue @ axis / dist, -1.0, 1.0)
+    if (np.abs(sin_geom) == 1.0).any():
         raise GeometryError("UE lies on the array axis; steering angle undefined")
-    return -float(np.arcsin(sin_geom)), int(subset[ref_local])
+    theta = -np.arcsin(sin_geom)
+    return (float(theta) if theta.ndim == 0 else theta), int(subset[ref_local])
 
 
 class InfoRequirements(NamedTuple):
@@ -845,10 +850,11 @@ def _build(spec, env, alpha, stack) -> tuple[np.ndarray, np.ndarray]:
     else:
         w = np.zeros((batch, 1, geo.num_antennas, k), dtype=complex)
         points = env.ue_positions.reshape(batch, k, 3)
-        for (b, p), u in np.ndenumerate(pu):
-            idx = ant[u, : sizes[u]]
+        for u, idx in enumerate(ant):  # one axis fit per unit, for all its pairs
+            b, p = np.nonzero(pu == u)
+            idx = idx[: sizes[u]]
             theta, ref = steering_angle(geo, points[b, pk[p]], idx)
-            w[b, 0, idx, pk[p]] = far_field_weights(geo, theta, ref)[idx]
+            w[b[:, None], 0, idx, pk[p, None]] = far_field_weights(geo, theta, ref)[:, idx]
     if stack is not None and w.shape[1] < stack.shape[1]:  # a location base under CSI suppression
         w = np.repeat(w, stack.shape[1], axis=1)
     total = _norms(w, -2)

@@ -9,17 +9,17 @@ each AP pair serves the users with the best average channel gain and
 suppresses inter-cluster interference from location information.
 
 Trials run in chunks (:func:`run_chunk`): one channel draw, information
-environment, build per precoder and SINR call for B trials. With
-``workers`` > 1 the chunks are dealt to that many children forked once
-the channel sampler exists, each talking to the parent over two pipes
-(:func:`_run_forked`). The noise pre-pass places every trial once and
-keeps each chunk's placement for its trials: the UE positions, or in
-dataset mode their cells, which give both positions and CSI. A chunk
-synthesizes its channels from it, with synthetic channels and the
-near-field matrix from one distance pass, and its information
-environment derives each scope's assembly units (and in dataset mode
-the near-field matrix) from the positions once, read-only arrays that
-every precoder of the chunk shares.
+environment, build per precoder and SINR call for B trials. A run deals
+its chunks to shares (:class:`_Share`): one share of every chunk served
+in process at ``workers=1``, else one per child forked once the channel
+sampler exists, each talking to the parent over two pipes
+(:func:`_run_forked`). A share places each chunk once, for the noise
+pre-pass, and keeps the placement: the UE positions, or in dataset mode
+their cells. The sampler's ``draw`` of a placement gives the positions,
+the channels and, for synthetic channels, the near-field matrix from the
+same distance pass; a chunk's information environment derives each
+scope's assembly units (and in dataset mode the near-field matrix) once,
+read-only arrays that every precoder of the chunk shares.
 
 Determinism: every random draw derives from
 ``numpy.random.default_rng([rng_seed, trial_index, stream])`` with
@@ -35,7 +35,6 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .geometry import (
     LosChannelParams,
     _draw_ues,
     distance_phasors,
-    los_channel,
     pairwise_distances,
 )
 from .metrics import (
@@ -275,8 +273,8 @@ class _SyntheticSampler:
     """Draws exact LoS channels from the scenario geometry.
 
     A sampler turns a trial's placed UEs into a placement (:meth:`snap`),
-    from which it reads the UE positions and the channels; here the
-    placement is the positions themselves.
+    from which it draws the UE positions and the channels (:meth:`draw`);
+    here the placement is the positions themselves.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -286,23 +284,17 @@ class _SyntheticSampler:
     def snap(self, positions: np.ndarray) -> np.ndarray:
         return positions
 
-    def positions(self, placement: np.ndarray) -> np.ndarray:
-        return placement
-
-    def channels(self, positions: np.ndarray) -> np.ndarray:
-        """(B, M, K) channels at (B, K, 3) positions, in one synthesis."""
-        h = los_channel(self.geometry, positions.reshape(-1, 3), self.params)
-        return np.ascontiguousarray(_trials_first(h, positions))
-
-    def channels_and_near_field(self, positions: np.ndarray) -> tuple:
-        """:meth:`channels` and the (B, M, K) near-field phasors
-        (:attr:`InfoEnvironment.near_field`) at the positions, bit for bit,
-        from one distance pass."""
+    def draw(self, positions: np.ndarray) -> tuple:
+        """The (B, K, 3) positions, the (B, M, K) LoS channels toward them
+        and their (B, M, K) near-field phasors
+        (:attr:`InfoEnvironment.near_field`), bit for bit, from one
+        distance pass."""
         d, phasors = distance_phasors(
             self.geometry.antenna_positions, positions.reshape(-1, 3), self.params.wavelength
         )
         h = self.params.amplitude(d) * phasors
-        return np.ascontiguousarray(_trials_first(h, positions)), _trials_first(phasors, positions)
+        return (positions, np.ascontiguousarray(_trials_first(h, positions)),
+                _trials_first(phasors, positions))
 
 
 class _DatasetSampler:
@@ -345,18 +337,12 @@ class _DatasetSampler:
         ordered = np.sort(idx)
         return None if (ordered[1:] == ordered[:-1]).any() else idx
 
-    def positions(self, cells: np.ndarray) -> np.ndarray:
-        """(B, K, 3) positions of (B, K) cells."""
-        return self.cell_positions[cells]
-
-    def channels(self, cells: np.ndarray) -> np.ndarray:
-        """(B, M, K) CSI at (B, K) cells."""
-        return np.ascontiguousarray(self.cell_csi[cells].transpose(0, 2, 1))
-
-    def channels_and_near_field(self, cells: np.ndarray) -> tuple:
-        """:meth:`channels` and None: the information environment derives
-        the near field from the cells' positions when a spec reads it."""
-        return self.channels(cells), None
+    def draw(self, cells: np.ndarray) -> tuple:
+        """The (B, K, 3) positions of (B, K) cells, their (B, M, K) CSI and
+        None: the information environment derives the near field from the
+        positions when a spec reads it."""
+        csi = np.ascontiguousarray(self.cell_csi[cells].transpose(0, 2, 1))
+        return self.cell_positions[cells], csi, None
 
 
 def _make_sampler(config: ScenarioConfig):
@@ -389,11 +375,11 @@ def draw_channels(
     """UE positions and true channels of the trials ``trials``, (B, K, 3)
     and (B, M, K): each trial placed from its own stream, or read from
     ``placement``, their stacked placement as the noise pre-pass made it,
-    and all channels drawn in one call."""
+    and all channels drawn in one call (``sampler.draw``)."""
     sampler = sampler or _make_sampler(config)
     if placement is None:
         placement = _place_chunk(config, trials, sampler)
-    return sampler.positions(placement), sampler.channels(placement)
+    return sampler.draw(placement)[:2]
 
 
 def _chunk_environment(config: ScenarioConfig, h_true, positions, phasors=None) -> InfoEnvironment:
@@ -443,8 +429,7 @@ def run_chunk(
     sampler = sampler or _make_sampler(config)
     if placement is None:
         placement = _place_chunk(config, trials, sampler)
-    positions = sampler.positions(placement)
-    h_true, phasors = sampler.channels_and_near_field(placement)
+    positions, h_true, phasors = sampler.draw(placement)
     shape = (len(trials), len(sigma_points), len(config.precoders))
     sinr_db = np.full(shape + (config.k_users,), np.nan)
     failures = np.full(shape, None, dtype=object)
@@ -480,19 +465,11 @@ def _chunks(config: ScenarioConfig) -> list[range]:
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
-def _each_chunk(task, config: ScenarioConfig, sampler, placements=None):
-    """``task(config, trials, sampler=sampler)`` for each chunk in order,
-    given ``placement=`` its entry of ``placements`` if any."""
-    chunks = _chunks(config)
-    keywords = [{}] * len(chunks) if placements is None else [{"placement": p} for p in placements]
-    return (task(config, c, sampler=sampler, **kw) for c, kw in zip(chunks, keywords))
-
-
 def _chunk_gains(config: ScenarioConfig, trials, sampler) -> tuple[np.ndarray, list[float]]:
     """The trials' stacked placement and the sum of |h|^2 over each
     trial's channel matrix."""
     placement = _place_chunk(config, trials, sampler)
-    h = sampler.channels(placement)
+    h = sampler.draw(placement)[1]
     return placement, np.add.reduce(np.abs(h.reshape(len(h), -1)) ** 2, axis=1).tolist()
 
 
@@ -504,14 +481,6 @@ def _mean_gain(config: ScenarioConfig, chunk_gains) -> float:
         for gain in gains:
             total += gain
     return total / (config.trials * config.k_users)
-
-
-def _noise_prepass(config: ScenarioConfig, sampler) -> tuple[float, list[np.ndarray]]:
-    """Mean ||h_k||^2 over all users and trials (the noise-floor reference),
-    drawn chunk by chunk and summed in trial order, and each chunk's
-    placement. A forked run makes the same sum from its workers' gains."""
-    placements, gains = zip(*_each_chunk(_chunk_gains, config, sampler))
-    return _mean_gain(config, gains), list(placements)
 
 
 def _levels(config: ScenarioConfig, mean_user_gain: float) -> tuple[float, tuple | None]:
@@ -555,22 +524,38 @@ def _send(up, outputs) -> bool:
     return error is None
 
 
+class _Share:
+    """A worker's share of a run: its ``chunks``, run on the sampler in
+    the phases of a run. :meth:`gains` places each chunk for the noise
+    pre-pass and keeps the placement; :meth:`results` runs the chunks on
+    those placements. A run at ``workers=1`` is one share of every chunk,
+    served in process; each forked worker serves one (:func:`_serve`)."""
+
+    def __init__(self, config: ScenarioConfig, sampler, chunks):
+        self.config, self.sampler, self.chunks, self.placements = config, sampler, chunks, []
+
+    def gains(self):
+        """Each chunk's per-trial gains (:func:`_chunk_gains`), in order."""
+        for trials in self.chunks:
+            placement, gains = _chunk_gains(self.config, trials, self.sampler)
+            self.placements.append(placement)
+            yield gains
+
+    def results(self, levels: tuple):
+        """Each chunk's :func:`run_chunk` outputs under ``levels``, the
+        noise variance and error grid (:func:`_levels`), in order."""
+        noise_var, sigma_grid = levels
+        for trials, placement in zip(self.chunks, self.placements):
+            yield run_chunk(self.config, trials, noise_var, sigma_grid or (None,),
+                            self.sampler, placement=placement)
+
+
 def _serve(config: ScenarioConfig, sampler, chunks, up, down) -> None:
-    """A forked worker's part of a run: it places its chunks, keeps the
-    placements and sends their per-trial gains up; it reads the noise
-    variance and error grid from down, runs the chunks on the kept
-    placements and sends their results up."""
-    placements = []
-
-    def gains(trials):
-        placement, chunk_gains = _chunk_gains(config, trials, sampler)
-        placements.append(placement)
-        return chunk_gains
-
-    if _send(up, (gains(trials) for trials in chunks)):
-        noise_var, sigma_grid = pickle.load(down)
-        _send(up, (run_chunk(config, trials, noise_var, sigma_grid or (None,), sampler,
-                             placement=placement) for trials, placement in zip(chunks, placements)))
+    """A forked worker's part of a run: it sends its share's gains up,
+    reads the levels from down and sends its share's results up."""
+    share = _Share(config, sampler, chunks)
+    if _send(up, share.gains()):
+        _send(up, share.results(pickle.load(down)))
 
 
 def _fork(config: ScenarioConfig, sampler, chunks, workers: list) -> tuple:
@@ -635,7 +620,7 @@ def _run_forked(config: ScenarioConfig, sampler) -> tuple[float, tuple]:
     The fork is explicit: a ``multiprocessing`` pool forks only by
     default, and from Python 3.14 on Linux would start ``forkserver``
     workers and pickle the sampler to each. A worker inherits the config
-    and the sampler, keeps its placements (:func:`_serve`) and exchanges
+    and the sampler, keeps its placements (:class:`_Share`) and exchanges
     one pickled message each way per phase. On any failure the parent
     kills and reaps every worker."""
     chunks = _chunks(config)
@@ -723,22 +708,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioSummary:
 
     The noise variance is fixed once per configuration: the configured
     floor (dB) relative to the mean MRT received power over the same
-    trial channels. Trials run in chunks (:func:`run_chunk`), in process,
-    or with ``workers`` > 1 on forked workers (:func:`_run_forked`) that
-    also draw the noise pre-pass. The pre-pass places every trial once
-    and each chunk runs on its placement. Results are bit-identical for a
-    given seed regardless of ``workers`` and chunking.
+    trial channels. Trials run in chunks (:func:`run_chunk`) served by
+    one share (:class:`_Share`) in process, or with ``workers`` > 1 by
+    one per forked worker (:func:`_run_forked`). A share places each
+    chunk once, for the noise pre-pass, and runs it on that placement.
+    Results are bit-identical for a given seed regardless of ``workers``
+    and chunking.
     """
     validate_config(config)
     sampler = _make_sampler(config)
     if config.workers > 1:
         mean_user_gain, results = _run_forked(config, sampler)
     else:
-        mean_user_gain, placements = _noise_prepass(config, sampler)
-        noise_var, sigma_grid = _levels(config, mean_user_gain)
-        run = partial(run_chunk, noise_var=noise_var, sigma_points=sigma_grid or (None,))
+        share = _Share(config, sampler, _chunks(config))
+        mean_user_gain = _mean_gain(config, share.gains())
         results = _empty_results(config)
-        _store(results, _chunks(config), _each_chunk(run, config, sampler, placements))
+        _store(results, share.chunks, share.results(_levels(config, mean_user_gain)))
     sinr_db, failures, nmse = results
     noise_var, sigma_grid = _levels(config, mean_user_gain)
     return ScenarioSummary(

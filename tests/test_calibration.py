@@ -288,7 +288,7 @@ class TestCalibrationOracle:
         config = calibrated.config
         sampler = scenarios._make_sampler(config)
         trials = range(config.trials)
-        positions = sampler.positions(scenarios._place_chunk(config, trials, sampler))
+        positions = scenarios.draw_channels(config, trials, sampler)[0]
         los = dataclasses.replace(config, channel_source="synthetic", dataset_path=None)
         sinr_db, failures, _ = scenarios.run_chunk(los, trials, calibrated.noise_var,
                                                    placement=positions)

@@ -326,11 +326,9 @@ class TestPlaceUesStream:
                 self.calls += 1
                 return None if self.calls <= rejected else positions
 
-            def positions(self, placement):
-                return placement
-
-            def channels(self, positions):
-                return np.zeros((len(positions), cfg.geometry.num_antennas, cfg.k_users))
+            def draw(self, positions):
+                h = np.zeros((len(positions), cfg.geometry.num_antennas, cfg.k_users))
+                return positions, h, None
 
         (positions,), _ = draw_channels(cfg, [4], Sampler())
         rng = np.random.default_rng([cfg.rng_seed, 4, _STREAM_PLACEMENT])

@@ -257,7 +257,9 @@ def test_chunk_releases_each_spec_w():
         nmse_relative=True,
     )
     sampler = scenarios._make_sampler(cfg)
-    gain, (placement,) = scenarios._noise_prepass(cfg, sampler)
+    share = scenarios._Share(cfg, sampler, scenarios._chunks(cfg))
+    gain = scenarios._mean_gain(cfg, share.gains())
+    (placement,) = share.placements
     sigmas = tuple(v * gain / cfg.geometry.num_antennas for v in cfg.nmse_grid)
     run = (cfg, range(32), noise_variance_from_floor(-20.0, gain), sigmas, sampler)
     (_, failures, _), peak = traced_peak(scenarios.run_chunk, *run, placement=placement)

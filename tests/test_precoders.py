@@ -16,6 +16,7 @@ from dmimo import (
     build_precoder,
     build_precoders,
     cluster_users,
+    default_roi,
     far_field_weights,
     inject_channel_error,
     los_channel,
@@ -90,6 +91,47 @@ class TestFarField:
         geo = perimeter_geometry()
         with pytest.raises(GeometryError):
             steering_angle(geo, [3.0, 3.0, 0.0])
+
+    def test_arrays_match_one_call_each(self):
+        # an array of positions gives each position's angle, and an array
+        # of angles each angle's weights, to rounding
+        geo, roi = perimeter_geometry(), default_roi()
+        ues = roi.lo + np.random.default_rng(0).random((2, 5, 3)) * (roi.hi - roi.lo)
+        idx = geo.ap_indices(3)
+        theta, ref = steering_angle(geo, ues, idx)
+        w = far_field_weights(geo, theta, ref)
+        assert theta.shape == (2, 5) and w.shape == (2, 5, geo.num_antennas)
+        for i in np.ndindex(theta.shape):
+            one_theta, one_ref = steering_angle(geo, ues[i], idx)
+            assert isinstance(one_theta, float) and one_ref == ref
+            assert abs(theta[i] - one_theta) <= 1e-15
+            assert np.abs(w[i] - far_field_weights(geo, one_theta, ref)).max() <= 1e-15
+
+    def test_array_errors_name_the_scalar_cases(self):
+        geo = ula(4)
+        ues = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # the second on the axis
+        with pytest.raises(GeometryError, match="on the array axis"):
+            steering_angle(geo, ues)
+        with pytest.raises(GeometryError, match="coincides with the reference antenna"):
+            steering_angle(geo, np.array([ues[0], geo.antenna_positions[0]]))
+        with pytest.raises(ValueError, match=r"got 1\.6$"):
+            far_field_weights(geo, np.array([0.0, 1.6, -1.7]))
+
+    @pytest.mark.parametrize("name", ["dis_ff", "ff"])
+    def test_build_fits_each_unit_axis_once(self, name, monkeypatch):
+        # the array axis and reference antenna depend on the unit alone:
+        # a build over 4 trials of 10 users fits each unit's axis once
+        geo, roi, rng = perimeter_geometry(), default_roi(), np.random.default_rng(1)
+        ues = roi.lo + rng.random((4, 10, 3)) * (roi.hi - roi.lo)
+        serving = np.array(PAIRS)[rng.integers(0, len(PAIRS), (4, 10))]
+        env = InfoEnvironment(geo, 10, None, ues, None if name == "dis_ff" else serving)
+        fits, fit = [], precoders._array_axis
+        monkeypatch.setattr(precoders, "_array_axis", lambda p: fits.append(len(p)) or fit(p))
+        w, failures = build_precoders(parse_precoder_name(name), env)
+        assert np.equal(failures, None).all()
+        units = env.assembly("per-ap" if name == "dis_ff" else "centralized")[0]
+        assert fits == [len(geo.unit_indices(unit)) for unit in units]
+        assert len(fits) == (geo.num_aps if name == "dis_ff" else len(PAIRS))
 
 
 class TestNearField:

@@ -23,7 +23,6 @@ from dmimo import (
     default_roi,
     generate_synthetic_dataset,
     inject_channel_error,
-    los_channel,
     noise_variance_from_floor,
     parse_precoder_name,
     perimeter_geometry,
@@ -229,13 +228,14 @@ class TestRunTrial:
             assert [f is None for f in failures[0]] == [q != p for q in range(3)]
 
     def test_synthetic_draw_synthesizes_channels_once(self, monkeypatch):
-        calls = []
+        # one sampler draw per call, one distance pass over its UEs
+        calls, distances = [], scenarios.distance_phasors
 
-        def counting(geometry, positions, params):
+        def counting(antennas, positions, wavelength):
             calls.append(np.shape(positions))
-            return los_channel(geometry, positions, params)
+            return distances(antennas, positions, wavelength)
 
-        monkeypatch.setattr(scenarios, "los_channel", counting)
+        monkeypatch.setattr(scenarios, "distance_phasors", counting)
         cfg = make_config(k_users=6)
         for t in range(3):
             draw_channels(cfg, [t])
@@ -374,8 +374,9 @@ class TestNmseSweep:
         monkeypatch.undo()
         sampler = scenarios._make_sampler(cfg)
         positions, h = scenarios.draw_channels(cfg, range(2, 6), sampler)
-        shared_h, phasors = sampler.channels_and_near_field(positions)
+        drawn_positions, shared_h, phasors = sampler.draw(positions)
         derived = scenarios._chunk_environment(cfg, h, positions).near_field
+        assert drawn_positions is positions
         assert shared_h.tobytes() == h.tobytes() and phasors.tobytes() == derived.tobytes()
 
     def test_location_only_entries_repeat_across_sigma(self, monkeypatch):
@@ -599,9 +600,10 @@ class TestDatasetMode:
             make_config(channel_source="dataset", dataset_path=str(path))
         )
         m, n = np.unravel_index(np.arange(grid.csi[0, 0].size), grid.grid_shape)
-        h = sampler.channels(np.arange(m.size)[None])[0]
+        (positions,), (h,), phasors = sampler.draw(np.arange(m.size)[None])
         np.testing.assert_array_equal(h, grid.csi[(m < 6).astype(int), :, m, n].T)
-        np.testing.assert_array_equal(sampler.positions(np.arange(m.size)), grid.positions[m, n])
+        np.testing.assert_array_equal(positions, grid.positions[m, n])
+        assert phasors is None  # the environment derives the near field
 
     def test_scenario_runs_on_dataset(self, dataset_dir):
         cfg = make_config(
@@ -981,6 +983,30 @@ class TestForkedWorkers:
         np.testing.assert_array_equal(run_scenario(cfg).sinr_db,
                                       run_scenario(dataclasses.replace(cfg, workers=1)).sinr_db)
         assert_no_child_left()
+
+    @pytest.mark.parametrize("name,clustering", [
+        ("dis_ff", None), ("ff", ((0, 1), (2, 3), (4, 5), (6, 7))),
+    ], ids=["dis_ff", "ff"])
+    def test_far_field_runs_identical_across_workers(self, name, clustering, deadline):
+        # no bundled config or benchmark workload runs a far-field base:
+        # per AP on the perimeter walls, and on clustering_k10's AP pairs
+        cfg = make_config(trials=6, k_users=10, precoders=(parse_precoder_name(name),),
+                          clustering=clustering)
+        one, two = (run_scenario(dataclasses.replace(cfg, workers=w)) for w in (1, 2))
+        assert np.equal(one.failures, None).all() and np.equal(two.failures, None).all()
+        assert not np.isnan(one.sinr_db).any()
+        assert one.sinr_db.tobytes() == two.sinr_db.tobytes()
+        assert one.nmse.tobytes() == two.nmse.tobytes()
+        assert_no_child_left()
+
+    def test_one_worker_runs_in_process(self, monkeypatch):
+        # a run at workers=1 serves its one share in process, with no fork
+        def no_fork():
+            raise AssertionError("a run at workers=1 forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        summary = run_scenario(make_config(**dict(self.CFG, workers=1)))
+        assert summary.sinr_db.shape == (7, 1, 2, 3) and np.equal(summary.failures, None).all()
 
     def test_placement_error_as_serial(self, tmp_path, deadline):
         # four cells cannot hold five distinct users: every trial fails
