@@ -2,12 +2,16 @@
 
     python scripts/bench_record.py --parent DIR --seed N --out BENCH_<n>.json
 
-Run from the repository root (the change); DIR is a checkout of the
-parent commit, and N a seed not used while developing the change. For
-each workload it runs ``perfbench/run.py`` for BENCHMARK.json's
-``run_seconds`` in the two trees in alternating order (parent first in
-even pairs), so host speed drift hits both alike: ``PAIRS`` pairs per
-workload. It records per end-to-end metric the medians and quartiles of
+DIR is a checkout of the parent commit, and N a seed not used while
+developing the change. The change is this tree's tracked files as the
+working tree has them (stage a new file first). They are copied to a new
+directory beside DIR whose path is as long as DIR's, and every table runs
+both sides from those two copies, never from this checkout: a tree's peak
+RSS depends on the directory it runs from. The record names both paths
+(``trees``), and the copy is removed at the end. For each workload it
+runs ``perfbench/run.py`` for BENCHMARK.json's ``run_seconds`` in the two
+trees in alternating order (parent first in even pairs), so host speed
+drift hits both alike: ``PAIRS`` pairs per workload. It records per end-to-end metric the medians and quartiles of
 each side and the pairs in which the change was better. The subprocess
 call and the quartiles mirror ``perfbench/spread.py``, which runs the
 benchmark in one tree only; keep the two in step.
@@ -38,8 +42,9 @@ defaults with one worker, ``SUITE_PAIRS`` alternating parent/change
 pairs, each timed as a whole process, and records whether the two
 sides' last runs wrote byte-identical payload files.
 
-The dataset_io row imports both trees' ``dmimo`` in one process and
-times, alternating parent and change, ``DATASET_REPS`` runs per side of:
+The dataset_io row imports both trees' ``dmimo`` in one process (as
+``dmimo_parent`` and ``dmimo_change``) and times, alternating parent and
+change, ``DATASET_REPS`` runs per side of:
 the ``generate`` and ``calibrate`` commands (``cli.cmd_generate`` and
 ``cli.cmd_calibrate``) on perfbench's 24x24 generate config;
 ``read_dataset`` of the generated dataset with its ``csi.cache`` (a tree
@@ -98,7 +103,9 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import statistics
+import string
 import subprocess
 import sys
 import tempfile
@@ -106,8 +113,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(1, str(ROOT))
+sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import GENERATE_24, WORKLOADS  # noqa: E402
 
@@ -157,13 +163,13 @@ def verdict(parent: dict, change: dict, higher: bool = False) -> str:
     return "slower" if change["q1"] > parent["q3"] else "overlap"
 
 
-def pairs(parent: Path, workload: str, n: int, seed: int, seconds: int) -> tuple[dict, dict]:
+def pairs(trees: dict, workload: str, n: int, seed: int, seconds: int) -> tuple[dict, dict]:
     runs = {"parent": [], "change": []}
     env = {}
     for i in range(n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result, env = perfbench(parent if side == "parent" else ROOT, workload, seed, seconds)
+            result, env = perfbench(trees[side], workload, seed, seconds)
             runs[side].append(result)
             print(f"{workload} pair {i} {side}: " + json.dumps(
                 {m: round(v["value"], 4) for m, v in result["metrics"].items()}), flush=True)
@@ -235,7 +241,7 @@ def cli_run(tree: Path, *args: str) -> tuple[float, float]:
     return launch(tree, "-m", "dmimo.cli", *args)[:2]
 
 
-def configs(parent: Path, nproc: int) -> list[dict]:
+def configs(trees: dict, nproc: int) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         out = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -245,9 +251,8 @@ def configs(parent: Path, nproc: int) -> list[dict]:
                 tps, rss = {"parent": [], "change": []}, {"parent": [], "change": []}
                 for rep in range(CONFIG_REPS):
                     for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                        tree = parent if side == "parent" else ROOT
                         seconds, peak = cli_run(
-                            tree, "simulate", "--config", config, "--trials", str(CONFIG_TRIALS),
+                            trees[side], "simulate", "--config", config, "--trials", str(CONFIG_TRIALS),
                             "--workers", str(workers), "--out", str(out[side]))
                         tps[side].append(CONFIG_TRIALS / seconds)
                         rss[side].append(peak)
@@ -269,7 +274,7 @@ def configs(parent: Path, nproc: int) -> list[dict]:
     return rows
 
 
-def pool(parent: Path, nproc: int, seed: int) -> dict:
+def pool(trees: dict, nproc: int, seed: int) -> dict:
     """Peak RSS of ``cluster_k10_pool``'s simulate process at ``nproc``
     workers, the process's own apart from its largest worker's, per side."""
     rss = {key: {"parent": [], "change": []} for key in ("parent_rss_mb", "worker_rss_mb")}
@@ -278,8 +283,7 @@ def pool(parent: Path, nproc: int, seed: int) -> dict:
         config.write_text(json.dumps(dict(WORKLOADS["cluster_k10_pool"].simulate, seed=seed)))
         for rep in range(POOL_REPS):
             for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                tree = parent if side == "parent" else ROOT
-                stderr = launch(tree, "-c", SELF_AND_WORKERS, "simulate", "--config", str(config),
+                stderr = launch(trees[side], "-c", SELF_AND_WORKERS, "simulate", "--config", str(config),
                                 "--workers", str(nproc), "--out", str(Path(tmp) / side))[2]
                 own_kb, worker_kb = stderr.split()[-2:]
                 rss["parent_rss_mb"][side].append(int(own_kb) / 1024)
@@ -295,18 +299,17 @@ def pool(parent: Path, nproc: int, seed: int) -> dict:
     return row
 
 
-def suite(parent: Path) -> dict:
+def suite(trees: dict) -> dict:
     """Wall time of the 2000-trial suite at one worker, per side."""
     wall = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(SUITE_PAIRS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                tree = parent if side == "parent" else ROOT
                 t0 = time.perf_counter()
                 subprocess.run(
                     [sys.executable, "scripts/run_all_experiments.py", "--workers", "1",
                      "--out", str(Path(tmp) / side)],
-                    cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                    cwd=trees[side], env=dict(os.environ, PYTHONPATH=str(trees[side] / "src")),
                     capture_output=True, timeout=1800, check=True,
                 )
                 wall[side].append(time.perf_counter() - t0)
@@ -333,10 +336,10 @@ def cache_work(csv_path: Path, grid, dest: Path) -> None:
         np.save(fh, grid.present, allow_pickle=False)
 
 
-def dataset_io(parent: Path, seed: int) -> dict:
+def dataset_io(trees: dict, seed: int) -> dict:
     """Seconds per dataset command and read/write call, and each dataset
     command's peak RSS in a fresh process, per side."""
-    load_tree(parent / "src", "dmimo_parent")
+    load_trees(trees)
     samples = {key: {"parent": [], "change": []}
                for key in ("generate_s", "calibrate_s", "read_cache_s", "read_parse_s", "write_s",
                            "cache_work_s", "generate_rss_mb", "calibrate_rss_mb")}
@@ -355,8 +358,7 @@ def dataset_io(parent: Path, seed: int) -> dict:
         config.write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})) + "\n")
         for rep in range(DATASET_REPS):
             for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                mod = "dmimo_parent" if side == "parent" else "dmimo"
-                cli, csidata = (importlib.import_module(f"{mod}.{m}") for m in ("cli", "csidata"))
+                cli, csidata = (importlib.import_module(f"dmimo_{side}.{m}") for m in ("cli", "csidata"))
                 out = Path(tmp) / side
                 gen, cache = out / "gen", out / "gen" / "csi.cache"
                 timed("generate_s", side, cli.cmd_generate, str(config), str(gen))
@@ -368,10 +370,9 @@ def dataset_io(parent: Path, seed: int) -> dict:
                 timed("write_s", side, csidata.write_dataset, grid, manifest, out / "write")
                 if side == "change":
                     timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
-                tree = parent if side == "parent" else ROOT
                 for command, args in (("generate", ("--config", str(config), "--out", str(gen))),
                                       ("calibrate", ("--dataset", str(gen), "--out", str(out / "cal")))):
-                    samples[f"{command}_rss_mb"][side].append(cli_run(tree, command, *args)[1])
+                    samples[f"{command}_rss_mb"][side].append(cli_run(trees[side], command, *args)[1])
         identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
                         for f in files)
     row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}
@@ -385,13 +386,13 @@ def dataset_io(parent: Path, seed: int) -> dict:
     return row
 
 
-def placement(parent: Path, seed: int) -> list[dict]:
+def placement(trees: dict, seed: int) -> list[dict]:
     """Microseconds per trial of placing a chunk of ``TRIALS`` trials and
     milliseconds of the distance pass over their UEs, per workload and side."""
-    load_tree(parent / "src", "dmimo_parent")
+    load_trees(trees)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        tmp, cli = Path(tmp), importlib.import_module("dmimo.cli")
+        tmp, cli = Path(tmp), importlib.import_module("dmimo_change.cli")
         (tmp / "gen.yaml").write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})))
         with contextlib.redirect_stdout(io.StringIO()):
             cli.cmd_generate(str(tmp / "gen.yaml"), str(tmp / "gen"))
@@ -403,8 +404,8 @@ def placement(parent: Path, seed: int) -> list[dict]:
             path = tmp / f"{name}.yaml"
             path.write_text(json.dumps(doc))
             sides = {}
-            for side, mod in (("parent", "dmimo_parent"), ("change", "dmimo")):
-                configio, scenarios, geometry = (importlib.import_module(f"{mod}.{m}")
+            for side in ("parent", "change"):
+                configio, scenarios, geometry = (importlib.import_module(f"dmimo_{side}.{m}")
                                                  for m in ("configio", "scenarios", "geometry"))
                 cfg = configio.parse_simulate_config(path)
                 sides[side] = scenarios, geometry, cfg, scenarios._make_sampler(cfg)
@@ -435,6 +436,13 @@ def placement(parent: Path, seed: int) -> list[dict]:
     return rows
 
 
+def load_trees(trees: dict) -> None:
+    """Each side's ``dmimo`` imported as ``dmimo_<side>``, once per process."""
+    for side, tree in trees.items():
+        if f"dmimo_{side}" not in sys.modules:
+            load_tree(tree / "src", f"dmimo_{side}")
+
+
 def load_tree(src: Path, name: str):
     """The ``dmimo`` package under ``src`` imported as ``name``."""
     spec = importlib.util.spec_from_file_location(
@@ -463,11 +471,11 @@ def trial_setup(mod, path: Path) -> tuple:
     return scenarios, cfg, sampler, noise_var, sigma_points, list(zip(chunks, placements))
 
 
-def pertrial(parent: Path) -> list[dict]:
-    load_tree(parent / "src", "dmimo_parent")
+def pertrial(trees: dict) -> list[dict]:
+    load_trees(trees)
     rows = []
     for path in simulate_configs():
-        sides = {"parent": trial_setup("dmimo_parent", path), "change": trial_setup("dmimo", path)}
+        sides = {side: trial_setup(f"dmimo_{side}", path) for side in ("parent", "change")}
         for p, name in enumerate(spec.name for spec in sides["change"][1].precoders):
             ms = {"parent": [], "change": []}
             for rep in range(REPS):
@@ -499,6 +507,22 @@ def src_diff_sha1(parent_sha: str) -> str:
     return hashlib.sha1(git(ROOT, "diff", parent_sha, "--", "src").encode()).hexdigest()
 
 
+def change_copy(parent: Path) -> Path:
+    """This tree's tracked files, as the working tree has them, copied to a
+    new directory beside ``parent`` whose path is as long as ``parent``'s."""
+    for char in string.ascii_lowercase + string.digits:
+        dest = parent.with_name(parent.name[:-1] + char)
+        if not dest.exists():
+            break
+    else:
+        raise FileExistsError(f"no free sibling of {parent} with a path as long")
+    for name in git(ROOT, "ls-files", "-z").split("\0"):
+        if name and (ROOT / name).is_file():  # a deleted file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+    return dest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -511,8 +535,6 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     nproc = len(os.sched_getaffinity(0))
     parent_sha = git(parent, "rev-parse", "HEAD").strip()
-    for tree in (parent, ROOT):
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
     record = {
         "parent_sha": parent_sha,
         "change_base_sha": git(ROOT, "rev-parse", "HEAD").strip(),
@@ -522,15 +544,22 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": {},
     }
-    for workload, n in PAIRS.items():
-        record["workloads"][workload], env = pairs(parent, workload, n, args.seed, seconds)
-        record.update({k: v for k, v in env.items() if k != "git_sha"})
-    record["configs"] = configs(parent, nproc)
-    record["pool"] = pool(parent, nproc, args.seed)
-    record["suite"] = suite(parent)
-    record["dataset_io"] = dataset_io(parent, args.seed)
-    record["placement"] = placement(parent, args.seed)
-    record["pertrial_ms"] = pertrial(parent)
+    trees = {"parent": parent, "change": change_copy(parent)}
+    try:
+        record["trees"] = {side: str(tree) for side, tree in trees.items()}
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+        for workload, n in PAIRS.items():
+            record["workloads"][workload], env = pairs(trees, workload, n, args.seed, seconds)
+            record.update({k: v for k, v in env.items() if k != "git_sha"})
+        record["configs"] = configs(trees, nproc)
+        record["pool"] = pool(trees, nproc, args.seed)
+        record["suite"] = suite(trees)
+        record["dataset_io"] = dataset_io(trees, args.seed)
+        record["placement"] = placement(trees, args.seed)
+        record["pertrial_ms"] = pertrial(trees)
+    finally:
+        shutil.rmtree(trees["change"])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

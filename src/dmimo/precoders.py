@@ -609,31 +609,57 @@ DOWNDATE_COND = 1e8
 BUILD_ENTRIES = 25_000
 
 
-def _rank_deficient(pool, present, sizes, pu, mask, n, used):
-    """Per trial, pool slice and pair: do its n columns under ``mask`` lack
-    full rank? ``pool`` is (B, S, U, Ma, K); ``used`` (B, U) marks the
-    units each trial's pairs assemble on.
+def _padded(gram: np.ndarray, held: np.ndarray, diagonal) -> np.ndarray:
+    """The matrices a build inverts, (B, S, U, K, K): ``gram`` where
+    ``held``, else the identity, plus ``diagonal``."""
+    a = np.ascontiguousarray(np.where(held[..., None, None], gram, np.eye(gram.shape[-1])))
+    _diagonal(a)[...] += diagonal
+    return a
 
-    The threshold is :func:`numerical_rank`'s, eps * sigma_max * max(Ma,
-    n). By singular-value interlacing every column subset of a full-rank
-    pool is full rank, so one SVD per used unit pool clears all its
-    pairs; only the pairs of a pool that fails, or that has more columns
-    than antennas, get an SVD of their own. Also returns whether each
-    unit pool is full rank with a Gram condition number (sigma_max /
-    sigma_min)^2 of at most ``DOWNDATE_COND``.
+
+def _certify(gram, present, screened) -> tuple:
+    """Invert the padded Gram matrices of the ``screened`` unit pools
+    once and certify from that inverse (README, "Accuracy"). Returns the
+    stack ``a`` (:func:`_padded`); its inverse, None when none is
+    screened or it raises (an exactly singular pool); and, (B, S, U),
+    the pools it proves full rank with a Gram condition number of at
+    most ``DOWNDATE_COND`` / 100."""
+    absent = ~present[:, None]
+    a = _padded(gram, screened, absent)
+    if not screened.any():
+        return a, None, screened
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return a, None, np.zeros_like(screened)
+    flat = a.shape[:-2] + (-1,)
+    r = _norms((np.eye(a.shape[-1]) - a @ inv).reshape(flat), -1)
+    trace = np.trace(a, axis1=-2, axis2=-1).real - absent.sum(axis=-1)
+    bound = trace * _norms(inv.reshape(flat), -1)
+    return a, inv, screened & (r <= 0.5) & (bound <= (1 - r) * (DOWNDATE_COND / 100))
+
+
+def _rank_deficient(pool, present, sizes, pu, mask, n, screened, certified):
+    """Per trial, pool slice and pair: do its n columns under ``mask`` lack
+    full rank? ``pool`` is (B, S, U, Ma, K); ``screened`` (B, S, U) marks
+    the used unit pools with 0 < n_pool <= Ma, and ``certified`` those of
+    them :func:`_certify` cleared, which get no SVD. Also returns whether
+    each unit pool is full rank with a Gram condition number (sigma_max /
+    sigma_min)^2 of at most ``DOWNDATE_COND``. README ("Accuracy") gives
+    the screen.
     """
     eps = np.finfo(float).eps
     ma = sizes[pu]
     deficient = np.repeat((n > ma)[:, None], pool.shape[1], axis=1)
     n_pool = present.sum(axis=-1)
-    cleared, conditioned = np.zeros((2,) + pool.shape[:3], dtype=bool)
-    cb, cu = np.nonzero(used & (n_pool > 0) & (n_pool <= sizes))
+    cleared, conditioned = certified.copy(), certified.copy()
+    cb, cs, cu = np.nonzero(screened & ~certified)
     if cb.size:
-        s = np.linalg.svd(pool[cb, :, cu], compute_uv=False)
-        tol = eps * s[..., :1] * np.maximum(sizes[cu], n_pool[cb, cu])[:, None, None]
-        full = np.sum(s > tol, axis=-1) == n_pool[cb, cu][:, None]
-        well = np.sum(s * s * DOWNDATE_COND >= s[..., :1] ** 2, axis=-1) == n_pool[cb, cu][:, None]
-        cleared[cb, :, cu], conditioned[cb, :, cu] = full, full & well
+        s = np.linalg.svd(pool[cb, cs, cu], compute_uv=False)
+        tol = eps * s[:, :1] * np.maximum(sizes[cu], n_pool[cb, cu])[:, None]
+        full = np.sum(s > tol, axis=-1) == n_pool[cb, cu]
+        well = np.sum(s * s * DOWNDATE_COND >= s[:, :1] ** 2, axis=-1) == n_pool[cb, cu]
+        cleared[cb, cs, cu], conditioned[cb, cs, cu] = full, full & well
     pb, ps, pp = np.nonzero(
         ~np.take_along_axis(cleared, pu[:, None], axis=2) & ~deficient & (n > 0)[:, None]
     )
@@ -686,38 +712,48 @@ def _failure(spec, units, sizes, n, pu, pk, total, code, failed) -> PrecodingErr
     return FullySuppressedError(f"{where}: all components suppressed")
 
 
-def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
-    """Every unit's suppression pool per trial and CSI estimate in
-    ``stack``, the checks that choose how each pair is solved, and the
-    unit Gram matrices the downdate inverts (see :func:`build_precoders`).
-
-    Arrays lead with the trial axis, then one slice per estimate, or one
-    for a pool made from locations alone. Returns the pool and its Gram
-    matrices; the pairs' column masks and counts; the pair failures known
-    before projecting; the pairs projected and those solved on their own;
-    which (trial, slice, unit) holds a directly solved pair; and per
-    (trial, slice, unit) the matrix ``a`` the downdate inverts, the
-    identity where not held, its inverse and ``inv_cols`` (None if none).
-    """
+def _columns(spec, env, asm) -> tuple:
+    """Which suppression columns each unit's pool holds: per (trial, unit,
+    user) whether the unit holds that user's CSI and whether its pool has
+    a column for that user; and each pair's column mask, (B, P, K), and
+    its count of columns."""
     geo, k = env.geometry, env.num_users
     _, ant, sizes, _, pu, pk = asm
-    trial = np.arange(len(pu))[:, None]
     is_csi = np.zeros((len(pu), sizes.size, k), dtype=bool)
     if spec.suppression in ("csi", "csi+nf"):
         # a unit holds a user's CSI when every one of its APs was granted it
         granted = np.broadcast_to(env.csi.granted, (len(pu), geo.num_aps, k))
         is_csi = ~_pad(~granted[:, geo.antenna_aps])[:, ant].any(axis=2)
-    present, other = is_csi, 0
+    present = np.ones_like(is_csi) if spec.suppression in ("nf", "csi+nf") else is_csi
+    mask = present[np.arange(len(pu))[:, None], pu] & (np.arange(k) != pk[:, None])
+    return is_csi, present, mask, mask.sum(axis=-1)
+
+
+def _pool(spec, env, alpha, asm, stack, nf, columns) -> tuple:
+    """Every unit's suppression pool per trial and CSI estimate in
+    ``stack``, the checks that choose how each pair is solved, and the
+    unit Gram matrices the downdate inverts (see :func:`build_precoders`),
+    given the pools' ``columns`` (:func:`_columns`).
+
+    Arrays lead with the trial axis, then one slice per estimate, or one
+    for a pool made from locations alone. Returns the pool and its Gram
+    matrices; the pair failures known before projecting; the pairs
+    projected and those solved on their own; which (trial, slice, unit)
+    holds a directly solved pair; and per (trial, slice, unit) the
+    matrix ``a`` the downdate inverts, its inverse, the identity where
+    not held, and ``inv_cols`` (all None if none is held).
+    """
+    k = env.num_users
+    _, ant, sizes, _, pu, pk = asm
+    is_csi, present, mask, n = columns
+    other = 0
     if spec.suppression in ("nf", "csi+nf"):
         other = _unit_columns(_pad(nf)[:, ant])[:, None]
-        present = np.ones_like(is_csi)
-    mask = present[trial, pu] & (np.arange(k) != pk[:, None])
-    n = mask.sum(axis=-1)
     unit_of = pu[..., None] == np.arange(sizes.size)
     used = unit_of.any(axis=1)
     pool = other
     if spec.suppression != "nf":
-        csi = _pad(env.csi.gather(granted, stack))[:, :, ant]
+        csi = _pad(env.csi.gather(env.csi.granted, stack))[:, :, ant]
         pool = np.where(is_csi[:, None, :, None, :], csi, other)
         if alpha is not None and spec.suppression == "csi+nf":
             # alpha acts on one scale: a unit pool that mixes CSI and
@@ -727,8 +763,15 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
             pool /= np.where(mixed & (norms > 0), norms, 1)
     gram = pool.conj().swapaxes(-1, -2) @ pool
     code = np.zeros(pool.shape[:2] + pu.shape[1:], dtype=int)
+    inv = None
     if alpha is None:
-        deficient, conditioned = _rank_deficient(pool, present, sizes, pu, mask, n, used)
+        n_pool = present.sum(axis=-1)
+        screened = (used & (n_pool > 0) & (n_pool <= sizes))[:, None]
+        screened = np.broadcast_to(screened, gram.shape[:3])
+        a, inv, certified = _certify(gram, present, screened)
+        deficient, conditioned = _rank_deficient(
+            pool, present, sizes, pu, mask, n, screened, certified
+        )
         code[deficient] = _RANK
         solve = ~deficient & (n > 0)[:, None]
         direct = solve & np.take_along_axis(conditioned, pu[:, None], axis=2)
@@ -738,14 +781,16 @@ def _pool(spec, env, alpha, asm, stack, nf) -> tuple:
         bound = np.trace(gram, axis1=-2, axis2=-1).real <= (DOWNDATE_COND - 1) * alpha
         direct = solve & np.take_along_axis(bound, pu[:, None], axis=2)
     held = direct @ unit_of  # (trial, slice, unit) holding a directly solved pair
-    a = inv = inv_cols = None
-    if held.any():
-        a = np.ascontiguousarray(np.where(held[..., None, None], gram, np.eye(k)))
-        _diagonal(a)[...] += alpha if alpha is not None else ~present[:, None]
+    if not held.any():
+        return pool, gram, code, solve, solve & ~direct, held, None, None, None
+    if inv is None:  # regularized, or the screen's inverse raised
+        a = _padded(gram, held, alpha if alpha is not None else ~present[:, None])
         inv = np.linalg.inv(a)
-        inv_cols = inv / np.diagonal(inv, axis1=-2, axis2=-1)[..., None, :]
-        _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
-    return pool, gram, mask, n, code, solve, solve & ~direct, held, a, inv, inv_cols
+    else:
+        inv[~held] = np.eye(k)  # no step reads these slots
+    inv_cols = inv / np.diagonal(inv, axis1=-2, axis2=-1)[..., None, :]
+    _diagonal(inv_cols)[...] = 1  # each column's own entry cancels exactly
+    return pool, gram, code, solve, solve & ~direct, held, a, inv, inv_cols
 
 
 def build_precoders(
@@ -863,8 +908,15 @@ def _build(spec, env, alpha, stack) -> tuple[np.ndarray, np.ndarray]:
     n = np.zeros_like(pu)  # the columns each pair projects off
     code = np.zeros(w.shape[:2] + pk.shape, dtype=int)
     if spec.suppression != "none":
-        pool, gram, mask, n, pool_code, solve, slow, held, a, inv, inv_cols = _pool(
-            spec, env, alpha, asm, stack, nf
+        columns = _columns(spec, env, asm)
+        mask, n = columns[2:]
+    if alpha is None and (n > sizes[pu]).all():
+        # every pair has more columns than its unit has antennas: the
+        # shapes decide the failures, with no pool
+        code[...] = _RANK
+    elif spec.suppression != "none":
+        pool, gram, pool_code, solve, slow, held, a, inv, inv_cols = _pool(
+            spec, env, alpha, asm, stack, nf, columns
         )
         code[...] = pool_code  # a location pool's codes hold for every estimate
         if solve.any():

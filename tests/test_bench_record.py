@@ -1,8 +1,11 @@
 """The tables of ``scripts/bench_record.py`` on small configs, with this
-tree as both parent and change, and its provenance fields."""
+tree as both parent and change, the copy the change runs from, and its
+provenance fields."""
 
 import hashlib
+import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmimo import scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "estimation_error_sweep_k10.yaml"
+TREES = {"parent": ROOT, "change": ROOT}
 
 
 @pytest.fixture
@@ -25,12 +28,14 @@ def bench_record(monkeypatch):
     monkeypatch.setattr(module, "TRIALS", 33)
     monkeypatch.setattr(module, "simulate_configs", lambda: [CONFIG])
     yield module
-    for name in [n for n in sys.modules if n.split(".")[0] == "dmimo_parent"]:
+    for name in [n for n in sys.modules if n.split(".")[0] in ("dmimo_parent", "dmimo_change")]:
         del sys.modules[name]
 
 
 def test_pertrial_runs_the_chunks_of_a_run(bench_record, monkeypatch):
     calls = []
+    bench_record.load_trees(TREES)
+    scenarios = importlib.import_module("dmimo_change.scenarios")
     run_chunk = scenarios.run_chunk
 
     def spy(config, trials, *args, placement=None):
@@ -38,8 +43,8 @@ def test_pertrial_runs_the_chunks_of_a_run(bench_record, monkeypatch):
         return run_chunk(config, trials, *args, placement=placement)
 
     monkeypatch.setattr(scenarios, "run_chunk", spy)
-    rows = bench_record.pertrial(ROOT)
-    cfg = bench_record.trial_setup("dmimo", CONFIG)[1]
+    rows = bench_record.pertrial(TREES)
+    cfg = bench_record.trial_setup("dmimo_change", CONFIG)[1]
     assert [row["spec"] for row in rows] == [spec.name for spec in cfg.precoders]
     chunks = scenarios._chunks(cfg)
     assert len(chunks) > 1  # more trials than a chunk holds
@@ -54,7 +59,7 @@ def test_pertrial_runs_the_chunks_of_a_run(bench_record, monkeypatch):
 def test_configs_rows_record_each_process_peak_rss(bench_record, monkeypatch):
     monkeypatch.setattr(bench_record, "CONFIG_REPS", 1)
     monkeypatch.setattr(bench_record, "CONFIG_TRIALS", 3)
-    (row,) = bench_record.configs(ROOT, nproc=1)
+    (row,) = bench_record.configs(TREES, nproc=1)
     assert row["config"] == CONFIG.stem and row["workers"] == 1 and row["payload_identical"]
     for side in ("parent", "change"):
         assert row["trials_per_s"][side]["median"] > 0
@@ -64,7 +69,7 @@ def test_configs_rows_record_each_process_peak_rss(bench_record, monkeypatch):
 
 def test_pool_row_parts_the_peak_by_process(bench_record, monkeypatch):
     monkeypatch.setattr(bench_record, "POOL_REPS", 1)
-    row = bench_record.pool(ROOT, nproc=2, seed=3)
+    row = bench_record.pool(TREES, nproc=2, seed=3)
     assert row["workload"] == "cluster_k10_pool" and row["workers"] == 2 and row["payload_identical"]
     for key in ("parent_rss_mb", "worker_rss_mb"):
         # the simulate process and a worker forked from it, with numpy
@@ -89,7 +94,7 @@ def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
     grid = dict(bench_record.GENERATE["grid"], nx=6, ny=5)
     monkeypatch.setattr(bench_record, "GENERATE", dict(bench_record.GENERATE, grid=grid))
     monkeypatch.setattr(bench_record, "DATASET_REPS", 2)
-    row = bench_record.dataset_io(ROOT, seed=3)
+    row = bench_record.dataset_io(TREES, seed=3)
     assert row["grid"] == [6, 5] and row["payload_identical"]
     for key in ("generate_s", "calibrate_s", "read_parse_s", "write_s"):
         assert set(row[key]) == {"parent", "change", "verdict"}
@@ -106,7 +111,7 @@ def test_dataset_io_times_both_read_paths(bench_record, monkeypatch):
 def test_placement_rows_time_each_workload(bench_record, monkeypatch):
     grid = dict(bench_record.GENERATE["grid"], nx=6, ny=5)
     monkeypatch.setattr(bench_record, "GENERATE", dict(bench_record.GENERATE, grid=grid))
-    rows = bench_record.placement(ROOT, seed=3)
+    rows = bench_record.placement(TREES, seed=3)
     assert [row["workload"] for row in rows] == list(bench_record.WORKLOADS)
     for row in rows:
         assert row["trials"] == 33 and row["placement_identical"]
@@ -122,3 +127,39 @@ def test_src_diff_hashed_against_the_parent(bench_record, monkeypatch):
     monkeypatch.setattr(bench_record, "git", lambda tree, *args: calls.append((tree, args)) or diff)
     assert bench_record.src_diff_sha1("0123abc") == hashlib.sha1(diff.encode()).hexdigest()
     assert calls == [(ROOT, ("diff", "0123abc", "--", "src"))]
+
+
+def test_no_run_uses_the_working_checkout(bench_record, monkeypatch, tmp_path):
+    # every table gets the parent and a copy of this tree beside it whose
+    # path is as long; the copy is gone once the record is written
+    parent = tmp_path / "p27"
+    (parent / "src").mkdir(parents=True)
+    (tmp_path / "p2a").mkdir()  # taken: the copy takes the next free name
+    git = bench_record.git
+    monkeypatch.setattr(bench_record, "git", lambda tree, *args: (
+        git(tree, *args) if args[0] == "ls-files" else "0123abc\n"))
+    monkeypatch.setattr(bench_record, "PAIRS", {"dist_sweep_k10": 1})
+    seen = []
+
+    def table(name, result):
+        def run(trees, *args):
+            tree = trees["change"]
+            assert (tree / "src" / "dmimo" / "precoders.py").read_bytes() == (
+                ROOT / "src" / "dmimo" / "precoders.py").read_bytes()
+            seen.append((name, dict(trees)))
+            return result
+        monkeypatch.setattr(bench_record, name, run)
+
+    table("pairs", ({}, {"numpy": "x", "git_sha": "y"}))
+    for name in ("configs", "pool", "suite", "dataset_io", "placement", "pertrial"):
+        table(name, [])
+    out = tmp_path / "record.json"
+    assert bench_record.main(["--parent", str(parent), "--seed", "1", "--out", str(out)]) == 0
+    change = tmp_path / "p2b"
+    assert [name for name, _ in seen] == [
+        "pairs", "configs", "pool", "suite", "dataset_io", "placement", "pertrial"]
+    assert all(trees == {"parent": parent, "change": change} for _, trees in seen)
+    assert len(str(change)) == len(str(parent)) and not change.exists()
+    record = json.loads(out.read_text())
+    assert record["trees"] == {"parent": str(parent), "change": str(change)}
+    assert record["numpy"] == "x" and "git_sha" not in record

@@ -939,8 +939,10 @@ class TestDowndateConditioning:
     # (channel and position) and solves its pairs one by one; trial 1 is
     # well conditioned and, at 1e-4 scale, within rzf's trace bound at
     # noise_var 1e-12, so its unit is inverted in the same dense stack
-    # whose Gram matrices trial 0's pairs read. dis_rmrt_nf inverts its
-    # location pools once per trial for all five estimates.
+    # whose Gram matrices trial 0's pairs read. zf's one inverse also
+    # certifies trial 1's pool, so only trial 0's gets an SVD.
+    # dis_rmrt_nf inverts its location pools once per trial for all five
+    # estimates.
     @pytest.mark.parametrize("name,noise_var,s,slow", [
         ("zf", None, 1, True), ("rzf", 1e-12, 1, True), ("dis_rmrt_nf", 1e-6, 5, False),
     ])
@@ -959,15 +961,18 @@ class TestDowndateConditioning:
             for b in range(2)
         ])
         spec = parse_precoder_name(name)
-        calls = {"inv": 0, "solve": 0}
+        calls, svd = {"inv": 0, "solve": 0}, np.linalg.svd
         for routine in calls:
             def counting(*args, routine=routine, inner=getattr(np.linalg, routine)):
                 calls[routine] += 1
                 return inner(*args)
 
             monkeypatch.setattr(np.linalg, routine, counting)
+        screened = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: screened.append(a.shape) or svd(a, **kw))
         w, failures = build_precoders(spec, env, channels, noise_var)
         assert calls["inv"] == 1 and (calls["solve"] > 0) == slow
+        assert screened == ([(1, 64, 6)] if name == "zf" else [])
         for b in range(2):
             one_w, one_failures = build_precoders(spec, env.trial(b), channels[b], noise_var)
             assert np.array_equal(w[b], one_w, equal_nan=True), b
@@ -986,6 +991,88 @@ class TestDowndateConditioning:
             expected = np.linalg.solve(a[:, keep][:, :, keep], r[:, keep, j][:, :, None])
             np.testing.assert_allclose(x[:, keep, j], expected[:, :, 0], atol=1e-12)
             assert (x[:, j, j] == 0).all()
+
+
+def svd_screen(pool, present, sizes, pu, mask, n, used):
+    """The rank screen by SVD alone, the certificate's oracle: one SVD per
+    used unit pool with 0 < n_pool <= Ma clears its pairs and tells
+    whether its Gram condition number is within DOWNDATE_COND; every
+    other pair with columns to spare gets an SVD of its own."""
+    eps = np.finfo(float).eps
+    ma = sizes[pu]
+    deficient = np.repeat((n > ma)[:, None], pool.shape[1], axis=1)
+    n_pool = present.sum(axis=-1)
+    cleared, conditioned = np.zeros((2,) + pool.shape[:3], dtype=bool)
+    cb, cu = np.nonzero(used & (n_pool > 0) & (n_pool <= sizes))
+    if cb.size:
+        s = np.linalg.svd(pool[cb, :, cu], compute_uv=False)
+        tol = eps * s[..., :1] * np.maximum(sizes[cu], n_pool[cb, cu])[:, None, None]
+        full = np.sum(s > tol, axis=-1) == n_pool[cb, cu][:, None]
+        well = (np.sum(s * s * precoders.DOWNDATE_COND >= s[..., :1] ** 2, axis=-1)
+                == n_pool[cb, cu][:, None])
+        cleared[cb, :, cu], conditioned[cb, :, cu] = full, full & well
+    pb, ps, pp = np.nonzero(
+        ~np.take_along_axis(cleared, pu[:, None], axis=2) & ~deficient & (n > 0)[:, None]
+    )
+    if pp.size:
+        s = np.linalg.svd(pool[pb, ps, pu[pb, pp]] * mask[pb, pp, None, :], compute_uv=False)
+        tol = eps * s[:, :1] * np.maximum(ma[pb, pp], n[pb, pp])[:, None]
+        deficient[pb, ps, pp] = np.sum(s > tol, axis=1) < n[pb, pp]
+    return deficient, conditioned
+
+
+def certified_screen(pool, present, sizes, pu, mask, n, used):
+    """The build's screen as ``_pool`` runs it: the units the Gram inverse
+    certifies, and ``_rank_deficient``'s (deficient, conditioned)."""
+    gram = pool.conj().swapaxes(-1, -2) @ pool
+    n_pool = present.sum(axis=-1)
+    screened = np.broadcast_to((used & (n_pool > 0) & (n_pool <= sizes))[:, None], gram.shape[:3])
+    certified = precoders._certify(gram, present, screened)[2]
+    return certified, precoders._rank_deficient(
+        pool, present, sizes, pu, mask, n, screened, certified)
+
+
+class TestRankCertificate:
+    """Unregularized pools are cleared by the downdate's own inverse; only
+    the pools it cannot certify get an SVD."""
+
+    @pytest.mark.parametrize("name", ["nf_nf", "mrt_nf", "zf"])
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_centralized_builds_run_no_svd(self, monkeypatch, name, k, seed):
+        env, _ = oracle_env(k, seed, "centralized")
+        assert env.geometry.num_antennas == 64
+        expected = build_precoders(parse_precoder_name(name), env)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a unit pool was screened by SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        w, failures = build_precoders(parse_precoder_name(name), env)
+        assert failures == (None,) and w.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("zero_user,expected", [
+        (None, "precoder 'dis_zf', user 0, AP 0: suppression matrix (8x9) is rank deficient; "
+               "use the regularized projection"),
+        (0, "precoder 'dis_zf', user 0: zero base vector"),
+    ])
+    def test_shapes_decide_a_short_build(self, monkeypatch, zero_user, expected):
+        # 9 columns on every 8-antenna AP: each pair fails by its shape, so
+        # the build forms no pool and factors nothing
+        env, _ = oracle_env(10, 1, "dis")
+        if zero_user is not None:
+            h = env.csi.channel.copy()
+            h[:, zero_user] = 0
+            env = with_channel(env, h)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a build decided by its shapes did the work")
+
+        for name in ("inv", "svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(precoders, "_pool", forbidden)
+        w, failures = build_precoders(parse_precoder_name("dis_zf"), env)
+        assert np.isnan(w).all() and list(map(str, failures)) == [expected]
 
 
 class TestRankThreshold:
@@ -1312,3 +1399,52 @@ def test_near_collinear_channels_property(name, k, log_eps, seed):
         return
     assert np.isfinite(w).all()
     np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3)),
+    ma=st.integers(2, 8),
+    k=st.integers(2, 10),
+    log_cond=st.floats(0.0, 12.0),
+    log_scale=st.floats(-4.0, 2.0),
+    absent=st.booleans(),
+    duplicate=st.booleans(),
+    zero=st.sampled_from((False, False, False, True)),  # an exactly singular stack
+)
+def test_certificate_property(seed, shape, ma, k, log_cond, log_scale, absent, duplicate, zero):
+    # pools with planted singular values, cond(A) = 10**log_cond, absent
+    # and duplicated columns, more columns than antennas and units
+    # narrower than the pool: the certificate clears only pools the SVD
+    # calls full rank and conditioned, and the screen decides every pair
+    # exactly as the SVD alone does
+    rng = np.random.default_rng(seed)
+    b, s, u = shape
+    sizes = rng.integers(1, ma + 1, u)
+    sizes[0] = ma
+    present = rng.random((b, u, k)) < (0.7 if absent else 1.0)
+    pool = np.zeros((b, s, u, ma, k), dtype=complex)
+    for idx in np.ndindex(b, s, u):
+        cols = np.flatnonzero(present[idx[0], idx[2]])
+        rank = min(sizes[idx[2]], cols.size)
+        if rank == 0:
+            continue
+        left = np.linalg.qr(crandn(rng, sizes[idx[2]], rank))[0]
+        right = np.linalg.qr(crandn(rng, cols.size, rank))[0]
+        sigma = 10.0 ** (log_scale - np.linspace(0.0, log_cond / 2, rank))
+        v = (left * sigma) @ right.conj().T
+        if duplicate and cols.size > 1:
+            v[:, -1] = v[:, 0]
+        if zero:
+            v[:, rng.integers(cols.size)] = 0
+        pool[idx][: sizes[idx[2]], cols] = v
+    pk = np.repeat(np.arange(k), u)
+    pu = np.broadcast_to(np.tile(np.arange(u), k), (b, u * k))
+    mask = present[np.arange(b)[:, None], pu] & (np.arange(k) != pk[:, None])
+    n = mask.sum(axis=-1)
+    used = rng.random((b, u)) < 0.8
+    certified, (deficient, conditioned) = certified_screen(pool, present, sizes, pu, mask, n, used)
+    oracle = svd_screen(pool, present, sizes, pu, mask, n, used)
+    assert not (certified & ~oracle[1]).any()
+    assert np.array_equal(deficient, oracle[0]) and np.array_equal(conditioned, oracle[1])

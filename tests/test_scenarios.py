@@ -208,18 +208,27 @@ class TestRunTrial:
         assert np.isfinite(sinr_db[0, 1]).all()
 
     def test_singular_solve_recorded_not_raised(self, monkeypatch):
-        def singular(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        # zf inverts its unit's Gram matrix; rzf, whose weight (the noise
-        # variance, 1e-12) is too small for the inverse's trace bound on
-        # these channels (Gram trace ~1.5e-3), solves pair by pair
+        # zf inverts its unit's Gram matrix, and certifies the pool's rank
+        # from that inverse; when it raises, zf screens by SVD and then
+        # inverts again. rzf, whose weight (the noise variance, 1e-12) is
+        # too small for the inverse's trace bound on these channels (Gram
+        # trace ~1.5e-3), solves pair by pair and inverts nothing
         names = ("mrt", "zf", "rzf")
         cfg = make_config(precoders=tuple(parse_precoder_name(n) for n in names))
-        for routine, p in (("inv", 1), ("solve", 2)):
+        for routine, p, counts in (("inv", 1, {"inv": 2, "svd": 1, "solve": 1}),
+                                   ("solve", 2, {"inv": 1, "solve": 1})):
+            calls = collections.Counter()
             with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, routine, singular)
+                for name in ("inv", "svd", "solve"):
+                    def counting(*args, name=name, inner=getattr(np.linalg, name), **kwargs):
+                        calls[name] += 1
+                        if name == routine:
+                            raise np.linalg.LinAlgError("Singular matrix")
+                        return inner(*args, **kwargs)
+
+                    patch.setattr(np.linalg, name, counting)
                 sinr_db, failures, _ = run_trial(cfg, 0, noise_var=1e-12)
+            assert calls == counts, routine
             assert np.isnan(sinr_db[0, p]).all()
             assert failures[0, p] == (
                 f"RankDeficiencyError: precoder '{names[p]}': singular suppression "
@@ -334,8 +343,9 @@ class TestNmseSweep:
 
     def test_location_pool_once_per_spec_and_chunk(self, monkeypatch):
         # nf_nf and mrt_nf suppress by the same unregularized near-field
-        # pool, rmrt_nf by one carrying alpha: each spec rank-checks and
-        # inverts its pool once for the whole chunk and sigma grid
+        # pool, rmrt_nf by one carrying alpha: each spec inverts its pool
+        # once for the whole chunk and sigma grid, and the unregularized
+        # ones certify its rank from that inverse, with no SVD
         calls = collections.Counter()
         for name in ("inv", "svd"):
             def counting(*args, name=name, inner=getattr(np.linalg, name), **kwargs):
@@ -348,7 +358,7 @@ class TestNmseSweep:
         points = (0.0, 1e-7, 2e-7)
         _, failures, _ = scenarios.run_chunk(cfg, range(2, 5), 1e-6, points)
         assert np.equal(failures, None).all()
-        assert calls == {"inv": 3, "svd": 2}
+        assert calls == {"inv": 3}
 
     def test_location_state_derived_once_per_chunk(self, monkeypatch):
         # one distance pass gives the chunk's channels and near-field
