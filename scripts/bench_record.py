@@ -11,8 +11,9 @@ RSS depends on the directory it runs from. The record names both paths
 (``trees``), and the copy is removed at the end. For each workload it
 runs ``perfbench/run.py`` for BENCHMARK.json's ``run_seconds`` in the two
 trees in alternating order (parent first in even pairs), so host speed
-drift hits both alike: ``PAIRS`` pairs per workload. It records per end-to-end metric the medians and quartiles of
-each side and the pairs in which the change was better. The subprocess
+drift hits both alike: ``PAIRS`` pairs per workload. It records per
+end-to-end metric the medians and quartiles of each side and the pairs
+in which the change was better. The subprocess
 call and the quartiles mirror ``perfbench/spread.py``, which runs the
 benchmark in one tree only; keep the two in step.
 
@@ -252,8 +253,9 @@ def configs(trees: dict, nproc: int) -> list[dict]:
                 for rep in range(CONFIG_REPS):
                     for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
                         seconds, peak = cli_run(
-                            trees[side], "simulate", "--config", config, "--trials", str(CONFIG_TRIALS),
-                            "--workers", str(workers), "--out", str(out[side]))
+                            trees[side], "simulate", "--config", config,
+                            "--trials", str(CONFIG_TRIALS), "--workers", str(workers),
+                            "--out", str(out[side]))
                         tps[side].append(CONFIG_TRIALS / seconds)
                         rss[side].append(peak)
                 sides = {s: {q: round(x, 2) for q, x in summarize(v).items()} for s, v in tps.items()}
@@ -283,8 +285,9 @@ def pool(trees: dict, nproc: int, seed: int) -> dict:
         config.write_text(json.dumps(dict(WORKLOADS["cluster_k10_pool"].simulate, seed=seed)))
         for rep in range(POOL_REPS):
             for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                stderr = launch(trees[side], "-c", SELF_AND_WORKERS, "simulate", "--config", str(config),
-                                "--workers", str(nproc), "--out", str(Path(tmp) / side))[2]
+                stderr = launch(trees[side], "-c", SELF_AND_WORKERS, "simulate",
+                                "--config", str(config), "--workers", str(nproc),
+                                "--out", str(Path(tmp) / side))[2]
                 own_kb, worker_kb = stderr.split()[-2:]
                 rss["parent_rss_mb"][side].append(int(own_kb) / 1024)
                 rss["worker_rss_mb"][side].append(int(worker_kb) / 1024)
@@ -358,7 +361,8 @@ def dataset_io(trees: dict, seed: int) -> dict:
         config.write_text(json.dumps(dict(GENERATE, hardware_offsets={"seed": seed})) + "\n")
         for rep in range(DATASET_REPS):
             for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                cli, csidata = (importlib.import_module(f"dmimo_{side}.{m}") for m in ("cli", "csidata"))
+                cli, csidata = (importlib.import_module(f"dmimo_{side}.{m}")
+                                for m in ("cli", "csidata"))
                 out = Path(tmp) / side
                 gen, cache = out / "gen", out / "gen" / "csi.cache"
                 timed("generate_s", side, cli.cmd_generate, str(config), str(gen))
@@ -372,7 +376,8 @@ def dataset_io(trees: dict, seed: int) -> dict:
                     timed("cache_work_s", side, cache_work, gen / "csi.csv", grid, out / "cache")
                 for command, args in (("generate", ("--config", str(config), "--out", str(gen))),
                                       ("calibrate", ("--dataset", str(gen), "--out", str(out / "cal")))):
-                    samples[f"{command}_rss_mb"][side].append(cli_run(trees[side], command, *args)[1])
+                    rss = cli_run(trees[side], command, *args)[1]
+                    samples[f"{command}_rss_mb"][side].append(rss)
         identical = all((Path(tmp) / "parent" / f).read_bytes() == (Path(tmp) / "change" / f).read_bytes()
                         for f in files)
     row = {"reps": DATASET_REPS, "grid": [GENERATE["grid"]["nx"], GENERATE["grid"]["ny"]]}

@@ -28,7 +28,8 @@ def bench_record(monkeypatch):
     monkeypatch.setattr(module, "TRIALS", 33)
     monkeypatch.setattr(module, "simulate_configs", lambda: [CONFIG])
     yield module
-    for name in [n for n in sys.modules if n.split(".")[0] in ("dmimo_parent", "dmimo_change")]:
+    loaded = [n for n in sys.modules if n.split(".")[0] in ("dmimo_parent", "dmimo_change")]
+    for name in loaded:
         del sys.modules[name]
 
 

@@ -969,7 +969,8 @@ class TestDowndateConditioning:
 
             monkeypatch.setattr(np.linalg, routine, counting)
         screened = []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: screened.append(a.shape) or svd(a, **kw))
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: screened.append(a.shape) or svd(a, **kw))
         w, failures = build_precoders(spec, env, channels, noise_var)
         assert calls["inv"] == 1 and (calls["solve"] > 0) == slow
         assert screened == ([(1, 64, 6)] if name == "zf" else [])
